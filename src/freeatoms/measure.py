@@ -3,9 +3,10 @@
 A :class:`SpectralMeasure` is a finite list of atoms plus an optional
 absolutely continuous part built from closed-form density families
 (semicircle, arcsine, uniform) or tabulated densities.  The module
-evaluates the scalar Cauchy transform G(z) = int dmu(t)/(z - t), its
-reciprocal F = 1/G, and deterministic quantiles used by the random
-matrix oracle.
+evaluates the scalar Cauchy transform G(z) = int dmu(t)/(z - t) in closed
+form for every family, its reciprocal F = 1/G, and deterministic
+quantiles used by the random matrix oracle.  Adaptive quadrature is kept
+for validating densities and for integrands without a closed form.
 
 Measures are validated at construction and rejected (never silently
 renormalized) when the data is inconsistent.  Instances are immutable
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import HalfPlaneError, MeasureError, SchemaError
+from .errors import ConvergenceError, HalfPlaneError, MeasureError, SchemaError
 
 # Tolerance for construction-time consistency checks (mass budgets,
 # piece normalization), distinct from quadrature refinement targets.
@@ -29,6 +30,12 @@ VALIDATION_TOL = 1e-8
 # Target for adaptive Gauss-Legendre refinement: panels are subdivided
 # until the coarse/fine estimates differ by less than this.
 QUAD_TOL = 1e-12
+
+# Table transforms switch to the moment series beyond this many
+# half-widths from the table's midpoint, where the segment logarithms
+# cancel; _TABLE_MOMENTS terms then reach (1/8)^20 < 1e-18.
+_TABLE_FAR = 8.0
+_TABLE_MOMENTS = 20
 
 _GL_ORDER = 32
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
@@ -77,6 +84,9 @@ class SemicirclePiece:
     def unit_mean(self):
         return self.center
 
+    def unit_cauchy(self, w):
+        return cauchy_semicircle(self.center, self.radius, w)
+
     # parameterization s in [0,1] with int_0^1 f(t(s)) w(s) ds = int f dmu_unit
     def param_to_t(self, s):
         return self.center - self.radius * np.cos(np.pi * s)
@@ -124,6 +134,9 @@ class ArcsinePiece:
     def unit_mean(self):
         return 0.5 * (self.a + self.b)
 
+    def unit_cauchy(self, w):
+        return cauchy_arcsine(self.a, self.b, w)
+
     def param_to_t(self, s):
         mid = 0.5 * (self.a + self.b)
         half = 0.5 * (self.b - self.a)
@@ -167,6 +180,9 @@ class UniformPiece:
 
     def unit_mean(self):
         return 0.5 * (self.a + self.b)
+
+    def unit_cauchy(self, w):
+        return cauchy_uniform(self.a, self.b, w)
 
     def param_to_t(self, s):
         return self.a + (self.b - self.a) * np.asarray(s, dtype=float)
@@ -240,6 +256,9 @@ class TablePiece:
         values = np.asarray(self.values)
         return float(np.trapezoid(nodes * values, nodes))
 
+    def unit_cauchy(self, w):
+        return cauchy_table(self.nodes, self.values, w)
+
     def param_to_t(self, s):
         lo, hi = self.interval
         return lo + (hi - lo) * np.asarray(s, dtype=float)
@@ -290,7 +309,10 @@ def integrate_piece(f, piece, rtol=QUAD_TOL, max_depth=30):
     ``f`` maps an array of points t (shape (K,)) to an array whose first
     axis has length K; remaining axes pass through (matrix-valued
     integrands are supported).  Panels in the parameterization domain
-    are bisected until coarse and fine Gauss-Legendre estimates agree.
+    [0, 1] are bisected until coarse and fine Gauss-Legendre estimates
+    agree.  The tolerance is absolute per panel: ``rtol`` times the
+    running total (at least 1).  Raises ConvergenceError when a panel
+    still misses it at ``max_depth``.
     """
 
     def panel_estimate(lo, hi):
@@ -312,10 +334,11 @@ def integrate_piece(f, piece, rtol=QUAD_TOL, max_depth=30):
         right = panel_estimate(mid, hi)
         fine = left + right
         err = np.max(np.abs(fine - coarse))
-        if err <= rtol * total_scale * max(1.0, hi - lo) or depth >= max_depth:
+        if err <= rtol * total_scale or depth >= max_depth:
             if depth >= max_depth and err > 1e6 * rtol:
-                raise MeasureError(
-                    f"quadrature failed to converge (panel error {err:.3e} at depth {depth})"
+                raise ConvergenceError(
+                    f"quadrature failed to converge (panel error {err:.3e} at depth {depth})",
+                    {"panel_error": float(err), "depth": depth},
                 )
             result = fine if result is None else result + fine
             total_scale = max(total_scale, float(np.max(np.abs(result))))
@@ -385,7 +408,10 @@ class SpectralMeasure:
             dens = piece.unit_density(piece.param_to_t(_GL01_NODES))
             if not np.all(np.isfinite(dens)) or np.any(dens < -VALIDATION_TOL):
                 raise MeasureError("piece density is negative or non-finite at quadrature nodes")
-            mass = integrate_piece(lambda t: np.ones_like(t), piece, rtol=1e-10)
+            try:
+                mass = integrate_piece(lambda t: np.ones_like(t), piece, rtol=1e-10)
+            except ConvergenceError as exc:
+                raise MeasureError(f"piece density cannot be integrated: {exc}") from exc
             if abs(mass - 1.0) > 1e-7:
                 raise MeasureError(f"piece quadrature mass {mass} deviates from 1")
         intervals.sort()
@@ -428,16 +454,34 @@ class SpectralMeasure:
             out = out + p.weight * p.unit_cdf(x)
         return out
 
-    def integrate(self, f, rtol=QUAD_TOL):
-        """Integrate a (possibly matrix-valued) function against the measure."""
-        total = None
+    @property
+    def continuous_weight(self):
+        return sum(p.weight for p in self.continuous)
+
+    def cauchy(self, w):
+        """Cauchy transform int dmu(t)/(w - t) at points w off the real axis.
+
+        Vectorized over ``w``; atoms are summed exactly and every
+        continuous piece uses its closed form.
+        """
+        w = np.asarray(w, dtype=complex)
+        total = np.zeros_like(w)
         for loc, m in self.atoms:
-            v = m * np.asarray(f(np.asarray([loc]))[0])
-            total = v if total is None else total + v
+            total = total + m / (w - loc)
+        return total + self.continuous_cauchy(w)
+
+    def continuous_cauchy(self, w):
+        """Cauchy transform of the continuous part alone, vectorized over ``w``.
+
+        Pieces are evaluated at conj(w) in the upper half-plane and
+        conjugated back below it; a real w takes the limit from above.
+        """
+        w = np.asarray(w, dtype=complex)
+        upper = w.real + 1j * np.abs(w.imag)
+        total = np.zeros_like(upper)
         for p in self.continuous:
-            v = p.weight * integrate_piece(f, p, rtol=rtol)
-            total = v if total is None else total + v
-        return total
+            total = total + p.weight * p.unit_cauchy(upper)
+        return np.where(w.imag < 0, total.conj(), total)
 
     # -- serialization -----------------------------------------------------
 
@@ -509,12 +553,7 @@ def cauchy_scalar(mu: SpectralMeasure, z: complex) -> complex:
     z = complex(z)
     if not z.imag > 0:
         raise HalfPlaneError(f"cauchy_scalar requires Im z > 0, got {z}")
-    total = 0.0 + 0.0j
-    for loc, m in mu.atoms:
-        total += m / (z - loc)
-    for p in mu.continuous:
-        total += p.weight * complex(integrate_piece(lambda t: 1.0 / (z - t), p))
-    return total
+    return complex(mu.cauchy(z))
 
 
 def f_scalar(mu: SpectralMeasure, z: complex) -> complex:
@@ -555,21 +594,79 @@ def quantiles(mu: SpectralMeasure, N: int) -> np.ndarray:
     return np.minimum.accumulate(out[::-1])[::-1]
 
 
-# closed forms used as machine-precision self-checks in tests
+# closed forms of the unit-mass families, for Im z >= 0.  Each is written
+# so that it keeps full relative accuracy as |z| -> infinity, where the
+# textbook forms cancel; the matrix transform reaches |z| ~ 1/eps.
+
+
+def _log1p(x):
+    """log(1 + x) for complex x, accurate for small |x| (numpy's is not)."""
+    x = np.asarray(x, dtype=complex)
+    re, im = x.real, x.imag
+    return 0.5 * np.log1p(re * (2.0 + re) + im * im) + 1j * np.arctan2(im, 1.0 + re)
+
+
+def _log_ratio(z, lo, hi):
+    """log((z - lo) / (z - hi)) = int_lo^hi dt / (z - t) for Im z >= 0.
+
+    The ratio itself is accurate next to the endpoints and log1p of
+    (hi - lo) / (z - hi) away from them, where the ratio tends to 1.
+    """
+    x = (hi - lo) / (z - hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(x) < 0.5, _log1p(x), np.log((z - lo) / (z - hi)))
 
 
 def cauchy_semicircle(center, radius, z):
     """Closed-form Cauchy transform of the semicircle law."""
-    w = z - center
-    root = np.sqrt(w - radius) * np.sqrt(w + radius)
-    return 2.0 * (w - root) / radius**2
+    w = np.asarray(z, dtype=complex) - center
+    return 2.0 / (w + np.sqrt(w - radius) * np.sqrt(w + radius))
 
 
 def cauchy_arcsine(a, b, z):
     """Closed-form Cauchy transform of the arcsine law on (a, b)."""
+    z = np.asarray(z, dtype=complex)
     return 1.0 / (np.sqrt(z - a) * np.sqrt(z - b))
 
 
 def cauchy_uniform(a, b, z):
     """Closed-form Cauchy transform of the uniform law on (a, b)."""
-    return (np.log(z - a) - np.log(z - b)) / (b - a)
+    z = np.asarray(z, dtype=complex)
+    return _log_ratio(z, a, b) / (b - a)
+
+
+def cauchy_table(nodes, values, z):
+    """Cauchy transform of the piecewise-linear density through (nodes, values).
+
+    Near the support each segment contributes its exact logarithmic
+    integral; far from it the moment series about the midpoint is used.
+    """
+    x = np.asarray(nodes, dtype=float)
+    v = np.asarray(values, dtype=float)
+    z = np.asarray(z, dtype=complex)
+    center, half = 0.5 * (x[0] + x[-1]), 0.5 * (x[-1] - x[0])
+    u = z - center
+    far = np.abs(u) > _TABLE_FAR * half
+    out = np.empty_like(u)
+
+    # int_seg f(t)/(z - t) dt = f(z) log((z - x_k)/(z - x_{k+1})) - (v_{k+1} - v_k),
+    # with f extended linearly from the segment
+    zn = z[~far][..., None]
+    slope = np.diff(v) / np.diff(x)
+    logs = _log_ratio(zn, x[:-1], x[1:])
+    out[~far] = np.sum((v[:-1] + slope * (zn - x[:-1])) * logs, axis=-1) - (v[-1] - v[0])
+
+    if np.any(far):
+        # moments of f about the midpoint, segment by segment:
+        # f(t) = alpha + slope * p on each segment, p = t - center
+        p0, p1 = x[:-1] - center, x[1:] - center
+        alpha = v[:-1] - slope * p0
+        k = np.arange(1, _TABLE_MOMENTS + 1)[:, None]
+        moments = np.sum(alpha * (p1**k - p0**k) / k
+                         + slope * (p1 ** (k + 1) - p0 ** (k + 1)) / (k + 1), axis=-1)
+        inv = 1.0 / u[far]
+        series = np.zeros_like(inv)
+        for m in moments[::-1]:
+            series = (series + m) * inv
+        out[far] = series
+    return out

@@ -2,7 +2,9 @@
 
 For a Hermitian n x n coefficient ``a`` and a scalar-distributed variable
 X with law mu, the transform is G(z) = int (z - t a)^{-1} dmu(t) for z in
-the matrix upper half-plane.  The second half of the module computes the
+the matrix upper half-plane, evaluated exactly: atoms as a resolvent sum,
+the continuous part through an eigendecomposition and the scalar closed
+forms of ``measure``.  The second half of the module computes the
 normalized kernel dimension k(t) of the pencil b - t a, its generic
 minimum, the finite exceptional set, and the kernel trace
 
@@ -24,6 +26,12 @@ from .measure import SpectralMeasure, integrate_piece
 
 # Singular values below RANK_RTOL * max(sigma_1, 1) count as zero.
 RANK_RTOL = 1e-8
+
+# The eigenvector basis of the continuous transform amplifies roundoff by
+# its condition number (1-norm); beyond this, where its error would exceed
+# that of quadrature (~1e-12), the continuous part is integrated by
+# quadrature instead.
+_EIG_COND_LIMIT = 1e4
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +84,53 @@ def _as_herm(a, name="coefficient"):
 # ---------------------------------------------------------------------------
 
 
+def _resolvents(a, z, ts):
+    """The stack (z - t a)^{-1} over the points ``ts``."""
+    ts = np.asarray(ts, dtype=float)
+    return np.linalg.inv(z[None, :, :] - ts[:, None, None] * a[None, :, :])
+
+
+def _continuous_cauchy(a, mu: SpectralMeasure, z) -> np.ndarray:
+    """int (z - t a)^{-1} over the continuous part of mu, in closed form.
+
+    In an eigenbasis of a, its kernel N is split off exactly: with the
+    Schur complement S = z_RR - z_RN z_NN^{-1} z_NR on the range R
+    (S stays in the upper half-plane), the range block of the resolvent
+    is (S - t d)^{-1} = V diag(1/(w_i - t)) V^{-1} d^{-1} for
+    d^{-1} S = V diag(w) V^{-1}, so it integrates to
+    V diag(G_c(w_i)) V^{-1} d^{-1}; the other blocks follow from it.
+    No w_i is real, since S - t d is invertible for every real t.
+    Keeping the kernel out of the eigenproblem matters: a zero
+    eigenvalue of z^{-1} a next to small nonzero ones (singular pencils
+    near an atom) makes the eigenbasis ill-conditioned.
+    """
+    n = a.shape[0]
+    weight = mu.continuous_weight
+    d, U = np.linalg.eigh(a)
+    live = np.abs(d) > n * np.finfo(float).eps * np.abs(d).max()
+    if not live.any():
+        return weight * np.linalg.inv(z)
+    U = np.concatenate([U[:, live], U[:, ~live]], axis=1)
+    d = d[live]
+    r = d.size
+    zu = U.conj().T @ z @ U
+    s = zu[:r, :r]
+    if r < n:
+        znn_inv = np.linalg.inv(zu[r:, r:])
+        left = zu[:r, r:] @ znn_inv  # z_RN z_NN^{-1}
+        right = znn_inv @ zu[r:, :r]  # z_NN^{-1} z_NR
+        s = s - left @ zu[r:, :r]
+    w, V = np.linalg.eig(s / d[:, None])
+    Vinv = np.linalg.inv(V)
+    if np.abs(V).sum(axis=0).max() * np.abs(Vinv).sum(axis=0).max() > _EIG_COND_LIMIT:
+        return sum(p.weight * integrate_piece(lambda ts: _resolvents(a, z, ts), p)
+                   for p in mu.continuous)
+    g = (V * mu.continuous_cauchy(w)) @ (Vinv / d[None, :])
+    if r < n:
+        g = np.block([[g, -g @ left], [-right @ g, weight * znn_inv + right @ g @ left]])
+    return U @ g @ U.conj().T
+
+
 def matrix_cauchy(a, mu: SpectralMeasure, z) -> np.ndarray:
     """G(z) = int (z - t a)^{-1} dmu(t); maps H+_n into H-_n."""
     a = _as_herm(a)
@@ -83,13 +138,15 @@ def matrix_cauchy(a, mu: SpectralMeasure, z) -> np.ndarray:
     n = z.shape[0]
     if a.shape != (n, n):
         raise ValueError(f"coefficient shape {a.shape} does not match point shape {z.shape}")
-
-    def resolvent(ts):
-        ts = np.asarray(ts, dtype=float)
-        mats = z[None, :, :] - ts[:, None, None] * a[None, :, :]
-        return np.linalg.inv(mats)
-
-    return np.asarray(mu.integrate(resolvent), dtype=complex)
+    total = None
+    if mu.atoms:
+        res = _resolvents(a, z, [loc for loc, _ in mu.atoms])
+        for (_loc, m), r in zip(mu.atoms, res):
+            total = m * r if total is None else total + m * r
+    if mu.continuous:
+        g = _continuous_cauchy(a, mu, z)
+        total = g if total is None else total + g
+    return np.asarray(total, dtype=complex)
 
 
 def matrix_f(a, mu: SpectralMeasure, z) -> np.ndarray:

@@ -265,6 +265,19 @@ class TestGoldenFixtures:
         assert out.splitlines()[0] == "x,density"
         assert len(out.splitlines()) == 52
 
+    @pytest.mark.parametrize("name", ["semicircle", "mixed"])
+    def test_convolve_next_to_the_real_axis(self, name, tmp_path):
+        path = str(self.DATA / f"{name}.json")
+        out_file = tmp_path / "density.json"
+        code = run_cli([
+            "convolve", "--mu1", path, "--mu2", path, "--y-eval", "1e-300",
+            "--grid", "-3:3:31", "--out", str(out_file),
+        ])
+        assert code == 0
+        density = json.loads(out_file.read_text())["density"]
+        assert len(density) == 31
+        assert np.all(np.isfinite(density))
+
     def test_golden_eigtest(self, capsys):
         proj = str(self.DATA / "projections.json")
         code = run_cli([

@@ -1,9 +1,10 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from freeatoms import measure as M
-from freeatoms.errors import HalfPlaneError, MeasureError
+from freeatoms.errors import ConvergenceError, HalfPlaneError, MeasureError
 
 
 def brute_cauchy(mu, z, pts=200001):
@@ -71,6 +72,100 @@ class TestCauchyScalar:
                     assert abs(g) <= 1 / y + 1e-12
                     f = M.f_scalar(mu, z)
                     assert f.imag >= y - 1e-10
+
+
+TABLE_NODES = (-1.0, -0.3, 0.2, 0.9, 1.5)
+TABLE_VALUES = (0.1, 0.9, 0.7, 0.5, 0.1)  # scaled to unit mass below
+
+
+def _mp_log_ratio(z, lo, hi):
+    return mpmath.log(z - lo) - mpmath.log(z - hi)
+
+
+def _mp_semicircle(center, radius, z):
+    w = z - center
+    return 2 * (w - mpmath.sqrt(w - radius) * mpmath.sqrt(w + radius)) / radius**2
+
+
+def _mp_table(nodes, values, z):
+    total = mpmath.mpc(0)
+    for x0, x1, v0, v1 in zip(nodes, nodes[1:], values, values[1:]):
+        x0, x1, v0, v1 = (mpmath.mpf(v) for v in (x0, x1, v0, v1))
+        slope = (v1 - v0) / (x1 - x0)
+        total += (v0 + slope * (z - x0)) * _mp_log_ratio(z, x0, x1) - (v1 - v0)
+    return total
+
+
+def _table_values():
+    values = np.asarray(TABLE_VALUES)
+    return tuple(values / np.trapezoid(values, TABLE_NODES))
+
+
+# closed form -> 50-digit reference; the textbook semicircle form keeps
+# enough digits at this precision
+CLOSED_FORMS = {
+    "semicircle": (
+        lambda z: M.cauchy_semicircle(0.25, 2.0, z),
+        lambda z: _mp_semicircle(0.25, 2.0, z),
+    ),
+    "arcsine": (
+        lambda z: M.cauchy_arcsine(-1.0, 2.0, z),
+        lambda z: 1 / (mpmath.sqrt(z + 1) * mpmath.sqrt(z - 2)),
+    ),
+    "uniform": (
+        lambda z: M.cauchy_uniform(-1.0, 1.0, z),
+        lambda z: _mp_log_ratio(z, -1, 1) / 2,
+    ),
+    "table": (
+        lambda z: M.cauchy_table(TABLE_NODES, _table_values(), z),
+        lambda z: _mp_table(TABLE_NODES, _table_values(), z),
+    ),
+}
+FAR_POINTS = [1e12j, 1e9j, 1e6j, -3e11 + 1e11j, 7e4 + 1e-2j, 12.0 + 5.0j, 6.0 + 8.0j]
+# parameters and edges are exact in binary, so the references see the same
+# arguments as the double-precision forms
+NEAR_POINTS = [complex(x, y) for x in (-2.0, -1.75, -1.0, -0.3, 0.0, 0.7, 1.5, 1.9999, 2.0, 2.25)
+               for y in (1e-2, 1e-6, 1e-10)]
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("family", sorted(CLOSED_FORMS))
+    def test_relative_accuracy_against_mpmath(self, family):
+        fast, exact = CLOSED_FORMS[family]
+        with mpmath.workdps(50):
+            for z in FAR_POINTS + NEAR_POINTS:
+                ref = exact(mpmath.mpc(z))
+                got = complex(fast(np.asarray([z]))[0])
+                assert abs(mpmath.mpc(got) - ref) <= 2e-15 * abs(ref), (family, z)
+
+    def test_measure_transform_is_conjugate_symmetric(self):
+        mu = M.SpectralMeasure(
+            atoms=((0.5, 0.2),),
+            continuous=(M.SemicirclePiece(-3.0, 0.5, 0.3), M.ArcsinePiece(-2.4, -2.0, 0.2),
+                        M.UniformPiece(-2.0, -1.5, 0.1), M.TablePiece(TABLE_NODES, _table_values(), 0.2)),
+            support=(-3.5, 1.5),
+        )
+        w = np.array([0.3 + 0.2j, -1.2 + 1e-3j, 40.0 + 3.0j, 1e9j])
+        np.testing.assert_allclose(mu.cauchy(w.conj()), mu.cauchy(w).conj(), rtol=1e-15)
+        for z in w[:3]:
+            assert M.cauchy_scalar(mu, z) == pytest.approx(brute_cauchy(mu, z), rel=1e-7)
+        # unit mass: w G(w) -> 1 at infinity
+        assert 1e9j * M.cauchy_scalar(mu, 1e9j) == pytest.approx(1.0, rel=1e-8)
+
+
+class TestIntegratePiece:
+    def test_non_convergence_is_convergence_error(self):
+        with pytest.raises(ConvergenceError):
+            M.integrate_piece(lambda t: 1.0 / np.abs(t - 0.3), M.UniformPiece(0.0, 1.0, 1.0),
+                              max_depth=4)
+
+    def test_validation_maps_non_convergence_to_measure_error(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ConvergenceError("quadrature failed to converge")
+
+        monkeypatch.setattr(M, "integrate_piece", failing)
+        with pytest.raises(MeasureError):
+            M.uniform_measure(0.0, 1.0)
 
 
 class TestFScalar:

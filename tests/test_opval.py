@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeatoms import measure as M
 from freeatoms import opval as O
@@ -61,6 +63,82 @@ class TestMatrixCauchy:
     def test_rejects_non_upper(self):
         with pytest.raises(HalfPlaneError):
             O.matrix_cauchy(np.eye(2), M.point_mass(0.0), np.diag([1j, -1j]))
+
+
+# one atom and one piece of every family, the table with a kink
+MIXED_LAW = M.SpectralMeasure(
+    atoms=((0.3, 0.2),),
+    continuous=(
+        M.SemicirclePiece(-2.0, 0.8, 0.3),
+        M.ArcsinePiece(-1.0, 0.2, 0.2),
+        M.UniformPiece(0.5, 1.0, 0.1),
+        M.TablePiece((1.2, 1.6, 2.0, 2.4), (0.0, 1.5, 1.0, 0.0), 0.2),
+    ),
+    support=(-3.0, 3.0),
+)
+
+
+def quadrature_cauchy(a, mu, z, rtol=1e-14):
+    """Reference: atoms exactly, every piece by adaptive quadrature."""
+    total = sum(m * np.linalg.inv(z - x * a) for x, m in mu.atoms)
+    for p in mu.continuous:
+        resolvent = lambda ts: np.linalg.inv(z[None] - np.asarray(ts)[:, None, None] * a[None])
+        total = total + p.weight * M.integrate_piece(resolvent, p, rtol=rtol)
+    return total
+
+
+def singular_coefficient(rng):
+    """Hermitian 3 x 3 of rank 2, like the zero block of a linearization pencil."""
+    v = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    return v @ np.diag([1.0, -2.0]) @ v.conj().T
+
+
+class TestClosedFormTransform:
+    @pytest.mark.parametrize("y", [1.0, 1e-2, 1e-4, 1e-6])
+    def test_matches_quadrature_singular_coefficient(self, y):
+        rng = np.random.default_rng(31)
+        a = singular_coefficient(rng)
+        z = random_hermitian(rng, 3) + 1j * y * np.eye(3)
+        ref = quadrature_cauchy(a, MIXED_LAW, z)
+        g = O.matrix_cauchy(a, MIXED_LAW, z)
+        assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_forced_quadrature_fallback_agrees(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        a = singular_coefficient(rng)
+        z = random_hermitian(rng, 3) + 1j * (0.5 * np.eye(3) + 0.1 * random_hermitian(rng, 3))
+        exact = O.matrix_cauchy(a, MIXED_LAW, z)
+        monkeypatch.setattr(O, "_EIG_COND_LIMIT", 0.0)
+        fallback = O.matrix_cauchy(a, MIXED_LAW, z)
+        assert np.max(np.abs(fallback - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+           y=st.floats(1e-3, 2.0), with_atom=st.booleans())
+    def test_nevanlinna_invariants(self, seed, n, y, with_atom):
+        rng = np.random.default_rng(seed)
+        a = random_hermitian(rng, n)
+        if n > 1 and rng.uniform() < 0.5:
+            a[:, -1] = a[-1, :] = 0.0  # singular coefficient
+        # Im z positive definite with smallest eigenvalue y
+        b = random_hermitian(rng, n)
+        im = b @ b.conj().T
+        im = im - np.linalg.eigvalsh(im).min() * np.eye(n) + y * np.eye(n)
+        z = random_hermitian(rng, n) + 1j * im
+        mass = float(rng.uniform(0.1, 0.5)) if with_atom else 0.0
+        c = float(rng.uniform(-1.0, 1.0))
+        mu = M.SpectralMeasure(
+            atoms=((c, mass),) if with_atom else (),
+            continuous=(M.SemicirclePiece(c - 2.0, 0.5, 0.4 * (1 - mass)),
+                        M.ArcsinePiece(c - 1.0, c - 0.5, 0.3 * (1 - mass)),
+                        M.UniformPiece(c + 0.5, c + 1.0, 0.3 * (1 - mass))),
+            support=(c - 2.5, c + 1.0),
+        )
+        g = O.matrix_cauchy(a, mu, z)
+        assert np.linalg.eigvalsh(O.imag_part(g)).max() <= 1e-12 * np.linalg.norm(g, 2)
+        f = np.linalg.inv(g)
+        gap = np.linalg.eigvalsh(O.imag_part(f) - im).min()
+        assert gap >= -1e-9 * max(1.0, np.linalg.norm(f, 2))
 
 
 class TestMatrixF:
