@@ -27,7 +27,7 @@ import numpy as np
 
 from . import atoms as atoms_mod
 from . import rmt
-from .errors import ConvergenceError, FreeAtomsError, PreconditionError, SchemaError
+from .errors import ConvergenceError, PreconditionError, SchemaError
 from .linearize import linearize, verify_certificate
 from .measure import SpectralMeasure
 from .ncpoly import parse_poly
@@ -338,20 +338,31 @@ def run(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _env_override(name, kind, default):
+    """Default taken from environment variable ``name`` when it is set."""
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise SchemaError(f"{name}={text!r} is not a valid {kind.__name__}") from exc
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="freeatoms",
         description="spectral distributions and atoms of free sums and polynomials",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tol_default = _env_override("FREEATOMS_TOL", float, 1e-12)
+    seed_default = _env_override("FREEATOMS_SEED", int, 0)
 
     def common(sp, measures=True):
-        sp.add_argument("--tol", type=float,
-                        default=float(os.environ.get("FREEATOMS_TOL", 1e-12)))
+        sp.add_argument("--tol", type=float, default=tol_default)
         sp.add_argument("--y0", type=float, default=0.1)
         sp.add_argument("--ladder-depth", type=int, default=16)
-        sp.add_argument("--seed", type=int,
-                        default=int(os.environ.get("FREEATOMS_SEED", 0)))
+        sp.add_argument("--seed", type=int, default=seed_default)
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--strict", action="store_true")
@@ -470,27 +481,28 @@ def _normalize_argv(argv):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_normalize_argv(sys.argv[1:] if argv is None else list(argv)))
     try:
+        parser = _build_parser()
+        args = parser.parse_args(_normalize_argv(sys.argv[1:] if argv is None else list(argv)))
         config = _config_from_args(args)
         code = run(config)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         code = EXIT_SCHEMA
-    except ValueError as exc:
-        # bad polynomial text, malformed numbers and similar input trouble
-        print(f"schema error: {exc}", file=sys.stderr)
-        code = EXIT_SCHEMA
-    except (ConvergenceError,) as exc:
+    except (ConvergenceError, np.linalg.LinAlgError) as exc:
+        # LinAlgError is a ValueError, so it must be caught before input trouble
         diag = {"error": str(exc), "details": getattr(exc, "details", {})}
         print(json.dumps(diag), file=sys.stderr)
         code = EXIT_NOCONV
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         code = EXIT_SCHEMA
-    except FreeAtomsError as exc:
-        print(f"internal invariant breach: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        # bad polynomial text, malformed numbers and similar input trouble
+        print(f"schema error: {exc}", file=sys.stderr)
+        code = EXIT_SCHEMA
+    except Exception as exc:
+        print(f"internal invariant breach: {type(exc).__name__}: {exc}", file=sys.stderr)
         code = EXIT_INVARIANT
     if argv is None:
         sys.exit(code)

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, HalfPlaneError, MeasureError, SchemaError
 
@@ -75,11 +74,10 @@ class SemicirclePiece:
     def unit_cdf(self, x):
         c, r = self.center, self.radius
         u = np.clip((np.asarray(x, dtype=float) - c) / r, -1.0, 1.0)
-        return 0.5 + (u * np.sqrt(1.0 - u**2) + np.arcsin(u)) / np.pi
-
-    def unit_quantile(self, q):
-        lo, hi = self.interval
-        return brentq(lambda x: self.unit_cdf(x) - q, lo, hi, xtol=1e-14)
+        # u * u, not u**2: a numpy scalar squares through libm pow, which
+        # may round differently from the array path; cdf must give the same
+        # bits for a scalar and an array
+        return 0.5 + (u * np.sqrt(1.0 - u * u) + np.arcsin(u)) / np.pi
 
     def unit_mean(self):
         return self.center
@@ -128,9 +126,6 @@ class ArcsinePiece:
         u = np.clip((np.asarray(x, dtype=float) - self.a) / (self.b - self.a), 0.0, 1.0)
         return (2.0 / np.pi) * np.arcsin(np.sqrt(u))
 
-    def unit_quantile(self, q):
-        return self.a + (self.b - self.a) * np.sin(0.5 * np.pi * q) ** 2
-
     def unit_mean(self):
         return 0.5 * (self.a + self.b)
 
@@ -174,9 +169,6 @@ class UniformPiece:
 
     def unit_cdf(self, x):
         return np.clip((np.asarray(x, dtype=float) - self.a) / (self.b - self.a), 0.0, 1.0)
-
-    def unit_quantile(self, q):
-        return self.a + (self.b - self.a) * q
 
     def unit_mean(self):
         return 0.5 * (self.a + self.b)
@@ -243,13 +235,9 @@ class TablePiece:
         dx = np.clip(x - x0, 0.0, nodes[idx + 1] - x0)
         v0 = values[idx]
         slope = (values[idx + 1] - v0) / (nodes[idx + 1] - x0)
-        seg = v0 * dx + 0.5 * slope * dx**2
+        seg = v0 * dx + 0.5 * slope * (dx * dx)  # not dx**2, see SemicirclePiece.unit_cdf
         out = cum[idx] + np.where(x < nodes[0], 0.0, seg)
         return np.clip(np.where(x >= nodes[-1], cum[-1], out) / cum[-1], 0.0, 1.0)
-
-    def unit_quantile(self, q):
-        lo, hi = self.interval
-        return brentq(lambda x: self.unit_cdf(x) - q, lo, hi, xtol=1e-14)
 
     def unit_mean(self):
         nodes = np.asarray(self.nodes)
@@ -568,29 +556,25 @@ def quantiles(mu: SpectralMeasure, N: int) -> np.ndarray:
     """Deterministic quantile discretization: value i is the ((i - 1/2)/N)-quantile.
 
     The output is nondecreasing and an atom of mass m receives floor(mN)
-    or ceil(mN) copies.
+    or ceil(mN) copies.  One bisection runs over all N levels at once.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     lo, hi = mu.support
     span = max(hi - lo, 1.0)
     qs = (np.arange(N) + 0.5) / N
-    out = np.empty(N)
-    for i, q in enumerate(qs):
-        a, b = lo - 1.0, hi + 1.0
-        # inf{x : F(x) >= q} by bisection on the right-continuous cdf
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            if mu.cdf(mid) >= q:
-                b = mid
-            else:
-                a = mid
-        x = b
-        for loc, _m in mu.atoms:
-            if abs(x - loc) <= 4e-12 * span:
-                x = loc
-                break
-        out[i] = x
+    a = np.full(N, lo - 1.0)
+    b = np.full(N, hi + 1.0)
+    # inf{x : F(x) >= q} by bisection on the right-continuous cdf
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        right = mu.cdf(mid) >= qs
+        b = np.where(right, mid, b)
+        a = np.where(right, a, mid)
+    # snap to an atom within roundoff; the first atom listed wins
+    out = b
+    for loc, _m in reversed(mu.atoms):
+        out = np.where(np.abs(b - loc) <= 4e-12 * span, loc, out)
     return np.minimum.accumulate(out[::-1])[::-1]
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freeatoms import cli
+from freeatoms import cli, rmt
 from freeatoms.atoms import AtomReport
 from freeatoms.linearize import LinearPencil
 from freeatoms.measure import SpectralMeasure
@@ -242,6 +242,38 @@ class TestConfig:
     def test_measure_round_trip_through_cli_format(self, files):
         mu = SpectralMeasure.from_json_dict(MIX1)
         assert SpectralMeasure.from_json_dict(mu.to_json_dict()) == mu
+
+
+class TestExitCodes:
+    """Each failure exits with the code of its cause, never with a traceback."""
+
+    def oracle_argv(self, files):
+        return ["oracle", "--poly", "Z1+Z2", "--mu1", files["mix1"], "--mu2", files["mix2"],
+                "--size", "20", "--trials", "1"]
+
+    @pytest.mark.parametrize("var", ["FREEATOMS_TOL", "FREEATOMS_SEED"])
+    def test_bad_env_override_is_schema_error(self, files, capsys, monkeypatch, var):
+        monkeypatch.setenv(var, "abc")
+        code = run_cli(["convolve", "--mu1", files["bern"], "--mu2", files["bern"]])
+        assert code == cli.EXIT_SCHEMA
+        assert var in capsys.readouterr().err
+
+    def test_eigensolver_failure_is_nonconvergence(self, files, capsys, monkeypatch):
+        def fail(spec, poly, rng):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(rmt, "_poly_eigs", fail)
+        assert run_cli(self.oracle_argv(files)) == cli.EXIT_NOCONV
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["error"] == "Eigenvalues did not converge"
+
+    def test_unexpected_exception_is_invariant_breach(self, files, capsys, monkeypatch):
+        def fail(spec, poly, rng):
+            raise KeyError("lost")
+
+        monkeypatch.setattr(rmt, "_poly_eigs", fail)
+        assert run_cli(self.oracle_argv(files)) == cli.EXIT_INVARIANT
+        assert capsys.readouterr().err.startswith("internal invariant breach: KeyError")
 
 
 class TestGoldenFixtures:

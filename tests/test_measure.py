@@ -1,6 +1,8 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from freeatoms import measure as M
@@ -223,6 +225,87 @@ class TestQuantiles:
         for N in [100, 400]:
             emp = np.mean(1.0 / (z - M.quantiles(mu, N)))
             assert abs(emp - exact) < 3.0 / N
+
+
+def scalar_quantiles(mu, N):
+    """Reference: one scalar 80-step bisection per level, first atom within 4e-12 wins."""
+    lo, hi = mu.support
+    span = max(hi - lo, 1.0)
+    out = np.empty(N)
+    for i, q in enumerate((np.arange(N) + 0.5) / N):
+        a, b = lo - 1.0, hi + 1.0
+        for _ in range(80):
+            mid = 0.5 * (a + b)
+            if mu.cdf(mid) >= q:
+                b = mid
+            else:
+                a = mid
+        out[i] = next((loc for loc, _m in mu.atoms if abs(b - loc) <= 4e-12 * span), b)
+    return np.minimum.accumulate(out[::-1])[::-1]
+
+
+QUANTILE_LAWS = {
+    "atomic": M.atomic_measure([(0.0, 0.7), (1.0, 0.2), (1.0 + 1e-13, 0.1)]),
+    "semicircle": M.semicircle_measure(0.3, 2.0),
+    "arcsine": M.arcsine_measure(-1.0, 2.0),
+    "uniform": M.uniform_measure(0.0, 1.0),
+    "table": M.SpectralMeasure(
+        continuous=(M.TablePiece((0.0, 1.0, 2.0), (0.0, 1.0, 0.0), 1.0),), support=(0.0, 2.0)
+    ),
+    "mixed": M.SpectralMeasure(
+        atoms=((-3.0, 0.2), (0.5, 0.15)),
+        continuous=(M.SemicirclePiece(-1.0, 1.0, 0.3),
+                    M.TablePiece((1.0, 2.0, 3.0), (0.0, 1.0, 0.0), 0.35)),
+        support=(-3.0, 3.0),
+    ),
+}
+
+
+class TestVectorizedQuantiles:
+    @pytest.mark.parametrize("name", sorted(QUANTILE_LAWS))
+    @pytest.mark.parametrize("N", [1, 7, 250, 801])
+    def test_bit_identical_to_scalar_bisection(self, name, N):
+        mu = QUANTILE_LAWS[name]
+        assert np.array_equal(M.quantiles(mu, N), scalar_quantiles(mu, N))
+
+    @pytest.mark.parametrize("name", sorted(QUANTILE_LAWS))
+    def test_cdf_same_bits_for_scalar_and_array(self, name):
+        mu = QUANTILE_LAWS[name]
+        lo, hi = mu.support
+        xs = np.random.default_rng(0).uniform(lo - 1.0, hi + 1.0, 10000)
+        scalar = np.array([mu.cdf(x) for x in xs])
+        assert np.array_equal(mu.cdf(xs), scalar)
+
+    def test_rejects_empty_grid(self):
+        with pytest.raises(ValueError):
+            M.quantiles(M.point_mass(0.0), 0)
+
+
+@st.composite
+def atomic_or_mixed_laws(draw):
+    """Atoms on a 1/8 grid with integer weights, optionally plus a uniform piece."""
+    locs = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=5, unique=True))
+    weights = draw(st.lists(st.integers(1, 20), min_size=len(locs), max_size=len(locs)))
+    cont = draw(st.integers(0, 20))
+    total = sum(weights) + cont
+    atoms = tuple((k / 8.0, w / total) for k, w in zip(locs, weights))
+    pieces = (M.UniformPiece(-1.0, 1.0, 1.0 - sum(m for _, m in atoms)),) if cont else ()
+    points = [x for x, _ in atoms] + ([-1.0, 1.0] if cont else [])
+    return M.SpectralMeasure(atoms=atoms, continuous=pieces, support=(min(points), max(points)))
+
+
+class TestQuantileProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(mu=atomic_or_mixed_laws(), N=st.integers(1, 300))
+    def test_grid_invariants(self, mu, N):
+        xs = M.quantiles(mu, N)
+        qs = (np.arange(N) + 0.5) / N
+        lo, hi = mu.support
+        assert np.all(np.diff(xs) >= 0)
+        assert np.all((xs >= lo) & (xs <= hi))
+        assert np.all(mu.cdf(xs) >= qs)
+        for loc, m in mu.atoms:
+            assert int(np.sum(xs == loc)) in (int(np.floor(m * N)), int(np.ceil(m * N)))
 
 
 class TestAtomBoundaryExtraction:
