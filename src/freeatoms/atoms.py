@@ -40,7 +40,8 @@ from .opval import (
     imag_part,
     kernel_profile,
     matrix_cauchy,
-    pencil_kernel_trace,
+    pack_matrix,
+    unpack_matrix,
 )
 from .subord import FreeSumModel, solve_subordination
 
@@ -107,10 +108,6 @@ class LadderScan:
     cauchy: list
     iterations: list
     truncated: str = ""
-
-    @property
-    def depth(self):
-        return len(self.ys)
 
 
 _MIN_RUNGS = 6
@@ -211,16 +208,6 @@ def is_invertible_expectation(E, floor=0.0):
 # ---------------------------------------------------------------------------
 
 
-def _pack(m):
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
-    return [[float(v.real), float(v.imag)] for v in m.reshape(-1)]
-
-
-def _unpack(flat, n):
-    vals = np.array([complex(re, im) for re, im in flat])
-    return vals.reshape(n, n)
-
-
 @dataclass
 class RegularizationResult:
     q1: np.ndarray
@@ -261,13 +248,13 @@ class AtomReport:
         n = self.n
         out = {
             "n": n,
-            "b": _pack(self.b),
-            "E_p": _pack(self.E_p),
+            "b": pack_matrix(self.b),
+            "E_p": pack_matrix(self.E_p),
             "mass": self.mass,
-            "b1": None if self.b1 is None else _pack(self.b1),
-            "b2": None if self.b2 is None else _pack(self.b2),
-            "beta1": None if self.beta1 is None else _pack(self.beta1),
-            "beta2": None if self.beta2 is None else _pack(self.beta2),
+            "b1": None if self.b1 is None else pack_matrix(self.b1),
+            "b2": None if self.b2 is None else pack_matrix(self.b2),
+            "beta1": None if self.beta1 is None else pack_matrix(self.beta1),
+            "beta2": None if self.beta2 is None else pack_matrix(self.beta2),
             "residuals": {k: float(v) for k, v in self.residuals.items()},
             "regularized": self.regularized,
             "integer_test": [self.integer_test[0], self.integer_test[1], self.integer_test[2]],
@@ -280,8 +267,8 @@ class AtomReport:
         if self.regularization is not None:
             reg = self.regularization
             out["regularization"] = {
-                "q1": _pack(reg.q1),
-                "q2": _pack(reg.q2),
+                "q1": pack_matrix(reg.q1),
+                "q2": pack_matrix(reg.q2),
                 "doubled_pencil": reg.doubled_pencil.to_json_dict(),
                 "report": reg.report.to_json_dict(),
                 "integer_offset": reg.integer_offset,
@@ -296,15 +283,15 @@ class AtomReport:
         n = int(d["n"])
 
         def opt(key):
-            return None if d.get(key) is None else _unpack(d[key], n)
+            return None if d.get(key) is None else unpack_matrix(d[key], n)
 
         reg = None
         if d.get("regularization") is not None:
             r = d["regularization"]
             sub = AtomReport.from_json_dict(r["report"])
             reg = RegularizationResult(
-                q1=_unpack(r["q1"], n),
-                q2=_unpack(r["q2"], n),
+                q1=unpack_matrix(r["q1"], n),
+                q2=unpack_matrix(r["q2"], n),
                 doubled_pencil=LinearPencil.from_json_dict(r["doubled_pencil"]),
                 report=sub,
                 integer_offset=r["integer_offset"],
@@ -316,8 +303,8 @@ class AtomReport:
         if d.get("model") is not None:
             model = FreeSumModel.from_json_dict(d["model"])
         return cls(
-            b=_unpack(d["b"], n),
-            E_p=_unpack(d["E_p"], n),
+            b=unpack_matrix(d["b"], n),
+            E_p=unpack_matrix(d["E_p"], n),
             mass=d["mass"],
             b1=opt("b1"),
             b2=opt("b2"),
@@ -401,8 +388,7 @@ def _matrix_sqrt(m, floor=1e-14):
 
 
 def decompose_atom(model: FreeSumModel, b, y_ladder=None, tol: float = 1e-12,
-                   conv_tol: float = 1e-4, scan: LadderScan | None = None,
-                   rng=None) -> AtomReport:
+                   conv_tol: float = 1e-4, scan: LadderScan | None = None) -> AtomReport:
     """Extract (b1, b2, beta1, beta2) at an atom location b and verify the identities.
 
     Requires the kernel expectation E(p) to be invertible; callers must
@@ -443,16 +429,18 @@ def decompose_atom(model: FreeSumModel, b, y_ladder=None, tol: float = 1e-12,
     }
 
     # (iv): left side from the spectral model of the single-variable pencil,
-    # transformed by beta^{1/2}; right side from the extracted data
+    # transformed by beta^{1/2}; right side from the extracted data.  The
+    # pencil's kernel profile also gives its kernel trace for (iii), (vii).
     tau_parts = []
     for idx, (a_j, mu_j, b_j, beta_j) in enumerate(
         [(model.a1, model.mu1, b1, beta1), (model.a2, model.mu2, b2, beta2)], start=1
     ):
+        profile = kernel_profile(a_j, b_j, hints=[x for x, _ in mu_j.atoms])
         sqrt_beta = _matrix_sqrt(beta_j)
-        lhs = expected_kernel_projection(a_j, b_j, mu_j, transform=sqrt_beta, rng=rng)
+        lhs = expected_kernel_projection(a_j, b_j, mu_j, transform=sqrt_beta, profile=profile)
         rhs = sqrt_beta @ E_p @ sqrt_beta
         residuals[f"iv_{idx}"] = float(np.linalg.norm(lhs - rhs, 2))
-        tau_parts.append(pencil_kernel_trace(a_j, b_j, mu_j, rng=rng))
+        tau_parts.append(profile.kernel_trace(mu_j))
     residuals["iv"] = max(residuals["iv_1"], residuals["iv_2"])
     residuals["iii"] = float(min(tau_parts))
     residuals["vii"] = float(abs(tau_parts[0] + tau_parts[1] - 1.0 - mass))
@@ -477,13 +465,6 @@ def decompose_atom(model: FreeSumModel, b, y_ladder=None, tol: float = 1e-12,
 # ---------------------------------------------------------------------------
 # support regularization (singular kernel expectation)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class CompressionPair:
-    q1: np.ndarray
-    q2: np.ndarray
-    doubled_pencil: LinearPencil
 
 
 def _support_projection(E, floor=0.0):
@@ -522,9 +503,10 @@ def support_regularize(model: FreeSumModel, b, y_ladder=None, tol: float = 1e-12
 
     q1 is the support projection of E(ker(b - X)); q2 the support of
     E(ker(q1 (b - X))), obtained from the row-compressed doubled pencil.
-    Returns (CompressionPair, AtomReport on the doubled pencil).  The
-    report's diagnostics carry the integer offset
-    2n tau_2n(ker Y) - 2n tau_n(ker(b - X)).
+    Returns a :class:`RegularizationResult`: q1, q2, the doubled pencil Y,
+    the AtomReport on Y and the integer offset
+    2n tau_2n(ker Y) - 2n tau_n(ker(b - X)), which the report's
+    diagnostics carry as well.
     """
     b = herm_part(np.atleast_2d(np.asarray(b, dtype=complex)))
     n = model.n
@@ -551,7 +533,7 @@ def support_regularize(model: FreeSumModel, b, y_ladder=None, tol: float = 1e-12
     notes = ""
     if amb1 or amb2:
         notes = "support projection eigenvalue within a factor 10 of the null threshold"
-    result = RegularizationResult(
+    return RegularizationResult(
         q1=q1,
         q2=q2,
         doubled_pencil=pencil,
@@ -561,7 +543,6 @@ def support_regularize(model: FreeSumModel, b, y_ladder=None, tol: float = 1e-12
         ambiguous=bool(amb1 or amb2),
         notes=notes,
     )
-    return CompressionPair(q1=q1, q2=q2, doubled_pencil=pencil), result
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +566,8 @@ def integer_test(report: AtomReport, tol: float = 1e-2) -> IntegerTestResult:
     Atomless inputs force n * mass to an integer.  With atoms present the
     full counting identity is evaluated: n (mass + 1) must match
     l0 + m0 + sum_j l_j mu1({t_j}) + sum_i m_i mu2({s_i}) built from the
-    kernel profiles of the pencils (a_j, b_j) at the decomposition data.
+    kernel profiles of the pencils (a_j, b_j) at the decomposition data,
+    which is n times the sum of the report's kernel traces.
     """
     model = report.model
     if model is None:
@@ -594,20 +576,11 @@ def integer_test(report: AtomReport, tol: float = 1e-2) -> IntegerTestResult:
     value, nearest, distance = report.integer_test
     if model.mu1.is_atomless and model.mu2.is_atomless:
         return IntegerTestResult(value, nearest, distance, bool(distance <= tol), "atomless")
-    if report.b1 is None or report.b2 is None:
+    if report.kernel_traces is None:
         # no decomposition (singular kernel expectation): only the raw
         # integer distance is meaningful
         return IntegerTestResult(value, nearest, distance, bool(distance <= tol), "atomic-raw")
-    lhs = n * (report.mass + 1.0)
-    rhs = 0.0
-    for a_j, b_j, mu_j in ((model.a1, report.b1, model.mu1), (model.a2, report.b2, model.mu2)):
-        prof = kernel_profile(a_j, b_j, hints=[x for x, _ in mu_j.atoms])
-        base = n * prof.k_min
-        rhs += float(base)
-        for t, k_t in prof.exceptional:
-            contrib = float(n * (k_t - prof.k_min)) * mu_j.atom_mass_at(t, tol=1e-9)
-            rhs += contrib
-    residual = abs(lhs - rhs)
+    residual = abs(n * (report.mass + 1.0) - n * sum(report.kernel_traces))
     return IntegerTestResult(value, nearest, distance, bool(residual <= tol), "atomic", residual)
 
 
@@ -645,14 +618,13 @@ def eigenvalue_test(p: NCPoly, lam: float, mu1: SpectralMeasure, mu2: SpectralMe
     E_p, diag = boundary_emass(model, b, tol=tol, conv_tol=conv_tol, scan=scan)
     mass = float(np.trace(E_p).real) / n
 
-    regularization = None
     floor = 3.0 * diag.get("extrapolation_error", 0.0)
     if is_invertible_expectation(E_p, floor=floor):
         report = decompose_atom(model, b, y_ladder=y_ladder, tol=tol,
                                 conv_tol=conv_tol, scan=scan)
     else:
-        _pair, regularization = support_regularize(model, b, y_ladder=y_ladder, tol=tol,
-                                                   conv_tol=conv_tol, scan=scan)
+        regularization = support_regularize(model, b, y_ladder=y_ladder, tol=tol,
+                                            conv_tol=conv_tol, scan=scan)
         report = AtomReport(
             b=b,
             E_p=E_p,
@@ -669,7 +641,7 @@ def eigenvalue_test(p: NCPoly, lam: float, mu1: SpectralMeasure, mu2: SpectralMe
             regularization=regularization,
         )
 
-    kernel_trace = n * report.mass if not report.regularized else n * mass
+    kernel_trace = n * mass
     report.diagnostics["poly"] = format_poly(p)
     report.diagnostics["lambda"] = float(lam)
     report.diagnostics["poly_kernel_trace"] = kernel_trace

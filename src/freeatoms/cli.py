@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -73,12 +74,20 @@ class RunConfig:
     bins: int = 201
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise SchemaError("tol must be positive")
+        positive = [("--tol (or FREEATOMS_TOL)", self.tol), ("--y0", self.y0),
+                    ("--y-eval", self.y_eval), ("--epsilon", self.epsilon)]
+        for flag, value in positive:
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise SchemaError(f"{flag} must be positive and finite, got {value!r}")
+        if not math.isfinite(self.lam):
+            raise SchemaError(f"--lambda must be finite, got {self.lam!r}")
         if not (4 <= self.ladder_depth <= 40):
-            raise SchemaError("ladder_depth must lie in [4, 40]")
-        if self.grid[0] >= self.grid[1]:
-            raise SchemaError("grid minimum must be below maximum")
+            raise SchemaError("--ladder-depth must lie in [4, 40]")
+        lo, hi, points = self.grid
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and points >= 1):
+            raise SchemaError(f"--grid {lo!r}:{hi!r}:{points!r} needs finite min < max, points >= 1")
+        if self.bins < 1:
+            raise SchemaError(f"--bins must be at least 1, got {self.bins}")
 
 
 def _load_measure(path):
@@ -213,32 +222,38 @@ def _cmd_atom_scan(cfg):
     model = _build_model(cfg)
     if model.n != 1:
         raise SchemaError("atom-scan expects the scalar case (1x1 coefficients)")
-    cands = atoms_mod.sum_atom_candidates(model.mu1, model.mu2)
-    locations = [c[0] for c in cands] + [float(x) for x in cfg.candidates]
+    probes = atoms_mod.sum_atom_candidates(model.mu1, model.mu2)
+    probes += [(float(x), None) for x in cfg.candidates]
     results = []
-    for loc, predicted in cands + [(float(x), None) for x in cfg.candidates]:
-        E, diag = atoms_mod.boundary_emass(model, np.array([[loc]]),
-                                           y_ladder=_ladder(cfg), tol=cfg.tol)
+    for loc, predicted in probes:
+        b = np.array([[loc]])
+        scan = atoms_mod.ladder_scan(model, b, y_ladder=_ladder(cfg), tol=cfg.tol)
+        E, diag = atoms_mod.boundary_emass(model, b, tol=cfg.tol, scan=scan)
         mass = float(E[0, 0].real)
         entry = {"location": loc, "predicted_mass": predicted, "measured_mass": mass}
         floor = 3.0 * diag.get("extrapolation_error", 0.0)
         if atoms_mod.is_invertible_expectation(E, floor=floor):
-            rep = atoms_mod.decompose_atom(model, np.array([[loc]]),
-                                           y_ladder=_ladder(cfg), tol=cfg.tol)
+            rep = atoms_mod.decompose_atom(model, b, tol=cfg.tol, scan=scan)
             entry["decomposition"] = rep.to_json_dict()
         results.append(entry)
-    _emit(cfg, {"candidates": results, "locations_probed": locations})
+    _emit(cfg, {"candidates": results, "locations_probed": [loc for loc, _ in probes]})
     return EXIT_OK
 
 
-def _cmd_eigtest(cfg):
+def _eigenvalue_test(cfg):
+    """Polynomial, measures and pipeline report of eigtest and compare."""
     if not cfg.poly:
-        raise SchemaError("eigtest requires --poly")
+        raise SchemaError(f"{cfg.command} requires --poly")
     p = parse_poly(cfg.poly)
     mu1 = _load_measure(cfg.mu1_path)
     mu2 = _load_measure(cfg.mu2_path)
     report = atoms_mod.eigenvalue_test(p, cfg.lam, mu1, mu2,
                                        y_ladder=_ladder(cfg), tol=cfg.tol)
+    return p, mu1, mu2, report
+
+
+def _cmd_eigtest(cfg):
+    *_, report = _eigenvalue_test(cfg)
     _emit(cfg, report.to_json_dict())
     if cfg.strict:
         if _strict_residual_failures(report):
@@ -254,23 +269,18 @@ def _oracle_spec(cfg, mu1, mu2):
 
 
 def _cmd_oracle(cfg):
-    mu1 = _load_measure(cfg.mu1_path)
-    mu2 = _load_measure(cfg.mu2_path)
-    spec = _oracle_spec(cfg, mu1, mu2)
+    model = _build_model(cfg)
+    spec = _oracle_spec(cfg, model.mu1, model.mu2)
     if cfg.poly:
         p = parse_poly(cfg.poly)
         rep = rmt.oracle_report(spec, poly=p, lam=cfg.lam,
                                 locations=[cfg.lam] + [float(x) for x in cfg.candidates],
                                 bins=cfg.bins, epsilon=cfg.epsilon, workers=cfg.workers)
     else:
-        a1 = _parse_matrix(cfg.a1_spec, np.eye(1))
-        a2 = _parse_matrix(cfg.a2_spec, np.eye(a1.shape[0]))
-        model = FreeSumModel(a1, a2, mu1, mu2)
         b = _parse_matrix(cfg.b_spec, None)
         locations = [float(x) for x in cfg.candidates] or None
         rep = rmt.oracle_report(spec, model=model, b=b, locations=locations,
                                 bins=cfg.bins, epsilon=cfg.epsilon, workers=cfg.workers)
-    centers = 0.5 * (rep.bin_edges[:-1] + rep.bin_edges[1:])
     rows = [
         (f"{lo:.12g}", f"{hi:.12g}", f"{cm:.12g}", f"{cs:.12g}")
         for lo, hi, cm, cs in zip(rep.bin_edges[:-1], rep.bin_edges[1:],
@@ -282,13 +292,7 @@ def _cmd_oracle(cfg):
 
 
 def _cmd_compare(cfg):
-    if not cfg.poly:
-        raise SchemaError("compare requires --poly")
-    p = parse_poly(cfg.poly)
-    mu1 = _load_measure(cfg.mu1_path)
-    mu2 = _load_measure(cfg.mu2_path)
-    report = atoms_mod.eigenvalue_test(p, cfg.lam, mu1, mu2,
-                                       y_ladder=_ladder(cfg), tol=cfg.tol)
+    p, mu1, mu2, report = _eigenvalue_test(cfg)
     pipeline_mass = report.diagnostics["poly_kernel_trace"]
     spec = _oracle_spec(cfg, mu1, mu2)
     eps = cfg.epsilon if cfg.epsilon is not None else 1e-7
@@ -486,6 +490,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(_normalize_argv(sys.argv[1:] if argv is None else list(argv)))
         config = _config_from_args(args)
         code = run(config)
+    except SystemExit as exc:
+        # argparse exits for --help (0) and for a bad command line (2,
+        # usage on stderr); return its status like every other outcome
+        code = exc.code
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         code = EXIT_SCHEMA

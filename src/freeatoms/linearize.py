@@ -26,12 +26,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .ncpoly import NCPoly, adjoint, eval_matrices, format_poly, is_selfadjoint
-
-_HERM_TOL = 1e-12
-
-# Minimum singular value below SINGULAR_RTOL * ||matrix|| counts as singular
-# in the numerical invertibility equivalence checks.
-SINGULAR_RTOL = 1e-8
+from .opval import check_hermitian, numerical_kernel_dim, pack_matrix, unpack_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -48,14 +43,7 @@ class LinearPencil:
     a2: np.ndarray
 
     def __post_init__(self):
-        mats = []
-        for name in ("a0", "a1", "a2"):
-            m = np.atleast_2d(np.asarray(getattr(self, name), dtype=complex))
-            if m.shape[0] != m.shape[1]:
-                raise ValueError(f"{name} must be square, got {m.shape}")
-            if np.max(np.abs(m - m.conj().T)) > _HERM_TOL * max(1.0, np.max(np.abs(m))):
-                raise ValueError(f"{name} must be Hermitian")
-            mats.append(m)
+        mats = [check_hermitian(getattr(self, name), name) for name in ("a0", "a1", "a2")]
         if not (mats[0].shape == mats[1].shape == mats[2].shape):
             raise ValueError("coefficient matrices must share one dimension")
         for name, m in zip(("a0", "a1", "a2"), mats):
@@ -82,20 +70,13 @@ class LinearPencil:
         )
 
     def to_json_dict(self):
-        def pack(m):
-            return [[float(v.real), float(v.imag)] for v in m.reshape(-1)]
-
-        return {"n": self.n, "a0": pack(self.a0), "a1": pack(self.a1), "a2": pack(self.a2)}
+        return {"n": self.n, "a0": pack_matrix(self.a0), "a1": pack_matrix(self.a1),
+                "a2": pack_matrix(self.a2)}
 
     @classmethod
     def from_json_dict(cls, d):
         n = int(d["n"])
-
-        def unpack(flat):
-            vals = np.array([complex(re, im) for re, im in flat])
-            return vals.reshape(n, n)
-
-        return cls(unpack(d["a0"]), unpack(d["a1"]), unpack(d["a2"]))
+        return cls(*(unpack_matrix(d[name], n) for name in ("a0", "a1", "a2")))
 
 
 @dataclass(frozen=True)
@@ -321,18 +302,6 @@ def corner_shift(L: LinearPencil, lam: float) -> LinearPencil:
 # ---------------------------------------------------------------------------
 
 
-def numerical_kernel_dim(m):
-    """Kernel dimension with the scale-invariant threshold SINGULAR_RTOL * ||m||."""
-    s = np.linalg.svd(np.atleast_2d(m), compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int(np.sum(s < SINGULAR_RTOL * max(s[0], 1.0)))
-
-
-def _is_singular(m):
-    return numerical_kernel_dim(m) > 0
-
-
 @dataclass
 class EquivalenceReport:
     trials: int
@@ -363,8 +332,8 @@ def invertibility_equivalence_check(p: NCPoly, L: LinearPencil, trials: int = 50
         A2 = (A2 + A2.conj().T) / 2
         P = eval_matrices(p, A1, A2)
         Lval = L.evaluate(A1, A2)
-        sing_p = _is_singular(P)
-        sing_l = _is_singular(Lval)
+        sing_p = numerical_kernel_dim(P) > 0
+        sing_l = numerical_kernel_dim(Lval) > 0
         report.generic_checked += 1
         if sing_p != sing_l:
             report.violations.append(
@@ -376,7 +345,7 @@ def invertibility_equivalence_check(p: NCPoly, L: LinearPencil, trials: int = 50
             ker_p = numerical_kernel_dim(lam * np.eye(dim) - P)
             ker_l = numerical_kernel_dim(shifted)
             report.engineered_checked += 1
-            if not _is_singular(lam * np.eye(dim) - P) or not _is_singular(shifted) or ker_p != ker_l:
+            if ker_p == 0 or ker_p != ker_l:
                 report.violations.append(
                     {
                         "trial": trial,

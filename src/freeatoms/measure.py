@@ -16,7 +16,7 @@ and all operations are pure, so they are safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -353,7 +353,6 @@ class SpectralMeasure:
     atoms: tuple = ()
     continuous: tuple = ()
     support: tuple = None
-    _validated: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
         atoms = tuple((float(x), float(m)) for x, m in self.atoms)
@@ -364,7 +363,6 @@ class SpectralMeasure:
         lo, hi = float(self.support[0]), float(self.support[1])
         object.__setattr__(self, "support", (lo, hi))
         self._validate()
-        object.__setattr__(self, "_validated", True)
 
     def _validate(self):
         lo, hi = self.support

@@ -10,7 +10,9 @@ minimum, the finite exceptional set, and the kernel trace
 
     tau_n(ker(b (x) 1 - a (x) X)) = k_min + sum_t (k(t) - k_min) mu({t}),
 
-where the sum runs over the atoms of mu.
+where the sum runs over the atoms of mu.  The matrix conventions the
+other modules share live here too: the Hermitian check, the half-plane
+test, the rank rule and the [re, im] JSON form of complex matrices.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import scipy.linalg
 from .errors import ConvergenceError, HalfPlaneError
 from .measure import SpectralMeasure, integrate_piece
 
-# Singular values below RANK_RTOL * max(sigma_1, 1) count as zero.
+# Singular values below RANK_RTOL * max(sigma_1, 1) count as zero: the one
+# rank rule of pencil ranks, kernel bases and the linearization checks.
 RANK_RTOL = 1e-8
 
 # The eigenvector basis of the continuous transform amplifies roundoff by
@@ -51,32 +54,45 @@ def herm_part(z):
 
 
 def min_imag_eig(z):
+    """Smallest eigenvalue of the imaginary part of z."""
     return float(np.linalg.eigvalsh(imag_part(z)).min())
-
-
-def in_upper_half(z, tol=0.0):
-    return min_imag_eig(z) > tol
 
 
 def validate_upper(z, where="argument"):
     z = np.atleast_2d(np.asarray(z, dtype=complex))
     if z.shape[0] != z.shape[1]:
         raise HalfPlaneError(f"{where} must be square, got shape {z.shape}")
-    if not in_upper_half(z):
+    gap = min_imag_eig(z)
+    if not gap > 0.0:
         raise HalfPlaneError(
-            f"{where} must have positive definite imaginary part "
-            f"(min eigenvalue {min_imag_eig(z):.3e})"
+            f"{where} must have positive definite imaginary part (min eigenvalue {gap:.3e})"
         )
     return z
 
 
-def _as_herm(a, name="coefficient"):
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got {a.shape}")
-    if np.max(np.abs(a - a.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(a))):
+def check_hermitian(m, name="coefficient"):
+    """m as a square complex array, rejected unless Hermitian to 1e-12 relative.
+
+    The matrix is returned as given, not symmetrized; callers that need
+    an exactly Hermitian matrix apply :func:`herm_part` themselves.
+    """
+    m = np.atleast_2d(np.asarray(m, dtype=complex))
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be square, got {m.shape}")
+    if np.max(np.abs(m - m.conj().T)) > 1e-12 * max(1.0, float(np.max(np.abs(m)))):
         raise ValueError(f"{name} must be Hermitian")
-    return herm_part(a)
+    return m
+
+
+def pack_matrix(m):
+    """Row-major list of [re, im] pairs: the JSON form of a complex matrix."""
+    m = np.atleast_2d(np.asarray(m, dtype=complex))
+    return [[float(v.real), float(v.imag)] for v in m.reshape(-1)]
+
+
+def unpack_matrix(flat, n):
+    """Inverse of :func:`pack_matrix` for an n x n matrix."""
+    return np.array([complex(re, im) for re, im in flat]).reshape(n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +149,7 @@ def _continuous_cauchy(a, mu: SpectralMeasure, z) -> np.ndarray:
 
 def matrix_cauchy(a, mu: SpectralMeasure, z) -> np.ndarray:
     """G(z) = int (z - t a)^{-1} dmu(t); maps H+_n into H-_n."""
-    a = _as_herm(a)
+    a = herm_part(check_hermitian(a))
     z = validate_upper(z, "z")
     n = z.shape[0]
     if a.shape != (n, n):
@@ -159,31 +175,32 @@ def matrix_f(a, mu: SpectralMeasure, z) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _rank(m):
+def _rank_of(s):
+    """Numerical rank from singular values ``s`` in descending order."""
+    return int(np.sum(s > RANK_RTOL * max(s[0], 1.0))) if s.size else 0
+
+
+def numerical_rank(m):
+    return _rank_of(np.linalg.svd(np.atleast_2d(m), compute_uv=False))
+
+
+def numerical_kernel_dim(m):
+    """Dimension of the numerical kernel: columns minus numerical rank."""
     m = np.atleast_2d(m)
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > RANK_RTOL * max(s[0], 1.0)))
+    return m.shape[1] - numerical_rank(m)
 
 
 def kernel_basis(m):
     """Orthonormal basis of the numerical kernel (columns), via SVD."""
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
-    _u, s, vh = np.linalg.svd(m)
-    thresh = RANK_RTOL * max(s[0] if s.size else 0.0, 1.0)
-    r = int(np.sum(s > thresh))
-    return vh[r:, :].conj().T
+    _u, s, vh = np.linalg.svd(np.atleast_2d(np.asarray(m, dtype=complex)))
+    return vh[_rank_of(s):, :].conj().T
 
 
 def pencil_kernel_rank(a, b, t: float) -> Fraction:
     """k(t) = dim ker(b - t a) / n as an exact rational."""
-    a = _as_herm(a, "a")
-    b = _as_herm(b, "b")
-    n = a.shape[0]
-    return Fraction(n - _rank(b - t * a), n)
+    a = herm_part(check_hermitian(a, "a"))
+    b = herm_part(check_hermitian(b, "b"))
+    return Fraction(numerical_kernel_dim(b - t * a), a.shape[0])
 
 
 @dataclass(frozen=True)
@@ -199,6 +216,13 @@ class PencilKernelProfile:
             if abs(loc - t) <= tol:
                 return k
         return self.k_min
+
+    def kernel_trace(self, mu: SpectralMeasure) -> float:
+        """tau_n(ker(b (x) 1 - a (x) X)) = k_min + sum_t (k(t) - k_min) mu({t})."""
+        total = float(self.k_min)
+        for t, k_t in self.exceptional:
+            total += float(k_t - self.k_min) * mu.atom_mass_at(t, tol=1e-9)
+        return total
 
 
 def _real_finite_eigs(b, a):
@@ -244,8 +268,8 @@ def _candidate_points(a, b, rng, generic_rank):
 
 def kernel_profile(a, b, hints=(), rng=None) -> PencilKernelProfile:
     """Find k_min by randomized consensus and the exceptional points above it."""
-    a = _as_herm(a, "a")
-    b = _as_herm(b, "b")
+    a = herm_part(check_hermitian(a, "a"))
+    b = herm_part(check_hermitian(b, "b"))
     n = a.shape[0]
     rng = np.random.default_rng(0x5EED) if rng is None else rng
     scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))),
@@ -261,7 +285,7 @@ def kernel_profile(a, b, hints=(), rng=None) -> PencilKernelProfile:
             t = float(rng.uniform(scale + 1.0, (3.0 + width) * scale + 2.0))
             t *= 1 if rng.uniform() < 0.5 else -1
             draws.append(t)
-        ranks = [_rank(b - t * a) for t in draws]
+        ranks = [numerical_rank(b - t * a) for t in draws]
         if len(set(ranks)) == 1:
             break
         width *= 4.0
@@ -291,26 +315,25 @@ def kernel_profile(a, b, hints=(), rng=None) -> PencilKernelProfile:
 
 def pencil_kernel_trace(a, b, mu: SpectralMeasure, rng=None) -> float:
     """tau_n of the kernel projection of b (x) 1 - a (x) X for X ~ mu."""
-    profile = kernel_profile(a, b, hints=[x for x, _ in mu.atoms], rng=rng)
-    total = float(profile.k_min)
-    for t, k_t in profile.exceptional:
-        total += float(k_t - profile.k_min) * mu.atom_mass_at(t, tol=1e-9)
-    return total
+    return kernel_profile(a, b, hints=[x for x, _ in mu.atoms], rng=rng).kernel_trace(mu)
 
 
-def expected_kernel_projection(a, b, mu: SpectralMeasure, transform=None, rng=None):
+def expected_kernel_projection(a, b, mu: SpectralMeasure, transform=None, profile=None):
     """Expected kernel projection of (b - t a) under mu, optionally transformed.
 
     Returns int P(t) dmu(t) where P(t) projects onto T ker(b - t a) for
     the optional invertible matrix T (identity when omitted).  Used to
     evaluate kernel expectations of single-variable pencils directly from
     the spectral model, independently of any boundary-limit estimate.
+    ``profile`` is the pencil's :func:`kernel_profile` when the caller
+    already has it.
     """
-    a = _as_herm(a, "a")
-    b = _as_herm(b, "b")
+    a = herm_part(check_hermitian(a, "a"))
+    b = herm_part(check_hermitian(b, "b"))
     n = a.shape[0]
     T = np.eye(n) if transform is None else np.asarray(transform, dtype=complex)
-    profile = kernel_profile(a, b, hints=[x for x, _ in mu.atoms], rng=rng)
+    if profile is None:
+        profile = kernel_profile(a, b, hints=[x for x, _ in mu.atoms])
 
     def proj_at(t):
         null = kernel_basis(b - t * a)

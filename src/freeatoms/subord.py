@@ -17,13 +17,15 @@ reported, never assumed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
 from .measure import SpectralMeasure
-from .opval import imag_part, matrix_cauchy, matrix_f, validate_upper
+from .opval import (check_hermitian, herm_part, imag_part, matrix_cauchy, matrix_f,
+                    min_imag_eig, pack_matrix, unpack_matrix, validate_upper)
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
@@ -41,13 +43,10 @@ class FreeSumModel:
     mu2: SpectralMeasure
 
     def __post_init__(self):
-        a1 = np.atleast_2d(np.asarray(self.a1, dtype=complex))
-        a2 = np.atleast_2d(np.asarray(self.a2, dtype=complex))
-        if a1.shape != a2.shape or a1.shape[0] != a1.shape[1]:
-            raise ValueError(f"coefficients must be square of equal size, got {a1.shape}, {a2.shape}")
-        for name, m in (("a1", a1), ("a2", a2)):
-            if np.max(np.abs(m - m.conj().T)) > 1e-12 * max(1.0, float(np.max(np.abs(m)))):
-                raise ValueError(f"{name} must be Hermitian")
+        a1 = check_hermitian(self.a1, "a1")
+        a2 = check_hermitian(self.a2, "a2")
+        if a1.shape != a2.shape:
+            raise ValueError(f"coefficients must have equal size, got {a1.shape}, {a2.shape}")
         object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "a2", a2)
 
@@ -58,17 +57,11 @@ class FreeSumModel:
     def swapped(self):
         return FreeSumModel(self.a2, self.a1, self.mu2, self.mu1)
 
-    def scalar(self):
-        return self.n == 1
-
     def to_json_dict(self):
-        def pack(m):
-            return [[float(v.real), float(v.imag)] for v in m.reshape(-1)]
-
         return {
             "n": self.n,
-            "a1": pack(self.a1),
-            "a2": pack(self.a2),
+            "a1": pack_matrix(self.a1),
+            "a2": pack_matrix(self.a2),
             "mu1": self.mu1.to_json_dict(),
             "mu2": self.mu2.to_json_dict(),
         }
@@ -76,13 +69,8 @@ class FreeSumModel:
     @classmethod
     def from_json_dict(cls, d):
         n = int(d.get("n", 1))
-
-        def unpack(flat):
-            vals = np.array([complex(re, im) for re, im in flat])
-            return vals.reshape(n, n)
-
-        a1 = unpack(d["a1"]) if "a1" in d else np.eye(n)
-        a2 = unpack(d["a2"]) if "a2" in d else np.eye(n)
+        a1 = unpack_matrix(d["a1"], n) if "a1" in d else np.eye(n)
+        a2 = unpack_matrix(d["a2"], n) if "a2" in d else np.eye(n)
         return cls(a1, a2, SpectralMeasure.from_json_dict(d["mu1"]),
                    SpectralMeasure.from_json_dict(d["mu2"]))
 
@@ -101,13 +89,6 @@ class SubordinationResult:
     iterations: int
     lifted_evaluations: int = 0
 
-    def as_dict(self):
-        return {
-            "residual_fixed_point": self.residual_fixed_point,
-            "residual_consistency": self.residual_consistency,
-            "iterations": self.iterations,
-        }
-
 
 def _norm(m):
     return float(np.linalg.norm(m, 2))
@@ -115,14 +96,10 @@ def _norm(m):
 
 def _lift_if_needed(w, floor):
     """Lift Im w to ``floor`` when roundoff left it below (safeguard only)."""
-    gap = _min_imag(w)
+    gap = min_imag_eig(w)
     if gap < floor:
         return w + 1j * (floor - gap) * np.eye(w.shape[0])
     return w
-
-
-def _min_imag(m):
-    return float(np.linalg.eigvalsh(imag_part(m)).min())
 
 
 _STALL_WINDOW = 60
@@ -147,13 +124,13 @@ def _anderson_fixed_point(step, w0, tol, max_iter, im_floor=0.0):
     best_w, best_res, best_it = None, np.inf, 0
     for it in range(1, max_iter + 1):
         fw = step(w)
-        if _min_imag(fw) <= im_floor:
+        if min_imag_eig(fw) <= im_floor:
             # roundoff pushed the plain step too close to the real axis: damp
             recovered = False
             cand = fw
             for _ in range(8):
                 cand = 0.5 * (cand + w)
-                if _min_imag(cand) > im_floor:
+                if min_imag_eig(cand) > im_floor:
                     recovered = True
                     break
             if not recovered:
@@ -183,7 +160,7 @@ def _anderson_fixed_point(step, w0, tol, max_iter, im_floor=0.0):
             W = np.stack(dw_hist, axis=1)
             gamma, *_ = np.linalg.lstsq(R, r.reshape(-1), rcond=None)
             cand = fw - ((W + R) @ gamma).reshape(w.shape)
-            if _min_imag(cand) > im_floor:
+            if min_imag_eig(cand) > im_floor:
                 w_next = cand
         w = w_next
     fw = step(w)
@@ -209,8 +186,8 @@ def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL,
     down an internal geometric ladder automatically.
     """
     z = validate_upper(z, "z")
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise PreconditionError(f"tol must be positive and finite, got {tol!r}")
 
     def h1(w):
         return matrix_f(model.a1, model.mu1, w) - w
@@ -218,33 +195,31 @@ def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL,
     def h2(w):
         return matrix_f(model.a2, model.mu2, w) - w
 
-    eye = np.eye(model.n)
     lifts = [0]
 
     def step_at(zz):
-        y_floor = 0.25 * _min_imag(zz)
+        y_floor = 0.25 * min_imag_eig(zz)
 
         def step(w):
             u = h1(w) + zz
             # exact arithmetic guarantees Im u >= Im zz; near the real axis
             # the inversion error can break that by O(eps/y), so lift the
             # evaluation point back to a quarter of the guaranteed height
-            gap = _min_imag(u)
-            if gap < y_floor:
-                u = u + 1j * (y_floor - gap) * eye
+            lifted = _lift_if_needed(u, y_floor)
+            if lifted is not u:
                 lifts[0] += 1
-            return h2(u) + zz
+            return h2(lifted) + zz
 
         return step
 
-    y_here = _min_imag(z)
+    y_here = min_imag_eig(z)
     w0 = np.array(z if warm_start is None else warm_start, dtype=complex)
-    if _min_imag(w0) <= 0:
+    if min_imag_eig(w0) <= 0:
         w0 = np.array(z, dtype=complex)
 
     if warm_start is None and y_here < 1e-6:
         # continuation ladder: reuse omega from larger heights as warm start
-        herm = (z + z.conj().T) / 2
+        herm = herm_part(z)
         im = imag_part(z)
         y = _LADDER_START
         while y > y_here * 2:
@@ -285,8 +260,8 @@ def sum_density(model: FreeSumModel, grid, y_eval: float = 1e-4, tol: float = DE
     Points are swept left to right with warm starts, so a fine grid is
     cheap.  Returns an array of (x, density) pairs.
     """
-    if y_eval <= 0:
-        raise PreconditionError("y_eval must be positive")
+    if not (y_eval > 0 and math.isfinite(y_eval)):
+        raise PreconditionError(f"y_eval must be positive and finite, got {y_eval!r}")
     n = model.n
     eye = np.eye(n)
     out = np.empty((len(grid), 2))

@@ -165,17 +165,17 @@ class TestDecomposeAtom:
 class TestSupportRegularize:
     def test_invertible_input_is_trivial_doubling(self):
         model = scalar_model(MU1, MU2)
-        pair, result = A.support_regularize(model, b_scalar(0.0))
-        np.testing.assert_allclose(pair.q1, np.eye(1), atol=1e-12)
-        np.testing.assert_allclose(pair.q2, np.eye(1), atol=1e-12)
+        result = A.support_regularize(model, b_scalar(0.0))
+        np.testing.assert_allclose(result.q1, np.eye(1), atol=1e-12)
+        np.testing.assert_allclose(result.q2, np.eye(1), atol=1e-12)
         assert result.integer_offset == pytest.approx(0.0, abs=1e-6)
         assert result.report.regularized
 
     def test_zero_kernel_degenerate_compression(self):
         # atomless inputs at a non-atom: E = 0, q1 = 0, doubled pencil vanishes
         model = scalar_model(SC2, SC2)
-        pair, result = A.support_regularize(model, b_scalar(0.0))
-        assert np.linalg.norm(pair.q1, 2) < 1e-12
+        result = A.support_regularize(model, b_scalar(0.0))
+        assert np.linalg.norm(result.q1, 2) < 1e-12
         assert result.report.mass == pytest.approx(1.0, abs=1e-12)
         assert result.offset_distance < 1e-4
 
@@ -187,8 +187,8 @@ class TestSupportRegularize:
         L, _ = linearize(Z1 + Z2)
         model = FreeSumModel(L.a1, L.a2, MU1, MU2)
         b = -L.a0
-        pair, result = A.support_regularize(model, b)
-        assert int(round(np.trace(pair.q1).real)) == 1
+        result = A.support_regularize(model, b)
+        assert int(round(np.trace(result.q1).real)) == 1
         assert result.offset_distance < 1e-6
         assert A.is_invertible_expectation(result.report.E_p)
         assert result.report.residuals["v"] < 1e-6

@@ -276,6 +276,37 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("internal invariant breach: KeyError")
 
 
+    @pytest.mark.parametrize("argv", [["oracle", "--bogus"], []])
+    def test_bad_command_line_returns_usage_error(self, argv, capsys):
+        assert run_cli(argv) == cli.EXIT_SCHEMA
+        assert capsys.readouterr().err.startswith("usage: freeatoms")
+
+    def test_help_returns_zero(self, capsys):
+        assert run_cli(["--help"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: freeatoms")
+
+    @pytest.mark.parametrize("command, extra, env, flag", [
+        ("convolve", ["--tol", "nan"], None, "--tol"),
+        ("convolve", ["--tol", "inf"], None, "--tol"),
+        ("convolve", [], "nan", "FREEATOMS_TOL"),
+        ("convolve", ["--y-eval", "nan"], None, "--y-eval"),
+        ("convolve", ["--grid", "nan:1:5"], None, "--grid"),
+        ("convolve", ["--grid", "0:1:0"], None, "--grid"),
+        ("decompose", ["--y0", "nan"], None, "--y0"),
+        ("oracle", ["--epsilon", "nan"], None, "--epsilon"),
+        ("oracle", ["--bins", "0"], None, "--bins"),
+        ("oracle", ["--lambda", "nan"], None, "--lambda"),
+    ])
+    def test_non_finite_or_out_of_range_numerics(self, files, capsys, monkeypatch,
+                                                 command, extra, env, flag):
+        if env is not None:
+            monkeypatch.setenv("FREEATOMS_TOL", env)
+        code = run_cli([command, "--mu1", files["mix1"], "--mu2", files["mix2"], *extra])
+        assert code == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:") and flag in err
+
+
 class TestGoldenFixtures:
     """The documented file formats, kept as golden examples under test."""
 

@@ -1,12 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from freeatoms import measure as M
 from freeatoms import opval as O
+from freeatoms.atoms import AtomReport, RegularizationResult
 from freeatoms.errors import HalfPlaneError
+from freeatoms.linearize import LinearPencil
+from freeatoms.subord import FreeSumModel
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -318,3 +324,79 @@ class TestExpectedKernelProjection:
         mu = M.uniform_measure(0.0, 1.0)
         proj = O.expected_kernel_projection(a, b, mu)
         np.testing.assert_allclose(proj, np.diag([0.0, 1.0]), atol=1e-9)
+
+    def test_supplied_profile_gives_the_same_projection_and_trace(self):
+        rng = np.random.default_rng(11)
+        a = random_hermitian(rng, 3)
+        b = random_hermitian(rng, 3)
+        b[:, 0] = b[0, :] = 0.0
+        mu = M.atomic_measure([(0.0, 0.6), (1.5, 0.4)])
+        profile = O.kernel_profile(a, b, hints=[0.0, 1.5])
+        with_profile = O.expected_kernel_projection(a, b, mu, profile=profile)
+        assert with_profile.tobytes() == O.expected_kernel_projection(a, b, mu).tobytes()
+        assert profile.kernel_trace(mu) == O.pencil_kernel_trace(a, b, mu)
+
+
+def complex_matrices(n):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return hnp.arrays(np.complex128, (n, n),
+                      elements=st.builds(complex, finite, finite))
+
+
+def hermitian_from(m):
+    """Hermitian matrix taking m's lower triangle and real diagonal bit for bit."""
+    n = m.shape[0]
+    lower = np.tril(np.ones((n, n), dtype=bool), -1)
+    h = np.where(lower, m, m.conj().T)
+    h[np.diag_indices(n)] = m.diagonal().real
+    return h
+
+
+def json_round_trip(d):
+    return json.loads(json.dumps(d))
+
+
+def same_bits(x, y):
+    return x.dtype == y.dtype == np.complex128 and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestMatrixJson:
+    """pack_matrix / unpack_matrix carry every complex matrix exactly, in every report."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(1, 4))
+    def test_round_trips_are_bit_exact(self, data, n):
+        def draw(size=n):
+            return data.draw(complex_matrices(size))
+
+        m = draw()
+        assert same_bits(O.unpack_matrix(json_round_trip(O.pack_matrix(m)), n), m)
+
+        mu = M.point_mass(0.5)
+        model = FreeSumModel(hermitian_from(draw()), hermitian_from(draw()), mu, mu)
+        again = FreeSumModel.from_json_dict(json_round_trip(model.to_json_dict()))
+        assert same_bits(again.a1, model.a1) and same_bits(again.a2, model.a2)
+
+        pencil = LinearPencil(*(hermitian_from(draw(2 * n)) for _ in range(3)))
+        again = LinearPencil.from_json_dict(json_round_trip(pencil.to_json_dict()))
+        for name in ("a0", "a1", "a2"):
+            assert same_bits(getattr(again, name), getattr(pencil, name))
+
+        def report(size, **extra):
+            return AtomReport(b=draw(size), E_p=draw(size), mass=0.25, b1=None, b2=None,
+                              beta1=None, beta2=None, residuals={"v": 1e-9},
+                              regularized=False, integer_test=(0.25, 0, 0.25), **extra)
+
+        inner = report(2 * n)
+        reg = RegularizationResult(q1=draw(), q2=draw(), doubled_pencil=pencil, report=inner,
+                                   integer_offset=2.0, offset_distance=0.0)
+        outer = report(n, model=model, regularization=reg)
+        outer.b1, outer.b2, outer.beta1, outer.beta2 = draw(), draw(), draw(), draw()
+        again = AtomReport.from_json_dict(json_round_trip(outer.to_json_dict()))
+        for name in ("b", "E_p", "b1", "b2", "beta1", "beta2"):
+            assert same_bits(getattr(again, name), getattr(outer, name))
+        assert same_bits(again.model.a1, model.a1) and same_bits(again.model.a2, model.a2)
+        for name in ("q1", "q2"):
+            assert same_bits(getattr(again.regularization, name), getattr(reg, name))
+        assert same_bits(again.regularization.doubled_pencil.a2, pencil.a2)
+        assert same_bits(again.regularization.report.E_p, inner.E_p)

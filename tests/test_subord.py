@@ -92,6 +92,12 @@ class TestSolveSubordination:
         with pytest.raises(PreconditionError):
             solve_subordination(model, np.array([[1j]]), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_rejects_non_finite_tol(self, tol):
+        model = scalar_model(BERN, BERN)
+        with pytest.raises(PreconditionError):
+            solve_subordination(model, np.array([[1j]]), tol=tol)
+
 
 class TestSumCauchy:
     def test_bernoulli_arcsine_value(self):
@@ -151,6 +157,12 @@ class TestSumDensity:
         model = scalar_model(BERN, BERN)
         with pytest.raises(PreconditionError):
             sum_density(model, [0.0], y_eval=0.0)
+
+    @pytest.mark.parametrize("y_eval", [float("nan"), float("inf")])
+    def test_rejects_non_finite_height(self, y_eval):
+        model = scalar_model(BERN, BERN)
+        with pytest.raises(PreconditionError):
+            sum_density(model, [0.0], y_eval=y_eval)
 
 
 class TestModelValidation:
