@@ -152,10 +152,8 @@ def _emit(cfg, payload, csv_rows=None, csv_header=None):
     if cfg.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
-        if csv_header:
-            writer.writerow(csv_header)
-        for row in csv_rows or []:
-            writer.writerow(row)
+        writer.writerow(csv_header)
+        writer.writerows(csv_rows)
         text = buf.getvalue()
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -224,7 +222,7 @@ def _cmd_atom_scan(cfg):
         raise SchemaError("atom-scan expects the scalar case (1x1 coefficients)")
     probes = atoms_mod.sum_atom_candidates(model.mu1, model.mu2)
     probes += [(float(x), None) for x in cfg.candidates]
-    results = []
+    results, reports = [], []
     for loc, predicted in probes:
         b = np.array([[loc]])
         scan = atoms_mod.ladder_scan(model, b, y_ladder=_ladder(cfg), tol=cfg.tol)
@@ -235,8 +233,11 @@ def _cmd_atom_scan(cfg):
         if atoms_mod.is_invertible_expectation(E, floor=floor):
             rep = atoms_mod.decompose_atom(model, b, tol=cfg.tol, scan=scan)
             entry["decomposition"] = rep.to_json_dict()
+            reports.append(rep)
         results.append(entry)
     _emit(cfg, {"candidates": results, "locations_probed": [loc for loc, _ in probes]})
+    if cfg.strict and any(_strict_residual_failures(rep) for rep in reports):
+        return EXIT_STRICT
     return EXIT_OK
 
 
@@ -318,28 +319,69 @@ def _cmd_compare(cfg):
     return EXIT_OK
 
 
+# name -> (handler, help, the flags it reads).  Nothing reads --workers on
+# convolve, decompose, atom-scan and eigtest; it stays accepted there so
+# that existing command lines keep parsing.
 _COMMANDS = {
-    "linearize": _cmd_linearize,
-    "convolve": _cmd_convolve,
-    "decompose": _cmd_decompose,
-    "atom-scan": _cmd_atom_scan,
-    "eigtest": _cmd_eigtest,
-    "oracle": _cmd_oracle,
-    "compare": _cmd_compare,
+    "linearize": (_cmd_linearize, "linearize a selfadjoint polynomial", "--poly --out"),
+    "convolve": (_cmd_convolve, "density of the free sum on a grid",
+                 "--mu1 --mu2 --a1 --a2 --grid --y-eval --tol --strict --out --format --workers"),
+    "decompose": (_cmd_decompose, "atom decomposition at a location",
+                  "--mu1 --mu2 --a1 --a2 --b --tol --y0 --ladder-depth --strict --out --workers"),
+    "atom-scan": (_cmd_atom_scan, "scan scalar atom candidates",
+                  "--mu1 --mu2 --candidates --tol --y0 --ladder-depth --strict --out --workers"),
+    "eigtest": (_cmd_eigtest, "kernel trace of lambda - p(X1, X2)",
+                "--mu1 --mu2 --poly --lambda --tol --y0 --ladder-depth --strict --out --workers"),
+    "oracle": (_cmd_oracle, "Monte Carlo spectral report",
+               "--mu1 --mu2 --a1 --a2 --b --poly --lambda --candidates --size --trials --bins "
+               "--epsilon --seed --workers --out --format"),
+    "compare": (_cmd_compare, "pipeline vs oracle discrepancy table",
+                "--mu1 --mu2 --poly --lambda --size --trials --epsilon --seed --tol --y0 "
+                "--ladder-depth --strict --workers --out"),
 }
 
 
 def run(config: RunConfig) -> int:
     """Execute one command; returns the exit status, writing artifacts."""
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
+    entry = _COMMANDS.get(config.command)
+    if entry is None:
         raise SchemaError(f"unknown command {config.command!r}")
-    return handler(config)
+    return entry[0](config)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
+
+# Each flag once, with dest the RunConfig field it sets.  No flag states a
+# default: subparsers suppress absent flags, so the RunConfig field default
+# applies (for --tol and --seed after the environment overrides).  --poly
+# is optional here because oracle takes it optionally; the commands that
+# need it say so.
+_FLAGS = {
+    "--mu1": dict(dest="mu1_path", required=True),
+    "--mu2": dict(dest="mu2_path", required=True),
+    "--a1": dict(dest="a1_spec"),
+    "--a2": dict(dest="a2_spec"),
+    "--b": dict(dest="b_spec"),
+    "--poly": dict(dest="poly"),
+    "--lambda": dict(dest="lam", type=float),
+    "--candidates": dict(dest="candidates"),
+    "--grid": dict(dest="grid"),
+    "--y-eval": dict(dest="y_eval", type=float),
+    "--tol": dict(dest="tol", type=float),
+    "--y0": dict(dest="y0", type=float),
+    "--ladder-depth": dict(dest="ladder_depth", type=int),
+    "--size": dict(dest="N", type=int),
+    "--trials": dict(dest="trials", type=int),
+    "--bins": dict(dest="bins", type=int),
+    "--epsilon": dict(dest="epsilon", type=float),
+    "--seed": dict(dest="seed", type=int),
+    "--strict": dict(dest="strict", action="store_true"),
+    "--workers": dict(dest="workers", type=int),
+    "--out": dict(dest="out"),
+    "--format": dict(dest="fmt", choices=("json", "csv")),
+}
 
 
 def _env_override(name, kind, default):
@@ -359,69 +401,17 @@ def _build_parser():
         description="spectral distributions and atoms of free sums and polynomials",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    tol_default = _env_override("FREEATOMS_TOL", float, 1e-12)
-    seed_default = _env_override("FREEATOMS_SEED", int, 0)
-
-    def common(sp, measures=True):
-        sp.add_argument("--tol", type=float, default=tol_default)
-        sp.add_argument("--y0", type=float, default=0.1)
-        sp.add_argument("--ladder-depth", type=int, default=16)
-        sp.add_argument("--seed", type=int, default=seed_default)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--strict", action="store_true")
-        sp.add_argument("--workers", type=int, default=1)
-        if measures:
-            sp.add_argument("--mu1", required=True)
-            sp.add_argument("--mu2", required=True)
-
-    sp = sub.add_parser("linearize", help="linearize a selfadjoint polynomial")
-    common(sp, measures=False)
-    sp.add_argument("--poly", required=True)
-
-    sp = sub.add_parser("convolve", help="density of the free sum on a grid")
-    common(sp)
-    sp.add_argument("--grid", default="-3:3:201")
-    sp.add_argument("--y-eval", type=float, default=1e-4)
-    sp.add_argument("--a1", default=None)
-    sp.add_argument("--a2", default=None)
-
-    sp = sub.add_parser("decompose", help="atom decomposition at a location")
-    common(sp)
-    sp.add_argument("--b", default=None)
-    sp.add_argument("--a1", default=None)
-    sp.add_argument("--a2", default=None)
-
-    sp = sub.add_parser("atom-scan", help="scan scalar atom candidates")
-    common(sp)
-    sp.add_argument("--candidates", default="")
-
-    sp = sub.add_parser("eigtest", help="kernel trace of lambda - p(X1, X2)")
-    common(sp)
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--lambda", dest="lam", type=float, default=0.0)
-
-    sp = sub.add_parser("oracle", help="Monte Carlo spectral report")
-    common(sp)
-    sp.add_argument("--poly", default=None)
-    sp.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    sp.add_argument("--a1", default=None)
-    sp.add_argument("--a2", default=None)
-    sp.add_argument("--b", default=None)
-    sp.add_argument("--size", type=int, default=2000)
-    sp.add_argument("--trials", type=int, default=8)
-    sp.add_argument("--bins", type=int, default=201)
-    sp.add_argument("--epsilon", type=float, default=None)
-    sp.add_argument("--candidates", default="")
-
-    sp = sub.add_parser("compare", help="pipeline vs oracle discrepancy table")
-    common(sp)
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    sp.add_argument("--size", type=int, default=2000)
-    sp.add_argument("--trials", type=int, default=8)
-    sp.add_argument("--bins", type=int, default=201)
-    sp.add_argument("--epsilon", type=float, default=None)
+    env_defaults = {
+        "--tol": _env_override("FREEATOMS_TOL", float, RunConfig.tol),
+        "--seed": _env_override("FREEATOMS_SEED", int, RunConfig.seed),
+    }
+    for name, (_handler, help_text, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        for flag in flags.split():
+            kwargs = dict(_FLAGS[flag])
+            if flag in env_defaults:
+                kwargs["default"] = env_defaults[flag]
+            sp.add_argument(flag, **kwargs)
     return parser
 
 
@@ -434,34 +424,12 @@ def _parse_grid(text):
 
 
 def _config_from_args(args) -> RunConfig:
-    candidates = []
-    if getattr(args, "candidates", ""):
-        candidates = [float(x) for x in str(args.candidates).split(",") if x.strip()]
-    return RunConfig(
-        command=args.command,
-        tol=args.tol,
-        y0=args.y0,
-        ladder_depth=args.ladder_depth,
-        grid=_parse_grid(getattr(args, "grid", "-3:3:201")),
-        seed=args.seed,
-        N=getattr(args, "size", 2000),
-        trials=getattr(args, "trials", 8),
-        epsilon=getattr(args, "epsilon", None),
-        workers=args.workers,
-        strict=args.strict,
-        out=args.out,
-        fmt=args.format,
-        mu1_path=getattr(args, "mu1", None),
-        mu2_path=getattr(args, "mu2", None),
-        poly=getattr(args, "poly", None),
-        lam=getattr(args, "lam", 0.0),
-        b_spec=getattr(args, "b", None),
-        a1_spec=getattr(args, "a1", None),
-        a2_spec=getattr(args, "a2", None),
-        y_eval=getattr(args, "y_eval", 1e-4),
-        candidates=candidates,
-        bins=getattr(args, "bins", 201),
-    )
+    fields = vars(args)
+    if "grid" in fields:
+        fields["grid"] = _parse_grid(fields["grid"])
+    if "candidates" in fields:
+        fields["candidates"] = [float(x) for x in fields["candidates"].split(",") if x.strip()]
+    return RunConfig(**fields)
 
 
 # flags taking exactly one value that may begin with '-' (grids, inline

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .ncpoly import NCPoly, adjoint, eval_matrices, format_poly, is_selfadjoint
-from .opval import check_hermitian, numerical_kernel_dim, pack_matrix, unpack_matrix
+from .opval import check_hermitian, herm_part, numerical_kernel_dim, pack_matrix, unpack_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +326,8 @@ def invertibility_equivalence_check(p: NCPoly, L: LinearPencil, trials: int = 50
     report = EquivalenceReport(trials=trials)
     selfadj = is_selfadjoint(p)
     for trial in range(trials):
-        A1 = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        A2 = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        A1 = (A1 + A1.conj().T) / 2
-        A2 = (A2 + A2.conj().T) / 2
+        A1 = herm_part(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        A2 = herm_part(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
         P = eval_matrices(p, A1, A2)
         Lval = L.evaluate(A1, A2)
         sing_p = numerical_kernel_dim(P) > 0

@@ -217,6 +217,10 @@ class TablePiece:
             )
         object.__setattr__(self, "nodes", tuple(nodes.tolist()))
         object.__setattr__(self, "values", tuple(values.tolist()))
+        # cumulative trapezoid mass at each node, built once for unit_cdf;
+        # a plain attribute, so equality, hashing and JSON ignore it
+        object.__setattr__(self, "_cum", np.concatenate(
+            [[0.0], np.cumsum(np.diff(nodes) * 0.5 * (values[1:] + values[:-1]))]))
 
     @property
     def interval(self):
@@ -228,7 +232,7 @@ class TablePiece:
     def unit_cdf(self, x):
         nodes = np.asarray(self.nodes)
         values = np.asarray(self.values)
-        cum = np.concatenate([[0.0], np.cumsum(np.diff(nodes) * 0.5 * (values[1:] + values[:-1]))])
+        cum = self._cum
         x = np.asarray(x, dtype=float)
         idx = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, nodes.size - 2)
         x0 = nodes[idx]
@@ -258,14 +262,6 @@ class TablePiece:
     def to_json_dict(self):
         return {"family": "table", "nodes": list(self.nodes), "values": list(self.values),
                 "weight": self.weight}
-
-
-_PIECE_CLASSES = {
-    "semicircle": SemicirclePiece,
-    "arcsine": ArcsinePiece,
-    "uniform": UniformPiece,
-    "table": TablePiece,
-}
 
 
 def piece_from_json_dict(d):

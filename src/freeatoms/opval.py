@@ -307,7 +307,7 @@ def kernel_profile(a, b, hints=(), rng=None) -> PencilKernelProfile:
             merged.append(t)
     exceptional = []
     for t in sorted(merged):
-        k_t = pencil_kernel_rank(a, b, t)
+        k_t = Fraction(numerical_kernel_dim(b - t * a), n)
         if k_t > k_min:
             exceptional.append((t, k_t))
     return PencilKernelProfile(k_min=k_min, exceptional=tuple(exceptional), n=n)

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import PreconditionError
 from .measure import SpectralMeasure, quantiles
 from .ncpoly import NCPoly, is_selfadjoint
+from .opval import herm_part
 from .subord import FreeSumModel
 
 
@@ -48,7 +49,7 @@ def haar_unitary(N, rng):
 
 def random_hermitian(rng, n, scale=1.0):
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * (m + m.conj().T) / 2
+    return scale * herm_part(m)
 
 
 def realize_pair(spec: EnsembleSpec, rng=None):
@@ -59,7 +60,7 @@ def realize_pair(spec: EnsembleSpec, rng=None):
         d = quantiles(mu, spec.N)
         u = haar_unitary(spec.N, rng)
         a = (u * d) @ u.conj().T
-        out.append((a + a.conj().T) / 2)
+        out.append(herm_part(a))
     return out[0], out[1]
 
 
@@ -71,9 +72,7 @@ def _realize_reduced(spec, rng):
     d1 = quantiles(spec.mu1, spec.N)
     d2 = quantiles(spec.mu2, spec.N)
     u = haar_unitary(spec.N, rng)
-    a2 = (u * d2) @ u.conj().T
-    a2 = (a2 + a2.conj().T) / 2
-    return d1, a2
+    return d1, herm_part((u * d2) @ u.conj().T)
 
 
 def empirical_kernel_mass(matrix, lam, epsilon):
@@ -161,7 +160,7 @@ def _eval_poly_diag_first(poly, d1, A2):
 def _poly_eigs(spec, poly, rng):
     d1, A2 = _realize_reduced(spec, rng)
     val = _eval_poly_diag_first(poly, d1, A2)
-    return np.linalg.eigvalsh((val + val.conj().T) / 2)
+    return np.linalg.eigvalsh(herm_part(val))
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 from pathlib import Path
 
@@ -151,6 +153,16 @@ class TestAtomScanCommand:
         assert cands[0.0]["decomposition"]["mass"] == pytest.approx(0.3, abs=1e-6)
 
 
+    def test_strict_applies_decompose_residual_limits(self, files, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "STRICT_LIMITS", dict.fromkeys(cli.STRICT_LIMITS, 1e-30))
+        argv = ["atom-scan", "--mu1", files["mix1"], "--mu2", files["mix2"]]
+        assert run_cli(argv) == 0
+        capsys.readouterr()
+        assert run_cli(argv + ["--strict"]) == cli.EXIT_STRICT
+        out = json.loads(capsys.readouterr().out)  # written before the strict exit
+        assert any("decomposition" in c for c in out["candidates"])
+
+
 class TestEigtestCommand:
     def test_anticommutator_projections(self, files, capsys):
         code = run_cli([
@@ -222,6 +234,60 @@ class TestCompareCommand:
         assert out["agree"] is True
         assert out["pipeline_mass"] == pytest.approx(0.3, abs=1e-5)
         assert abs(out["oracle_mass"] - 0.3) <= out["tolerance"]
+
+
+# the flags each subcommand reads, and no others
+SUBCOMMAND_FLAGS = {
+    "linearize": "--poly --out",
+    "convolve": "--mu1 --mu2 --a1 --a2 --grid --y-eval --tol --strict --out --format --workers",
+    "decompose": "--mu1 --mu2 --a1 --a2 --b --tol --y0 --ladder-depth --strict --out --workers",
+    "atom-scan": "--mu1 --mu2 --candidates --tol --y0 --ladder-depth --strict --out --workers",
+    "eigtest": "--mu1 --mu2 --poly --lambda --tol --y0 --ladder-depth --strict --out --workers",
+    "oracle": "--mu1 --mu2 --a1 --a2 --b --poly --lambda --candidates --size --trials --bins "
+              "--epsilon --seed --workers --out --format",
+    "compare": "--mu1 --mu2 --poly --lambda --size --trials --epsilon --seed --tol --y0 "
+               "--ladder-depth --strict --workers --out",
+}
+
+
+class TestFlagTable:
+    @staticmethod
+    def subparsers():
+        parser = cli._build_parser()
+        return next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    def test_each_subcommand_offers_exactly_its_flags(self):
+        offered = {
+            name: {opt for action in sp._actions for opt in action.option_strings} - {"-h", "--help"}
+            for name, sp in self.subparsers().items()
+        }
+        assert offered == {name: set(flags.split()) for name, flags in SUBCOMMAND_FLAGS.items()}
+        assert sum(len(flags) for flags in offered.values()) == 73
+
+    def test_flag_dests_are_run_config_fields(self):
+        fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+        for sp in self.subparsers().values():
+            for action in sp._actions:
+                if action.option_strings != ["-h", "--help"]:
+                    assert action.dest in fields
+
+    @pytest.mark.parametrize("command, extra", [
+        ("eigtest", ["--poly", "Z1+Z2", "--seed", "3"]),
+        ("oracle", ["--strict"]),
+        ("oracle", ["--tol", "1e-9"]),
+        ("linearize", ["--poly", "Z1", "--format", "csv"]),
+        ("decompose", ["--format", "csv"]),
+        ("compare", ["--poly", "Z1+Z2", "--bins", "5"]),
+    ])
+    def test_flag_the_subcommand_does_not_read_is_usage_error(self, files, capsys,
+                                                              command, extra):
+        measures = [] if command == "linearize" else ["--mu1", files["mix1"], "--mu2", files["mix2"]]
+        assert run_cli([command, *measures, *extra]) == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("usage: freeatoms")
+        flag = next(x for x in extra if x.startswith("--") and x != "--poly")
+        assert f"unrecognized arguments: {flag}" in err
 
 
 class TestConfig:

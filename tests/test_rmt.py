@@ -106,6 +106,17 @@ class TestOracleReport:
         assert r1.masses == r2.masses
         assert r1.spikes == r2.spikes
 
+    @pytest.mark.parametrize("target", [
+        {"poly": Z1 * Z2 + Z2 * Z1, "lam": 0.0},
+        {"model": scalar_model(MU1, MU2), "locations": [0.0, 2.0]},
+    ], ids=["poly", "pencil"])
+    def test_threaded_trials_bit_identical_to_serial(self, target):
+        spec = rmt.EnsembleSpec(N=120, trials=4, seed=19, mu1=MU1, mu2=MU2)
+        serial = rmt.oracle_report(spec, workers=1, **target)
+        threaded = rmt.oracle_report(spec, workers=2, **target)
+        assert np.array_equal(serial.bin_edges, threaded.bin_edges)
+        assert serial.to_json_dict() == threaded.to_json_dict()
+
     def test_atomic_sum_spikes_and_masses(self):
         spec = rmt.EnsembleSpec(N=600, trials=4, seed=12, mu1=MU1, mu2=MU2)
         model = scalar_model(MU1, MU2)
