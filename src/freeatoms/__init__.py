@@ -39,6 +39,7 @@ from .linearize import (
     verify_certificate,
 )
 from .opval import (
+    Coefficient,
     PencilKernelProfile,
     kernel_profile,
     matrix_cauchy,

@@ -35,6 +35,7 @@ from .linearize import LinearPencil, corner_shift, linearize
 from .measure import SpectralMeasure
 from .ncpoly import NCPoly, format_poly, is_selfadjoint, star_square
 from .opval import (
+    Coefficient,
     expected_kernel_projection,
     herm_part,
     imag_part,
@@ -127,6 +128,7 @@ def ladder_scan(model: FreeSumModel, b, y_ladder=None, tol: float = 1e-12) -> La
         raise PreconditionError("y ladder must be strictly descending with min >= 1e-8")
     n = model.n
     eye = np.eye(n)
+    a1 = Coefficient(model.a1)
     omega1, omega2, cauchy, iters = [], [], [], []
     truncated = ""
     warm = None
@@ -142,7 +144,7 @@ def ladder_scan(model: FreeSumModel, b, y_ladder=None, tol: float = 1e-12) -> La
         warm = res.omega1
         omega1.append(res.omega1)
         omega2.append(res.omega2)
-        cauchy.append(matrix_cauchy(model.a1, model.mu1, res.omega1))
+        cauchy.append(matrix_cauchy(a1, model.mu1, res.omega1))
         iters.append(res.iterations)
     return LadderScan(ys=ys[: len(omega1)], omega1=omega1, omega2=omega2,
                       cauchy=cauchy, iterations=iters, truncated=truncated)

@@ -55,7 +55,7 @@ def herm_part(z):
 
 def min_imag_eig(z):
     """Smallest eigenvalue of the imaginary part of z."""
-    return float(np.linalg.eigvalsh(imag_part(z)).min())
+    return float(np.linalg.eigvalsh(imag_part(z))[0])  # ascending order
 
 
 def validate_upper(z, where="argument"):
@@ -100,13 +100,35 @@ def unpack_matrix(flat, n):
 # ---------------------------------------------------------------------------
 
 
+class Coefficient:
+    """A Hermitian coefficient prepared for transforms at many points z.
+
+    Holds the exactly Hermitian matrix ``a`` and the z-independent part
+    of the continuous transform: an eigenbasis ``U`` of ``a`` with the
+    live (nonzero) eigenvalues ``d`` first, its adjoint ``Uh`` and the
+    rank ``r``.  A solve prepares each coefficient once and evaluates
+    every step's transform with it.
+    """
+
+    __slots__ = ("a", "U", "Uh", "d", "r")
+
+    def __init__(self, a):
+        self.a = herm_part(check_hermitian(a))
+        d, U = np.linalg.eigh(self.a)
+        live = np.abs(d) > self.a.shape[0] * np.finfo(float).eps * np.abs(d).max()
+        self.U = np.concatenate([U[:, live], U[:, ~live]], axis=1)
+        self.Uh = self.U.conj().T
+        self.d = d[live]
+        self.r = self.d.size
+
+
 def _resolvents(a, z, ts):
     """The stack (z - t a)^{-1} over the points ``ts``."""
     ts = np.asarray(ts, dtype=float)
     return np.linalg.inv(z[None, :, :] - ts[:, None, None] * a[None, :, :])
 
 
-def _continuous_cauchy(a, mu: SpectralMeasure, z) -> np.ndarray:
+def _continuous_cauchy(c: Coefficient, mu: SpectralMeasure, z) -> np.ndarray:
     """int (z - t a)^{-1} over the continuous part of mu, in closed form.
 
     In an eigenbasis of a, its kernel N is split off exactly: with the
@@ -120,16 +142,11 @@ def _continuous_cauchy(a, mu: SpectralMeasure, z) -> np.ndarray:
     eigenvalue of z^{-1} a next to small nonzero ones (singular pencils
     near an atom) makes the eigenbasis ill-conditioned.
     """
-    n = a.shape[0]
+    n, r, d = c.a.shape[0], c.r, c.d
     weight = mu.continuous_weight
-    d, U = np.linalg.eigh(a)
-    live = np.abs(d) > n * np.finfo(float).eps * np.abs(d).max()
-    if not live.any():
+    if r == 0:
         return weight * np.linalg.inv(z)
-    U = np.concatenate([U[:, live], U[:, ~live]], axis=1)
-    d = d[live]
-    r = d.size
-    zu = U.conj().T @ z @ U
+    zu = c.Uh @ z @ c.U
     s = zu[:r, :r]
     if r < n:
         znn_inv = np.linalg.inv(zu[r:, r:])
@@ -139,34 +156,41 @@ def _continuous_cauchy(a, mu: SpectralMeasure, z) -> np.ndarray:
     w, V = np.linalg.eig(s / d[:, None])
     Vinv = np.linalg.inv(V)
     if np.abs(V).sum(axis=0).max() * np.abs(Vinv).sum(axis=0).max() > _EIG_COND_LIMIT:
-        return sum(p.weight * integrate_piece(lambda ts: _resolvents(a, z, ts), p)
+        return sum(p.weight * integrate_piece(lambda ts: _resolvents(c.a, z, ts), p)
                    for p in mu.continuous)
     g = (V * mu.continuous_cauchy(w)) @ (Vinv / d[None, :])
     if r < n:
         g = np.block([[g, -g @ left], [-right @ g, weight * znn_inv + right @ g @ left]])
-    return U @ g @ U.conj().T
+    return c.U @ g @ c.Uh
 
 
 def matrix_cauchy(a, mu: SpectralMeasure, z) -> np.ndarray:
-    """G(z) = int (z - t a)^{-1} dmu(t); maps H+_n into H-_n."""
-    a = herm_part(check_hermitian(a))
+    """G(z) = int (z - t a)^{-1} dmu(t); maps H+_n into H-_n.
+
+    ``a`` is a :class:`Coefficient` or a Hermitian array, which is
+    prepared here.
+    """
+    c = a if isinstance(a, Coefficient) else Coefficient(a)
     z = validate_upper(z, "z")
     n = z.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"coefficient shape {a.shape} does not match point shape {z.shape}")
+    if c.a.shape != (n, n):
+        raise ValueError(f"coefficient shape {c.a.shape} does not match point shape {z.shape}")
     total = None
     if mu.atoms:
-        res = _resolvents(a, z, [loc for loc, _ in mu.atoms])
+        res = _resolvents(c.a, z, [loc for loc, _ in mu.atoms])
         for (_loc, m), r in zip(mu.atoms, res):
             total = m * r if total is None else total + m * r
     if mu.continuous:
-        g = _continuous_cauchy(a, mu, z)
+        g = _continuous_cauchy(c, mu, z)
         total = g if total is None else total + g
     return np.asarray(total, dtype=complex)
 
 
 def matrix_f(a, mu: SpectralMeasure, z) -> np.ndarray:
-    """Reciprocal transform F(z) = G(z)^{-1}; self-map of H+_n with Im F >= Im z."""
+    """Reciprocal transform F(z) = G(z)^{-1}; self-map of H+_n with Im F >= Im z.
+
+    ``a`` is a :class:`Coefficient` or a Hermitian array.
+    """
     return np.linalg.inv(matrix_cauchy(a, mu, z))
 
 

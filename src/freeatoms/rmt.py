@@ -47,11 +47,6 @@ def haar_unitary(N, rng):
     return q * (d / np.abs(d))
 
 
-def random_hermitian(rng, n, scale=1.0):
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * herm_part(m)
-
-
 def realize_pair(spec: EnsembleSpec, rng=None):
     """One draw (A1, A2) = (U1 D1 U1*, U2 D2 U2*) with quantile spectra."""
     rng = spec.trial_rngs()[0] if rng is None else rng

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
 from .measure import SpectralMeasure
-from .opval import (check_hermitian, herm_part, imag_part, matrix_cauchy, matrix_f,
-                    min_imag_eig, pack_matrix, unpack_matrix, validate_upper)
+from .opval import (Coefficient, check_hermitian, herm_part, imag_part, matrix_cauchy,
+                    matrix_f, min_imag_eig, pack_matrix, unpack_matrix, validate_upper)
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
@@ -91,7 +91,8 @@ class SubordinationResult:
 
 
 def _norm(m):
-    return float(np.linalg.norm(m, 2))
+    """Spectral norm: the largest singular value (LAPACK sorts them descending)."""
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def _lift_if_needed(w, floor):
@@ -188,12 +189,13 @@ def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL,
     z = validate_upper(z, "z")
     if not (tol > 0 and math.isfinite(tol)):
         raise PreconditionError(f"tol must be positive and finite, got {tol!r}")
+    a1, a2 = Coefficient(model.a1), Coefficient(model.a2)
 
     def h1(w):
-        return matrix_f(model.a1, model.mu1, w) - w
+        return matrix_f(a1, model.mu1, w) - w
 
     def h2(w):
-        return matrix_f(model.a2, model.mu2, w) - w
+        return matrix_f(a2, model.mu2, w) - w
 
     lifts = [0]
 
@@ -233,8 +235,8 @@ def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL,
     omega2 = h1(omega1) + z
 
     omega2 = _lift_if_needed(omega2, 0.25 * y_here)
-    f1 = matrix_f(model.a1, model.mu1, omega1)
-    f2 = matrix_f(model.a2, model.mu2, omega2)
+    f1 = matrix_f(a1, model.mu1, omega1)
+    f2 = matrix_f(a2, model.mu2, omega2)
     residual_fixed = _norm(omega1 + omega2 - z - f1)
     residual_cons = _norm(f1 - f2)
     return SubordinationResult(

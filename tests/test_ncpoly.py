@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeatoms.ncpoly import (
     NCPoly,
@@ -173,6 +175,17 @@ class TestTextSyntax:
             twice = parse_poly(format_poly(once))
             assert once == p
             assert twice == once
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(terms=st.lists(
+        st.tuples(st.lists(st.sampled_from([1, 2]), max_size=4),
+                  st.builds(complex, st.floats(allow_nan=False, allow_infinity=False),
+                            st.floats(allow_nan=False, allow_infinity=False))),
+        max_size=6))
+    def test_round_trip_property(self, terms):
+        p = NCPoly(terms)
+        assert p.degree <= 4
+        assert parse_poly(format_poly(p)) == p
 
     def test_rejects_garbage(self):
         for bad in ["Z3", "Z1 Z2 +", "* Z1", "Z1 ^ x", "Z1 * * Z2", "Z1 *", "(1 + 2"]:

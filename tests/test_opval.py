@@ -147,6 +147,53 @@ class TestClosedFormTransform:
         assert gap >= -1e-9 * max(1.0, np.linalg.norm(f, 2))
 
 
+class TestPreparedCoefficient:
+    """Coefficient(a) gives the plain-array transforms bit for bit, at every point."""
+
+    @staticmethod
+    def coefficient(kind, rng):
+        if kind == "full-rank":
+            return random_hermitian(rng, 3)
+        if kind == "singular":
+            return singular_coefficient(rng)
+        return np.zeros((3, 3))
+
+    @pytest.mark.parametrize("kind", ["full-rank", "singular", "zero"])
+    @pytest.mark.parametrize("law", ["atomic", "mixed"])
+    def test_bit_identical_to_plain_array(self, kind, law):
+        rng = np.random.default_rng(33)
+        a = self.coefficient(kind, rng)
+        mu = M.atomic_measure([(-1.0, 0.25), (0.5, 0.75)]) if law == "atomic" else MIXED_LAW
+        prepared = O.Coefficient(a)
+        for y in (1.0, 1e-3, 1e-6):
+            z = random_hermitian(rng, 3) + 1j * y * np.eye(3)
+            for transform in (O.matrix_cauchy, O.matrix_f):
+                assert transform(prepared, mu, z).tobytes() == transform(a, mu, z).tobytes()
+
+    def test_bit_identical_on_quadrature_fallback(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        a = singular_coefficient(rng)
+        z = random_hermitian(rng, 3) + 1j * (0.5 * np.eye(3) + 0.1 * random_hermitian(rng, 3))
+        monkeypatch.setattr(O, "_EIG_COND_LIMIT", 0.0)
+        prepared = O.Coefficient(a)
+        for transform in (O.matrix_cauchy, O.matrix_f):
+            assert transform(prepared, MIXED_LAW, z).tobytes() == transform(a, MIXED_LAW, z).tobytes()
+
+    def test_eigen_split(self):
+        rng = np.random.default_rng(35)
+        a = singular_coefficient(rng)
+        c = O.Coefficient(a)
+        assert c.r == 2 and c.d.shape == (2,)
+        np.testing.assert_allclose(c.U[:, :2] * c.d @ c.Uh[:2], a, atol=1e-12)
+        assert O.Coefficient(np.zeros((2, 2))).r == 0
+
+    def test_still_rejects_non_upper(self):
+        c = O.Coefficient(np.eye(2))
+        for transform in (O.matrix_cauchy, O.matrix_f):
+            with pytest.raises(HalfPlaneError):
+                transform(c, M.semicircle_measure(), np.diag([1j, -1j]))
+
+
 class TestMatrixF:
     def test_zero_coefficient_identity(self):
         z = np.array([[1j, 0.1], [0.1, 2j]])

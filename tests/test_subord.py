@@ -1,5 +1,10 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeatoms import measure as M
 from freeatoms.errors import HalfPlaneError, PreconditionError
@@ -73,6 +78,27 @@ class TestSolveSubordination:
         rs = solve_subordination(model.swapped(), z)
         assert r.omega1[0, 0] == pytest.approx(rs.omega2[0, 0], abs=1e-9)
         assert r.omega2[0, 0] == pytest.approx(rs.omega1[0, 0], abs=1e-9)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+           laws=st.sampled_from(["atomic", "semicircle", "mixed"]), y=st.floats(0.1, 2.0))
+    def test_swap_symmetry_property(self, seed, n, laws, y):
+        rng = np.random.default_rng(seed)
+
+        def hermitian():
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            return (m + m.conj().T) / 2
+
+        atomic = M.atomic_measure([(float(rng.uniform(-1, 0)), 0.4), (float(rng.uniform(0, 1)), 0.6)])
+        semicircle = M.semicircle_measure(float(rng.uniform(-1, 1)), float(rng.uniform(0.5, 2)))
+        mu1, mu2 = {"atomic": (atomic, atomic), "semicircle": (semicircle, semicircle),
+                    "mixed": (atomic, semicircle)}[laws]
+        model = FreeSumModel(hermitian(), hermitian(), mu1, mu2)
+        z = hermitian() + 1j * y * np.eye(n)
+        r = solve_subordination(model, z)
+        rs = solve_subordination(model.swapped(), z)
+        assert np.max(np.abs(rs.omega1 - r.omega2)) <= 1e-9
+        assert np.max(np.abs(rs.omega2 - r.omega1)) <= 1e-9
 
     def test_deterministic(self):
         model = scalar_model(BERN, SC2)
@@ -173,6 +199,19 @@ class TestModelValidation:
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
             FreeSumModel(np.eye(2), np.eye(3), BERN, BERN)
+
+    def test_extreme_finite_coefficients_build_and_serialize_quietly(self):
+        # building or serializing a model runs no numerics on its coefficients:
+        # herm_part or eigh of these finite matrices would overflow
+        big = np.finfo(float).max
+        a1 = np.array([[big, complex(-big, big)], [complex(-big, -big), -big]])
+        a2 = np.diag([big, 5e-324])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = FreeSumModel(a1, a2, BERN, SC2)
+            again = FreeSumModel.from_json_dict(json.loads(json.dumps(model.to_json_dict())))
+        assert again.a1.tobytes() == model.a1.tobytes()
+        assert again.a2.tobytes() == model.a2.tobytes()
 
     def test_json_round_trip(self):
         model = FreeSumModel(np.diag([1.0, -1.0]), np.eye(2), BERN, SC2)
