@@ -50,11 +50,13 @@ from .opval import (
 from .subord import FreeSumModel, SubordinationResult, scalar_model, solve_subordination, sum_cauchy, sum_density
 from .atoms import (
     AtomReport,
+    LadderScan,
     boundary_emass,
     candidate_locations,
     decompose_atom,
     eigenvalue_test,
     integer_test,
+    ladder_scan,
     sum_atom_candidates,
     support_regularize,
 )

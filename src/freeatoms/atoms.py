@@ -34,20 +34,18 @@ from .errors import ConvergenceError, PreconditionError
 from .linearize import LinearPencil, corner_shift, linearize
 from .measure import SpectralMeasure
 from .ncpoly import NCPoly, format_poly, is_selfadjoint, star_square
-from .opval import (
-    Coefficient,
-    expected_kernel_projection,
-    herm_part,
-    imag_part,
-    kernel_profile,
-    matrix_cauchy,
-    pack_matrix,
-    unpack_matrix,
-)
+from .opval import (expected_kernel_projection, herm_part, imag_part, kernel_profile, pack_matrix,
+                    unpack_matrix)
 from .subord import FreeSumModel, solve_subordination
 
 DEFAULT_Y0 = 0.1
 DEFAULT_DEPTH = 16
+# largest error estimate accepted from a Richardson limit down the ladder
+CONV_TOL = 1e-4
+# candidate atom locations closer than this are one location
+_MERGE_TOL = 1e-6
+# largest distance from an integer that integer_test accepts
+_INTEGER_TOL = 1e-2
 # eigenvalues of E(p) below this are treated as null directions
 _NULL_ABS = 1e-8
 _NULL_REL = 1e-4
@@ -101,14 +99,43 @@ def richardson(values):
 
 @dataclass
 class LadderScan:
-    """Subordination data collected down one boundary ladder."""
+    """One boundary ladder at b: the subordination data down b + iy and their limit.
 
-    ys: np.ndarray
+    ``y_ladder`` is the ladder asked for and ``ys`` the rungs solved.
+    ``cauchy`` holds G(b + iy) = G1(omega1) per rung.  ``E_p`` and
+    ``diagnostics`` are the extrapolated kernel expectation of
+    :func:`boundary_emass`, computed once when :func:`ladder_scan` builds
+    the scan; every consumer reads them from here.
+    """
+
+    model: FreeSumModel
+    b: np.ndarray
+    y_ladder: np.ndarray
+    tol: float
     omega1: list
     omega2: list
     cauchy: list
     iterations: list
     truncated: str = ""
+    E_p: np.ndarray | None = None
+    diagnostics: dict | None = None
+
+    @property
+    def ys(self):
+        return self.y_ladder[: len(self.omega1)]
+
+    @property
+    def mass(self):
+        return float(np.trace(self.E_p).real) / self.model.n
+
+    @property
+    def null_floor(self):
+        """Eigenvalues of E_p within three extrapolation errors of zero are noise."""
+        return 3.0 * self.diagnostics["extrapolation_error"]
+
+    @property
+    def invertible(self):
+        return is_invertible_expectation(self.E_p, floor=self.null_floor)
 
 
 _MIN_RUNGS = 6
@@ -121,14 +148,13 @@ def ladder_scan(model: FreeSumModel, b, y_ladder=None, tol: float = 1e-12) -> La
     point runs off to infinity like 1/y in the null directions and the
     deepest rungs can become unsolvable; the scan then stops early
     (keeping at least six rungs for extrapolation) and records why.
+    The scan's boundary limit is extrapolated once, here.
     """
     b = herm_part(np.atleast_2d(np.asarray(b, dtype=complex)))
     ys = default_ladder() if y_ladder is None else np.asarray(y_ladder, dtype=float)
     if np.any(np.diff(ys) >= 0) or ys[-1] < 1e-8:
         raise PreconditionError("y ladder must be strictly descending with min >= 1e-8")
-    n = model.n
-    eye = np.eye(n)
-    a1 = Coefficient(model.a1)
+    eye = np.eye(model.n)
     omega1, omega2, cauchy, iters = [], [], [], []
     truncated = ""
     warm = None
@@ -144,10 +170,11 @@ def ladder_scan(model: FreeSumModel, b, y_ladder=None, tol: float = 1e-12) -> La
         warm = res.omega1
         omega1.append(res.omega1)
         omega2.append(res.omega2)
-        cauchy.append(matrix_cauchy(a1, model.mu1, res.omega1))
+        cauchy.append(res.cauchy)
         iters.append(res.iterations)
-    return LadderScan(ys=ys[: len(omega1)], omega1=omega1, omega2=omega2,
-                      cauchy=cauchy, iterations=iters, truncated=truncated)
+    scan = LadderScan(model, b, ys, tol, omega1, omega2, cauchy, iters, truncated)
+    scan.E_p, scan.diagnostics = boundary_emass(scan)
+    return scan
 
 
 def _psd_project(m):
@@ -157,21 +184,19 @@ def _psd_project(m):
     return (v * w) @ v.conj().T, abs(clipped)
 
 
-def boundary_emass(model: FreeSumModel, b, y_ladder=None, tol: float = 1e-12,
-                   conv_tol: float = 1e-4, scan: LadderScan | None = None):
-    """Extrapolated limit of iy G(b + iy): the expected kernel projection.
+def boundary_emass(scan: LadderScan):
+    """Extrapolated limit of iy G(b + iy) down a scan: the expected kernel projection.
 
     Returns (E, diagnostics).  The Hermitian parts of iy G dominate the
     limit along the ladder; this monotonicity is checked per rung and
     reported in the diagnostics, as is the extrapolation tail.
+    :func:`ladder_scan` calls it and keeps the result on the scan.
     """
-    if scan is None:
-        scan = ladder_scan(model, b, y_ladder=y_ladder, tol=tol)
     data = [1j * y * g for y, g in zip(scan.ys, scan.cauchy)]
     limit, diffs, err = richardson(data)
-    if err > conv_tol:
+    if err > CONV_TOL:
         raise ConvergenceError(
-            f"boundary extrapolation stalled (error estimate {err:.3e} > {conv_tol:g})",
+            f"boundary extrapolation stalled (error estimate {err:.3e} > {CONV_TOL:g})",
             {"diffs": diffs, "error_estimate": err},
         )
     E, clipped = _psd_project(limit)
@@ -363,13 +388,12 @@ def sum_atom_candidates(mu1: SpectralMeasure, mu2: SpectralMeasure):
     return out
 
 
-def candidate_locations(mu1: SpectralMeasure, mu2: SpectralMeasure, user=(),
-                        oracle=None, merge_tol: float = 1e-6):
+def candidate_locations(mu1: SpectralMeasure, mu2: SpectralMeasure, user=(), oracle=None):
     """Union of candidate atom locations for a kernel search.
 
     Combines histogram spikes of an oracle report (when given), the
     mass-pigeonhole pairs from :func:`sum_atom_candidates`, and a
-    user-supplied list; nearby duplicates are merged.  There is no
+    user-supplied list; duplicates within 1e-6 are merged.  There is no
     exhaustive search over locations, only these heuristics.
     """
     cands = [float(x) for x in user]
@@ -378,7 +402,7 @@ def candidate_locations(mu1: SpectralMeasure, mu2: SpectralMeasure, user=(),
         cands.extend(float(s) for s in oracle.spikes)
     merged = []
     for x in cands:
-        if all(abs(x - y) > merge_tol for y in merged):
+        if all(abs(x - y) > _MERGE_TOL for y in merged):
             merged.append(x)
     return sorted(merged)
 
@@ -389,26 +413,21 @@ def _matrix_sqrt(m, floor=1e-14):
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def decompose_atom(model: FreeSumModel, b, y_ladder=None, tol: float = 1e-12,
-                   conv_tol: float = 1e-4, scan: LadderScan | None = None) -> AtomReport:
-    """Extract (b1, b2, beta1, beta2) at an atom location b and verify the identities.
+def decompose_atom(scan: LadderScan) -> AtomReport:
+    """Extract (b1, b2, beta1, beta2) at the scan's location b and verify the identities.
 
     Requires the kernel expectation E(p) to be invertible; callers must
     regularize first otherwise (see :func:`support_regularize`).
     """
-    b = herm_part(np.atleast_2d(np.asarray(b, dtype=complex)))
+    model, b, E_p = scan.model, scan.b, scan.E_p
     n = model.n
-    if scan is None:
-        scan = ladder_scan(model, b, y_ladder=y_ladder, tol=tol)
-    E_p, diag = boundary_emass(model, b, tol=tol, conv_tol=conv_tol, scan=scan)
-    floor = 3.0 * diag.get("extrapolation_error", 0.0)
-    if not is_invertible_expectation(E_p, floor=floor):
+    if not scan.invertible:
         raise PreconditionError(
             "kernel expectation is singular at this location; regularize first "
             f"(min eigenvalue {np.linalg.eigvalsh(E_p).min():.3e}, "
             f"threshold {null_threshold(E_p):.3e})"
         )
-    mass = float(np.trace(E_p).real) / n
+    mass = scan.mass
 
     b1, _d1, e1 = richardson(scan.omega1)
     b2, _d2, e2 = richardson(scan.omega2)
@@ -417,7 +436,7 @@ def decompose_atom(model: FreeSumModel, b, y_ladder=None, tol: float = 1e-12,
     beta2, _db2, eb2 = richardson([imag_part(w) / y for y, w in zip(scan.ys, scan.omega2)])
     beta1, beta2 = herm_part(beta1), herm_part(beta2)
     worst_tail = max(e1, e2, eb1, eb2)
-    if worst_tail > conv_tol:
+    if worst_tail > CONV_TOL:
         raise ConvergenceError(
             f"subordination boundary data did not extrapolate (tail {worst_tail:.3e})",
             {"tails": [e1, e2, eb1, eb2]},
@@ -460,7 +479,7 @@ def decompose_atom(model: FreeSumModel, b, y_ladder=None, tol: float = 1e-12,
         integer_test=_integer_fields(n, mass),
         model=model,
         kernel_traces=(float(tau_parts[0]), float(tau_parts[1])),
-        diagnostics=diag,
+        diagnostics=dict(scan.diagnostics),
     )
 
 
@@ -499,52 +518,39 @@ def _doubled_model(model, b, q_left, q_right):
     return doubled, b2, pencil
 
 
-def support_regularize(model: FreeSumModel, b, y_ladder=None, tol: float = 1e-12,
-                       conv_tol: float = 1e-4, scan: LadderScan | None = None):
+def support_regularize(scan: LadderScan):
     """Compress a singular kernel expectation to an invertible doubled one.
 
-    q1 is the support projection of E(ker(b - X)); q2 the support of
-    E(ker(q1 (b - X))), obtained from the row-compressed doubled pencil.
-    Returns a :class:`RegularizationResult`: q1, q2, the doubled pencil Y,
-    the AtomReport on Y and the integer offset
-    2n tau_2n(ker Y) - 2n tau_n(ker(b - X)), which the report's
+    q1 is the support projection of the scan's E(ker(b - X)); q2 the
+    support of E(ker(q1 (b - X))), obtained from the row-compressed
+    doubled pencil.  Both doubled pencils are scanned down the scan's
+    ladder at its tolerance.  Returns a :class:`RegularizationResult`:
+    q1, q2, the doubled pencil Y, the AtomReport on Y and the integer
+    offset 2n tau_2n(ker Y) - 2n tau_n(ker(b - X)), which the report's
     diagnostics carry as well.
     """
-    b = herm_part(np.atleast_2d(np.asarray(b, dtype=complex)))
+    model, b = scan.model, scan.b
     n = model.n
-    E_p, diag0 = boundary_emass(model, b, y_ladder=y_ladder, tol=tol,
-                                conv_tol=conv_tol, scan=scan)
-    mass0 = float(np.trace(E_p).real) / n
-    floor1 = 3.0 * diag0.get("extrapolation_error", 0.0)
-    q1, amb1 = _support_projection(E_p, floor=floor1)
+    q1, amb1 = _support_projection(scan.E_p, floor=scan.null_floor)
 
     # row compression only (q2 = identity) to expose E(ker(q1 X))
     row_model, row_b, _ = _doubled_model(model, b, q1, np.eye(n))
-    E_row, diag_row = boundary_emass(row_model, row_b, y_ladder=y_ladder, tol=tol,
-                                     conv_tol=conv_tol)
-    floor2 = 3.0 * diag_row.get("extrapolation_error", 0.0)
-    q2, amb2 = _support_projection(E_row[n:, n:], floor=floor2)
+    row = ladder_scan(row_model, row_b, scan.y_ladder, scan.tol)
+    q2, amb2 = _support_projection(row.E_p[n:, n:], floor=row.null_floor)
 
     doubled, b_d, pencil = _doubled_model(model, b, q1, q2)
-    report = decompose_atom(doubled, b_d, y_ladder=y_ladder, tol=tol, conv_tol=conv_tol)
-    offset = 2 * n * report.mass - 2 * n * mass0
+    report = decompose_atom(ladder_scan(doubled, b_d, scan.y_ladder, scan.tol))
+    offset = 2 * n * report.mass - 2 * n * scan.mass
+    distance = abs(offset - round(offset))
     report.regularized = True
-    report.diagnostics["integer_offset"] = offset
-    report.diagnostics["offset_distance"] = abs(offset - round(offset))
-    report.diagnostics["original_mass"] = mass0
-    notes = ""
-    if amb1 or amb2:
-        notes = "support projection eigenvalue within a factor 10 of the null threshold"
-    return RegularizationResult(
-        q1=q1,
-        q2=q2,
-        doubled_pencil=pencil,
-        report=report,
-        integer_offset=offset,
-        offset_distance=abs(offset - round(offset)),
-        ambiguous=bool(amb1 or amb2),
-        notes=notes,
-    )
+    report.diagnostics.update(integer_offset=offset, offset_distance=distance,
+                              original_mass=scan.mass)
+    ambiguous = bool(amb1 or amb2)
+    notes = ("support projection eigenvalue within a factor 10 of the null threshold"
+             if ambiguous else "")
+    return RegularizationResult(q1=q1, q2=q2, doubled_pencil=pencil, report=report,
+                                integer_offset=offset, offset_distance=distance,
+                                ambiguous=ambiguous, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +568,8 @@ class IntegerTestResult:
     identity_residual: float | None = None
 
 
-def integer_test(report: AtomReport, tol: float = 1e-2) -> IntegerTestResult:
-    """Integer constraints on n tr_n of the kernel expectation.
+def integer_test(report: AtomReport) -> IntegerTestResult:
+    """Integer constraints on n tr_n of the kernel expectation, to within 1e-2.
 
     Atomless inputs force n * mass to an integer.  With atoms present the
     full counting identity is evaluated: n (mass + 1) must match
@@ -576,14 +582,18 @@ def integer_test(report: AtomReport, tol: float = 1e-2) -> IntegerTestResult:
         raise PreconditionError("integer_test needs the model attached to the report")
     n = report.n
     value, nearest, distance = report.integer_test
+    residual = None
     if model.mu1.is_atomless and model.mu2.is_atomless:
-        return IntegerTestResult(value, nearest, distance, bool(distance <= tol), "atomless")
-    if report.kernel_traces is None:
+        mode = "atomless"
+    elif report.kernel_traces is None:
         # no decomposition (singular kernel expectation): only the raw
         # integer distance is meaningful
-        return IntegerTestResult(value, nearest, distance, bool(distance <= tol), "atomic-raw")
-    residual = abs(n * (report.mass + 1.0) - n * sum(report.kernel_traces))
-    return IntegerTestResult(value, nearest, distance, bool(residual <= tol), "atomic", residual)
+        mode = "atomic-raw"
+    else:
+        mode = "atomic"
+        residual = abs(n * (report.mass + 1.0) - n * sum(report.kernel_traces))
+    passed = (distance if residual is None else residual) <= _INTEGER_TOL
+    return IntegerTestResult(value, nearest, distance, bool(passed), mode, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -591,12 +601,14 @@ def integer_test(report: AtomReport, tol: float = 1e-2) -> IntegerTestResult:
 # ---------------------------------------------------------------------------
 
 
+# kernel traces of an atomless anticommutator-type kernel, and how close
+# a computed trace must come to one of them to count as that value
 TRICHOTOMY = (0.0, 0.5, 1.0)
+TRICHOTOMY_TOL = 1e-2
 
 
 def eigenvalue_test(p: NCPoly, lam: float, mu1: SpectralMeasure, mu2: SpectralMeasure,
-                    y_ladder=None, tol: float = 1e-12, conv_tol: float = 1e-4,
-                    trichotomy_tol: float = 1e-2) -> AtomReport:
+                    y_ladder=None, tol: float = 1e-12) -> AtomReport:
     """Kernel trace of lam - p(X1, X2) for free X1 ~ mu1, X2 ~ mu2.
 
     Linearizes p, shifts the corner by lam, and runs the boundary-limit
@@ -616,20 +628,15 @@ def eigenvalue_test(p: NCPoly, lam: float, mu1: SpectralMeasure, mu2: SpectralMe
     shifted = corner_shift(L, lam)
     b = -shifted.a0
     model = FreeSumModel(L.a1, L.a2, mu1, mu2)
-    scan = ladder_scan(model, b, y_ladder=y_ladder, tol=tol)
-    E_p, diag = boundary_emass(model, b, tol=tol, conv_tol=conv_tol, scan=scan)
-    mass = float(np.trace(E_p).real) / n
-
-    floor = 3.0 * diag.get("extrapolation_error", 0.0)
-    if is_invertible_expectation(E_p, floor=floor):
-        report = decompose_atom(model, b, y_ladder=y_ladder, tol=tol,
-                                conv_tol=conv_tol, scan=scan)
+    scan = ladder_scan(model, b, y_ladder, tol)
+    mass = scan.mass
+    if scan.invertible:
+        report = decompose_atom(scan)
     else:
-        regularization = support_regularize(model, b, y_ladder=y_ladder, tol=tol,
-                                            conv_tol=conv_tol, scan=scan)
+        # b as given, not the scan's herm_part(b), which turns -0.0 into 0.0
         report = AtomReport(
             b=b,
-            E_p=E_p,
+            E_p=scan.E_p,
             mass=mass,
             b1=None,
             b2=None,
@@ -639,8 +646,8 @@ def eigenvalue_test(p: NCPoly, lam: float, mu1: SpectralMeasure, mu2: SpectralMe
             regularized=True,
             integer_test=_integer_fields(n, mass),
             model=model,
-            diagnostics=diag,
-            regularization=regularization,
+            diagnostics=scan.diagnostics,
+            regularization=support_regularize(scan),
         )
 
     kernel_trace = n * mass
@@ -648,24 +655,13 @@ def eigenvalue_test(p: NCPoly, lam: float, mu1: SpectralMeasure, mu2: SpectralMe
     report.diagnostics["lambda"] = float(lam)
     report.diagnostics["poly_kernel_trace"] = kernel_trace
 
-    atomless = mu1.is_atomless and mu2.is_atomless
-    if atomless:
-        gap = min(abs(kernel_trace - v) for v in TRICHOTOMY)
-        if gap <= trichotomy_tol:
-            report.conclusion = (
-                f"kernel trace {kernel_trace:.6f} sits at an allowed value for "
-                "atomless inputs (0, 1/2 or 1)"
-            )
-        else:
-            report.conclusion = (
-                f"kernel trace {kernel_trace:.6f} is not in {{0, 1/2, 1}}: atomless "
-                "inputs cannot produce this value, so it indicates numerical error"
-            )
-    elif min(abs(kernel_trace - v) for v in TRICHOTOMY) > trichotomy_tol:
-        report.conclusion = (
-            f"kernel trace {kernel_trace:.6f} outside {{0, 1/2, 1}} requires an input "
-            "eigenvalue, consistent with the atoms of the given laws"
-        )
+    allowed = min(abs(kernel_trace - v) for v in TRICHOTOMY) <= TRICHOTOMY_TOL
+    if mu1.is_atomless and mu2.is_atomless:
+        verdict = (" sits at an allowed value for atomless inputs (0, 1/2 or 1)" if allowed
+                   else " is not in {0, 1/2, 1}: atomless inputs cannot produce this value, "
+                   "so it indicates numerical error")
     else:
-        report.conclusion = f"kernel trace {kernel_trace:.6f}"
+        verdict = "" if allowed else (" outside {0, 1/2, 1} requires an input eigenvalue, "
+                                      "consistent with the atoms of the given laws")
+    report.conclusion = f"kernel trace {kernel_trace:.6f}{verdict}"
     return report

@@ -209,7 +209,7 @@ def _cmd_convolve(cfg):
 def _cmd_decompose(cfg):
     model = _build_model(cfg)
     b = _parse_matrix(cfg.b_spec, np.zeros((model.n, model.n)))
-    report = atoms_mod.decompose_atom(model, b, y_ladder=_ladder(cfg), tol=cfg.tol)
+    report = atoms_mod.decompose_atom(atoms_mod.ladder_scan(model, b, _ladder(cfg), cfg.tol))
     _emit(cfg, report.to_json_dict())
     if cfg.strict and _strict_residual_failures(report):
         return EXIT_STRICT
@@ -224,14 +224,10 @@ def _cmd_atom_scan(cfg):
     probes += [(float(x), None) for x in cfg.candidates]
     results, reports = [], []
     for loc, predicted in probes:
-        b = np.array([[loc]])
-        scan = atoms_mod.ladder_scan(model, b, y_ladder=_ladder(cfg), tol=cfg.tol)
-        E, diag = atoms_mod.boundary_emass(model, b, tol=cfg.tol, scan=scan)
-        mass = float(E[0, 0].real)
-        entry = {"location": loc, "predicted_mass": predicted, "measured_mass": mass}
-        floor = 3.0 * diag.get("extrapolation_error", 0.0)
-        if atoms_mod.is_invertible_expectation(E, floor=floor):
-            rep = atoms_mod.decompose_atom(model, b, tol=cfg.tol, scan=scan)
+        scan = atoms_mod.ladder_scan(model, np.array([[loc]]), _ladder(cfg), cfg.tol)
+        entry = {"location": loc, "predicted_mass": predicted, "measured_mass": scan.mass}
+        if scan.invertible:
+            rep = atoms_mod.decompose_atom(scan)
             entry["decomposition"] = rep.to_json_dict()
             reports.append(rep)
         results.append(entry)

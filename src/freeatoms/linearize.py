@@ -207,6 +207,10 @@ def linearize(p: NCPoly):
         raise PreconditionError("linearize requires a selfadjoint polynomial")
     if p.degree < 1:
         raise PreconditionError("linearize requires degree >= 1")
+    # palindromic words, the affine part among them, are realized as two equal halves
+    for word, coeff in p.terms:
+        if word == word[::-1] and coeff / 2.0 + coeff / 2.0 != coeff:
+            raise PreconditionError(f"coefficient {coeff!r} of Z-word {word} has no exact half")
 
     blocks = []
     seen = set()

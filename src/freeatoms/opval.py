@@ -36,6 +36,8 @@ RANK_RTOL = 1e-8
 # quadrature instead.
 _EIG_COND_LIMIT = 1e4
 
+_PROFILE_SEED = 0x5EED  # every kernel_profile draws from this seed
+
 
 # ---------------------------------------------------------------------------
 # half-plane utilities
@@ -71,7 +73,7 @@ def validate_upper(z, where="argument"):
 
 
 def check_hermitian(m, name="coefficient"):
-    """m as a square complex array, rejected unless Hermitian to 1e-12 relative.
+    """m as a square complex array, rejected unless finite and Hermitian to 1e-12 relative.
 
     The matrix is returned as given, not symmetrized; callers that need
     an exactly Hermitian matrix apply :func:`herm_part` themselves.
@@ -79,6 +81,8 @@ def check_hermitian(m, name="coefficient"):
     m = np.atleast_2d(np.asarray(m, dtype=complex))
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} has non-finite entries")
     if np.max(np.abs(m - m.conj().T)) > 1e-12 * max(1.0, float(np.max(np.abs(m)))):
         raise ValueError(f"{name} must be Hermitian")
     return m
@@ -290,12 +294,12 @@ def _candidate_points(a, b, rng, generic_rank):
     return cands
 
 
-def kernel_profile(a, b, hints=(), rng=None) -> PencilKernelProfile:
-    """Find k_min by randomized consensus and the exceptional points above it."""
+def kernel_profile(a, b, hints=()) -> PencilKernelProfile:
+    """Find k_min by randomized consensus (seeded draws) and the exceptional points above it."""
     a = herm_part(check_hermitian(a, "a"))
     b = herm_part(check_hermitian(b, "b"))
     n = a.shape[0]
-    rng = np.random.default_rng(0x5EED) if rng is None else rng
+    rng = np.random.default_rng(_PROFILE_SEED)
     scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))),
                 *[abs(float(h)) for h in hints])
 
@@ -337,9 +341,9 @@ def kernel_profile(a, b, hints=(), rng=None) -> PencilKernelProfile:
     return PencilKernelProfile(k_min=k_min, exceptional=tuple(exceptional), n=n)
 
 
-def pencil_kernel_trace(a, b, mu: SpectralMeasure, rng=None) -> float:
+def pencil_kernel_trace(a, b, mu: SpectralMeasure) -> float:
     """tau_n of the kernel projection of b (x) 1 - a (x) X for X ~ mu."""
-    return kernel_profile(a, b, hints=[x for x, _ in mu.atoms], rng=rng).kernel_trace(mu)
+    return kernel_profile(a, b, hints=[x for x, _ in mu.atoms]).kernel_trace(mu)
 
 
 def expected_kernel_projection(a, b, mu: SpectralMeasure, transform=None, profile=None):

@@ -28,7 +28,7 @@ from .opval import (Coefficient, check_hermitian, herm_part, imag_part, matrix_c
                     matrix_f, min_imag_eig, pack_matrix, unpack_matrix, validate_upper)
 
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 10_000
+MAX_ITER = 10_000
 _ANDERSON_MEMORY = 6
 _LADDER_START = 1e-3  # internal continuation starts here when Im z is tiny
 
@@ -82,8 +82,11 @@ def scalar_model(mu1, mu2):
 
 @dataclass
 class SubordinationResult:
+    """omega1, omega2 at z, and cauchy = G1(omega1), the free sum's G(z)."""
+
     omega1: np.ndarray
     omega2: np.ndarray
+    cauchy: np.ndarray
     residual_fixed_point: float
     residual_consistency: float
     iterations: int
@@ -107,7 +110,7 @@ _STALL_WINDOW = 60
 _STALL_FLOOR = 1e-8
 
 
-def _anderson_fixed_point(step, w0, tol, max_iter, im_floor=0.0):
+def _anderson_fixed_point(step, w0, tol, im_floor=0.0):
     """Anderson-accelerated fixed point iteration on matrices in H+_n.
 
     ``step`` must be a self-map of the upper half-plane.  Accelerated
@@ -123,7 +126,7 @@ def _anderson_fixed_point(step, w0, tol, max_iter, im_floor=0.0):
     prev_w = None
     prev_r = None
     best_w, best_res, best_it = None, np.inf, 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         fw = step(w)
         if min_imag_eig(fw) <= im_floor:
             # roundoff pushed the plain step too close to the real axis: damp
@@ -168,49 +171,44 @@ def _anderson_fixed_point(step, w0, tol, max_iter, im_floor=0.0):
     res = _norm(fw - w)
     if res <= max(tol, _STALL_FLOOR) or best_res <= _STALL_FLOOR:
         if best_res < res:
-            return best_w, best_res, max_iter
-        return w, res, max_iter
+            return best_w, best_res, MAX_ITER
+        return w, res, MAX_ITER
     raise ConvergenceError(
         f"subordination iteration did not reach tol={tol:g} "
-        f"within {max_iter} iterations (residual {res:.3e})",
-        {"residual": res, "iterations": max_iter},
+        f"within {MAX_ITER} iterations (residual {res:.3e})",
+        {"residual": res, "iterations": MAX_ITER},
     )
 
 
 def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL,
-                        max_iter: int = DEFAULT_MAX_ITER, warm_start=None) -> SubordinationResult:
+                        warm_start=None) -> SubordinationResult:
     """Solve the subordination fixed point at z in H+_n.
 
     Deterministic for fixed (model, z, tol).  ``warm_start`` seeds the
     iteration with a previously computed omega1 (ladder continuation);
     evaluations at very small Im z without a warm start are continued
-    down an internal geometric ladder automatically.
+    down an internal geometric ladder automatically.  G1(omega1) is
+    evaluated once at the solution; omega2 = F1(omega1) - omega1 + z and
+    both residuals are derived from it.
     """
     z = validate_upper(z, "z")
     if not (tol > 0 and math.isfinite(tol)):
         raise PreconditionError(f"tol must be positive and finite, got {tol!r}")
     a1, a2 = Coefficient(model.a1), Coefficient(model.a2)
-
-    def h1(w):
-        return matrix_f(a1, model.mu1, w) - w
-
-    def h2(w):
-        return matrix_f(a2, model.mu2, w) - w
-
     lifts = [0]
 
     def step_at(zz):
         y_floor = 0.25 * min_imag_eig(zz)
 
         def step(w):
-            u = h1(w) + zz
+            u = matrix_f(a1, model.mu1, w) - w + zz  # h1(w) + z
             # exact arithmetic guarantees Im u >= Im zz; near the real axis
             # the inversion error can break that by O(eps/y), so lift the
             # evaluation point back to a quarter of the guaranteed height
             lifted = _lift_if_needed(u, y_floor)
             if lifted is not u:
                 lifts[0] += 1
-            return h2(lifted) + zz
+            return matrix_f(a2, model.mu2, lifted) - lifted + zz  # h2(lifted) + z
 
         return step
 
@@ -226,22 +224,21 @@ def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL,
         y = _LADDER_START
         while y > y_here * 2:
             zz = herm + 1j * (im + (y - y_here) * np.eye(model.n))
-            w0, _, _ = _anderson_fixed_point(step_at(zz), w0, max(tol, 1e-10), max_iter,
+            w0, _, _ = _anderson_fixed_point(step_at(zz), w0, max(tol, 1e-10),
                                              im_floor=0.5 * (y_here + y))
             y /= 4.0
 
-    omega1, res, iters = _anderson_fixed_point(step_at(z), w0, tol, max_iter,
-                                               im_floor=0.5 * y_here)
-    omega2 = h1(omega1) + z
-
-    omega2 = _lift_if_needed(omega2, 0.25 * y_here)
-    f1 = matrix_f(a1, model.mu1, omega1)
+    omega1, res, iters = _anderson_fixed_point(step_at(z), w0, tol, im_floor=0.5 * y_here)
+    g1 = matrix_cauchy(a1, model.mu1, omega1)
+    f1 = np.linalg.inv(g1)
+    omega2 = _lift_if_needed((f1 - omega1) + z, 0.25 * y_here)
     f2 = matrix_f(a2, model.mu2, omega2)
     residual_fixed = _norm(omega1 + omega2 - z - f1)
     residual_cons = _norm(f1 - f2)
     return SubordinationResult(
         omega1=omega1,
         omega2=omega2,
+        cauchy=g1,
         residual_fixed_point=residual_fixed,
         residual_consistency=residual_cons,
         iterations=iters,
@@ -252,8 +249,7 @@ def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL,
 def sum_cauchy(model: FreeSumModel, z, tol: float = DEFAULT_TOL, warm_start=None):
     """Cauchy transform of the free sum at z: G(z) = G1(omega1(z))."""
     result = solve_subordination(model, z, tol=tol, warm_start=warm_start)
-    g = matrix_cauchy(model.a1, model.mu1, result.omega1)
-    return g, result
+    return result.cauchy, result
 
 
 def sum_density(model: FreeSumModel, grid, y_eval: float = 1e-4, tol: float = DEFAULT_TOL):

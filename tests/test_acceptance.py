@@ -86,14 +86,14 @@ def test_criterion_2_semicircle_stability():
 def test_criterion_3_atom_decomposition():
     with _Criterion(3, 30.0):
         model = scalar_model(MU1, MU2)
-        rep = A.decompose_atom(model, np.array([[0.0]]))
+        rep = A.decompose_atom(A.ladder_scan(model, np.array([[0.0]])))
         assert abs(rep.mass - 0.300) < 1e-3
         assert abs(rep.beta1[0, 0].real - 7.0 / 3.0) < 1e-3
         assert abs(rep.beta2[0, 0].real - 2.0) < 1e-3
         assert rep.residuals["i"] < 1e-6
         assert rep.residuals["v"] < 1e-6
         assert rep.residuals["vii"] < 1e-4
-        rep2 = A.decompose_atom(model, np.array([[2.0]]))
+        rep2 = A.decompose_atom(A.ladder_scan(model, np.array([[2.0]])))
         assert abs(rep2.mass - 0.100) < 1e-3
         assert abs(rep2.beta1[0, 0].real - 7.0) < 1e-3
         assert abs(rep2.beta2[0, 0].real - 4.0) < 1e-3
@@ -219,7 +219,7 @@ def test_criterion_7_atomless_trichotomy():
             a2 = (h2 + h2.conj().T) / 2
             b = (hb + hb.conj().T) / 2
             model = FreeSumModel(a1, a2, SC2, SC2)
-            E, _diag = A.boundary_emass(model, b)
+            E, _diag = A.boundary_emass(A.ladder_scan(model, b))
             mass = float(np.trace(E).real) / 2
             report = A.AtomReport(
                 b=b, E_p=E, mass=mass, b1=None, b2=None, beta1=None, beta2=None,

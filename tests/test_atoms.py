@@ -46,25 +46,25 @@ class TestRichardson:
 class TestBoundaryEmass:
     def test_scalar_atom_of_sum(self):
         model = scalar_model(MU1, M.point_mass(0.0))
-        E, diag = A.boundary_emass(model, b_scalar(0.0))
+        E, diag = A.boundary_emass(A.ladder_scan(model, b_scalar(0.0)))
         assert E[0, 0].real == pytest.approx(0.7, abs=1e-8)
         assert all(diag["hermitian_dominates"])
 
     def test_atomless_convolution(self):
         model = scalar_model(SC2, SC2)
-        E, _ = A.boundary_emass(model, b_scalar(0.0))
+        E, _ = A.boundary_emass(A.ladder_scan(model, b_scalar(0.0)))
         assert abs(E[0, 0]) < 1e-6
 
     def test_shared_atom_mass(self):
         model = scalar_model(MU1, MU2)
-        E, _ = A.boundary_emass(model, b_scalar(0.0))
+        E, _ = A.boundary_emass(A.ladder_scan(model, b_scalar(0.0)))
         assert E[0, 0].real == pytest.approx(0.3, abs=1e-9)
-        E2, _ = A.boundary_emass(model, b_scalar(2.0))
+        E2, _ = A.boundary_emass(A.ladder_scan(model, b_scalar(2.0)))
         assert E2[0, 0].real == pytest.approx(0.1, abs=1e-9)
 
     def test_psd_output(self):
         model = scalar_model(MU1, MU2)
-        E, _ = A.boundary_emass(model, b_scalar(0.0))
+        E, _ = A.boundary_emass(A.ladder_scan(model, b_scalar(0.0)))
         assert np.linalg.eigvalsh(E).min() >= 0
 
     def test_rejects_bad_ladder(self):
@@ -106,7 +106,7 @@ class TestSumAtomCandidates:
 class TestDecomposeAtom:
     def test_fixture_at_zero(self):
         model = scalar_model(MU1, MU2)
-        rep = A.decompose_atom(model, b_scalar(0.0))
+        rep = A.decompose_atom(A.ladder_scan(model, b_scalar(0.0)))
         assert rep.mass == pytest.approx(0.3, abs=1e-6)
         assert rep.b1[0, 0].real == pytest.approx(0.0, abs=1e-7)
         assert rep.b2[0, 0].real == pytest.approx(0.0, abs=1e-7)
@@ -121,7 +121,7 @@ class TestDecomposeAtom:
 
     def test_fixture_at_two(self):
         model = scalar_model(MU1, MU2)
-        rep = A.decompose_atom(model, b_scalar(2.0))
+        rep = A.decompose_atom(A.ladder_scan(model, b_scalar(2.0)))
         assert rep.mass == pytest.approx(0.1, abs=1e-6)
         assert rep.b1[0, 0].real == pytest.approx(0.0, abs=1e-6)
         assert rep.b2[0, 0].real == pytest.approx(2.0, abs=1e-6)
@@ -130,7 +130,7 @@ class TestDecomposeAtom:
 
     def test_scalar_beta_times_mass_is_kernel_trace(self):
         model = scalar_model(MU1, MU2)
-        rep = A.decompose_atom(model, b_scalar(0.0))
+        rep = A.decompose_atom(A.ladder_scan(model, b_scalar(0.0)))
         assert rep.beta1[0, 0].real * rep.mass == pytest.approx(rep.kernel_traces[0], abs=1e-6)
         assert rep.beta2[0, 0].real * rep.mass == pytest.approx(rep.kernel_traces[1], abs=1e-6)
 
@@ -138,7 +138,7 @@ class TestDecomposeAtom:
         # mu2 = delta_c: atom of mu1 at alpha shows at b = alpha + c with the
         # same mass; b1 = alpha, b2 = c, tau(p2) = 1
         model = scalar_model(MU1, M.point_mass(1.5))
-        rep = A.decompose_atom(model, b_scalar(1.5))
+        rep = A.decompose_atom(A.ladder_scan(model, b_scalar(1.5)))
         assert rep.mass == pytest.approx(0.7, abs=1e-6)
         assert rep.b1[0, 0].real == pytest.approx(0.0, abs=1e-6)
         assert rep.b2[0, 0].real == pytest.approx(1.5, abs=1e-6)
@@ -150,11 +150,11 @@ class TestDecomposeAtom:
     def test_singular_expectation_rejected(self):
         model = scalar_model(SC2, SC2)
         with pytest.raises(PreconditionError):
-            A.decompose_atom(model, b_scalar(0.0))
+            A.decompose_atom(A.ladder_scan(model, b_scalar(0.0)))
 
     def test_report_round_trip(self):
         model = scalar_model(MU1, MU2)
-        rep = A.decompose_atom(model, b_scalar(0.0))
+        rep = A.decompose_atom(A.ladder_scan(model, b_scalar(0.0)))
         again = A.AtomReport.from_json_dict(rep.to_json_dict())
         assert again.mass == pytest.approx(rep.mass)
         np.testing.assert_allclose(again.beta1, rep.beta1)
@@ -165,7 +165,7 @@ class TestDecomposeAtom:
 class TestSupportRegularize:
     def test_invertible_input_is_trivial_doubling(self):
         model = scalar_model(MU1, MU2)
-        result = A.support_regularize(model, b_scalar(0.0))
+        result = A.support_regularize(A.ladder_scan(model, b_scalar(0.0)))
         np.testing.assert_allclose(result.q1, np.eye(1), atol=1e-12)
         np.testing.assert_allclose(result.q2, np.eye(1), atol=1e-12)
         assert result.integer_offset == pytest.approx(0.0, abs=1e-6)
@@ -174,7 +174,7 @@ class TestSupportRegularize:
     def test_zero_kernel_degenerate_compression(self):
         # atomless inputs at a non-atom: E = 0, q1 = 0, doubled pencil vanishes
         model = scalar_model(SC2, SC2)
-        result = A.support_regularize(model, b_scalar(0.0))
+        result = A.support_regularize(A.ladder_scan(model, b_scalar(0.0)))
         assert np.linalg.norm(result.q1, 2) < 1e-12
         assert result.report.mass == pytest.approx(1.0, abs=1e-12)
         assert result.offset_distance < 1e-4
@@ -187,7 +187,7 @@ class TestSupportRegularize:
         L, _ = linearize(Z1 + Z2)
         model = FreeSumModel(L.a1, L.a2, MU1, MU2)
         b = -L.a0
-        result = A.support_regularize(model, b)
+        result = A.support_regularize(A.ladder_scan(model, b))
         assert int(round(np.trace(result.q1).real)) == 1
         assert result.offset_distance < 1e-6
         assert A.is_invertible_expectation(result.report.E_p)
@@ -197,7 +197,7 @@ class TestSupportRegularize:
 class TestIntegerTest:
     def test_atomic_identity(self):
         model = scalar_model(MU1, MU2)
-        rep = A.decompose_atom(model, b_scalar(0.0))
+        rep = A.decompose_atom(A.ladder_scan(model, b_scalar(0.0)))
         res = A.integer_test(rep)
         assert res.mode == "atomic"
         assert res.passed
@@ -219,7 +219,7 @@ class TestIntegerTest:
 class TestEigenvalueTest:
     def test_sum_consistency_with_direct_path(self):
         rep = A.eigenvalue_test(Z1 + Z2, 0.0, MU1, MU2)
-        direct, _ = A.boundary_emass(scalar_model(MU1, MU2), b_scalar(0.0))
+        direct, _ = A.boundary_emass(A.ladder_scan(scalar_model(MU1, MU2), b_scalar(0.0)))
         assert rep.diagnostics["poly_kernel_trace"] == pytest.approx(
             direct[0, 0].real, abs=1e-6
         )
@@ -261,7 +261,7 @@ class TestMatrixLevelDecomposition:
         a1 = np.diag([1.0, 2.0])
         a2 = np.eye(2)
         model = FreeSumModel(a1, a2, MU1, MU2)
-        rep = A.decompose_atom(model, np.zeros((2, 2)))
+        rep = A.decompose_atom(A.ladder_scan(model, np.zeros((2, 2))))
         np.testing.assert_allclose(np.diag(rep.E_p).real, [0.3, 0.3], atol=1e-6)
         np.testing.assert_allclose(np.diag(rep.beta1).real, [7 / 3, 7 / 3], atol=1e-5)
         np.testing.assert_allclose(np.diag(rep.beta2).real, [2.0, 2.0], atol=1e-5)
@@ -278,10 +278,48 @@ class TestMatrixLevelDecomposition:
         a2 = np.eye(2)
         th = 0.7
         u = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-        base = A.decompose_atom(FreeSumModel(a1, a2, MU1, MU2), np.zeros((2, 2)))
-        rotated = A.decompose_atom(
+        base = A.decompose_atom(A.ladder_scan(FreeSumModel(a1, a2, MU1, MU2), np.zeros((2, 2))))
+        rotated = A.decompose_atom(A.ladder_scan(
             FreeSumModel(u @ a1 @ u.T, u @ a2 @ u.T, MU1, MU2), np.zeros((2, 2))
-        )
+        ))
         np.testing.assert_allclose(rotated.beta1, u @ base.beta1 @ u.T, atol=1e-7)
         np.testing.assert_allclose(rotated.E_p, u @ base.E_p @ u.T, atol=1e-7)
         assert rotated.mass == pytest.approx(base.mass, abs=1e-8)
+
+
+class TestOnePassPerLadder:
+    """Every ladder scan extrapolates its boundary limit once, and nothing else does."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        counts = {"ladder_scan": 0, "boundary_emass": 0}
+        for name in counts:
+            def counted(*args, _name=name, _original=getattr(A, name), **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(A, name, counted)
+        return counts
+
+    def test_eigenvalue_test_on_projections(self, monkeypatch):
+        counts = self.count_calls(monkeypatch)
+        rep = A.eigenvalue_test(Z1 * Z2 + Z2 * Z1, 0.0, PROJ, PROJ)
+        assert rep.regularized
+        # the location, the row compression and the doubled pencil
+        assert counts == {"ladder_scan": 3, "boundary_emass": 3}
+
+    def test_atom_scan_subcommand(self, monkeypatch, tmp_path):
+        import json
+
+        from freeatoms import cli
+
+        paths = []
+        for name, mu in [("mu1", MU1), ("mu2", MU2)]:
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(mu.to_json_dict()))
+        counts = self.count_calls(monkeypatch)
+        code = cli.main(["atom-scan", "--mu1", str(paths[0]), "--mu2", str(paths[1]),
+                         "--out", str(tmp_path / "scan.json")])
+        assert code == cli.EXIT_OK
+        assert len(json.loads((tmp_path / "scan.json").read_text())["candidates"]) == 2
+        assert counts == {"ladder_scan": 2, "boundary_emass": 2}

@@ -1,10 +1,15 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeatoms import cli, rmt
 from freeatoms.atoms import AtomReport
@@ -416,3 +421,62 @@ class TestGoldenFixtures:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["regularized"] is True
+
+
+class TestCommandLineFuzz:
+    """Random command lines end in a documented exit code, never in a traceback."""
+
+    DATA = Path(__file__).parent / "data"
+    MALFORMED = ["nan", "-1", "1e309", "", "[[1,2]]"]
+    VALUES = {
+        "--a1": ["1", "[[2]]", "[[1,0],[0,-1]]"],
+        "--a2": ["0.5", "[[1,0],[0,1]]"],
+        "--b": ["0", "[[0.5]]", "[[0,1],[1,0]]"],
+        "--poly": ["Z1*Z2+Z2*Z1", "Z1+Z2", "Z1*Z2", "Z3"],
+        "--lambda": ["0", "2"],
+        "--candidates": ["0,2", "1"],
+        "--y-eval": ["1e-3"],
+        "--tol": ["1e-10"],
+        "--y0": ["0.1"],
+        "--epsilon": ["1e-3"],
+        "--seed": ["3"],
+        "--workers": ["1"],
+        "--format": ["json", "csv"],
+    }
+    # the flags that size the work are always given: tiny, or malformed
+    SIZES = {"--grid": "-2:2:5", "--ladder-depth": "4", "--size": "8", "--trials": "2",
+             "--bins": "5"}
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_random_argv_exits_with_a_documented_code(self, data):
+        def value(valid, malformed=self.MALFORMED):
+            # one value in five is malformed
+            return data.draw(st.sampled_from(valid if data.draw(st.integers(0, 4)) else malformed))
+
+        fixtures = sorted(str(path) for path in self.DATA.glob("*.json"))
+        bad_paths = [str(self.DATA / "missing.json"), str(self.DATA)] + self.MALFORMED
+        command = data.draw(st.sampled_from(sorted(cli._COMMANDS)))
+        accepted = cli._COMMANDS[command][2].split()
+        optional = [f for f in accepted if f not in self.SIZES and f not in ("--mu1", "--mu2")]
+        flags = [f for f in ("--mu1", "--mu2") if f in accepted and data.draw(st.integers(0, 9))]
+        flags += [f for f in accepted if f in self.SIZES]
+        flags += data.draw(st.lists(st.sampled_from(optional), max_size=4)) if optional else []
+        if not data.draw(st.integers(0, 4)):
+            flags.append(data.draw(st.sampled_from(sorted(cli._FLAGS))))  # maybe not accepted
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [command]
+            for flag in dict.fromkeys(flags):
+                if flag == "--strict":
+                    argv.append(flag)
+                elif flag in ("--mu1", "--mu2"):
+                    argv += [flag, value(fixtures, bad_paths)]
+                elif flag == "--out":
+                    argv += [flag, value([str(Path(tmp) / "out")], [tmp, ""])]
+                else:
+                    argv += [flag, value([self.SIZES[flag]] if flag in self.SIZES else self.VALUES[flag])]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run_cli(argv)
+        assert code in {0, 1, 2, 3, 4}, (argv, code)
+        assert "Traceback" not in err.getvalue(), argv

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from freeatoms.errors import PreconditionError
 from freeatoms.linearize import (
@@ -65,6 +67,11 @@ class TestLinearize:
         with pytest.raises(PreconditionError):
             linearize(Z1 * Z2)
 
+    def test_rejects_coefficient_without_exact_half(self):
+        # 5e-324 / 2 rounds to 0, so B D' C = p could not hold exactly
+        with pytest.raises(PreconditionError, match="no exact half"):
+            linearize(Z1 + 5e-324)
+
     def test_rejects_constant(self):
         with pytest.raises(PreconditionError):
             linearize(NCPoly.constant(2.0))
@@ -98,6 +105,28 @@ class TestLinearize:
         assert is_selfadjoint(p)
         L, cert = linearize(p)
         assert verify_certificate(p, cert)
+
+
+class TestCertificateProperty:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(terms=st.lists(
+        st.tuples(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=4),
+                  st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))),
+        min_size=1, max_size=6),
+        constant=st.floats(-1e3, 1e3))
+    def test_certificate_holds_for_random_selfadjoint_polys(self, terms, constant):
+        q = NCPoly(terms)
+        p = q + adjoint(q) + constant
+        assume(p.degree >= 1)
+        assert is_selfadjoint(p) and p.degree <= 4
+        # the certificate splits palindromic terms in halves; a coefficient
+        # without an exact half (tiny subnormals) is refused, never rounded
+        if all(c / 2.0 + c / 2.0 == c for w, c in p.terms if w == w[::-1]):
+            _pencil, cert = linearize(p)
+            assert verify_certificate(p, cert)
+        else:
+            with pytest.raises(PreconditionError, match="no exact half"):
+                linearize(p)
 
 
 class TestVerifyCertificate:
@@ -190,3 +219,10 @@ class TestPencilSerialization:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             LinearPencil(np.array([[0, 1], [0, 0]]), np.zeros((2, 2)), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("name", ["a0", "a1", "a2"])
+    def test_rejects_non_finite_coefficients(self, name):
+        mats = {key: np.eye(2) for key in ("a0", "a1", "a2")}
+        mats[name] = np.array([[1.0, 0.0], [0.0, np.nan]])
+        with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
+            LinearPencil(**mats)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from freeatoms import measure as M
 from freeatoms.errors import HalfPlaneError, PreconditionError
-from freeatoms.opval import imag_part
+from freeatoms.opval import imag_part, matrix_cauchy
 from freeatoms.subord import (
     FreeSumModel,
     scalar_model,
@@ -99,6 +99,19 @@ class TestSolveSubordination:
         rs = solve_subordination(model.swapped(), z)
         assert np.max(np.abs(rs.omega1 - r.omega2)) <= 1e-9
         assert np.max(np.abs(rs.omega2 - r.omega1)) <= 1e-9
+
+    def test_cauchy_is_g1_at_omega1(self):
+        # one solve evaluates G1(omega1) once; sum_cauchy and ladder scans read it
+        cases = [
+            (scalar_model(M.atomic_measure([(0.0, 0.7), (1.0, 0.3)]), SC2), np.array([[0.3 + 0.7j]])),
+            (FreeSumModel(np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), SC2, BERN),
+             np.array([[0.1 + 0.8j, 0.05], [0.05, -0.2 + 0.9j]])),
+        ]
+        for model, z in cases:
+            r = solve_subordination(model, z)
+            assert r.cauchy.tobytes() == matrix_cauchy(model.a1, model.mu1, r.omega1).tobytes()
+            g, _ = sum_cauchy(model, z)
+            assert g.tobytes() == r.cauchy.tobytes()
 
     def test_deterministic(self):
         model = scalar_model(BERN, SC2)
@@ -199,6 +212,13 @@ class TestModelValidation:
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
             FreeSumModel(np.eye(2), np.eye(3), BERN, BERN)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
+    def test_rejects_non_finite_coefficients(self, bad):
+        with pytest.raises(ValueError, match="a1 has non-finite entries"):
+            FreeSumModel(np.array([[bad]]), np.eye(1), BERN, BERN)
+        with pytest.raises(ValueError, match="a2 has non-finite entries"):
+            FreeSumModel(np.eye(2), np.array([[1.0, 0.0], [0.0, bad]]), BERN, BERN)
 
     def test_extreme_finite_coefficients_build_and_serialize_quietly(self):
         # building or serializing a model runs no numerics on its coefficients:
