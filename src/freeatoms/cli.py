@@ -96,8 +96,8 @@ def _load_measure(path):
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except FileNotFoundError as exc:
-        raise SchemaError(f"measure file not found: {path}") from exc
+    except OSError as exc:
+        raise SchemaError(f"cannot read measure file {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"measure file {path} is not valid JSON: {exc}") from exc
     return SpectralMeasure.from_json_dict(data)
@@ -109,7 +109,10 @@ def _parse_matrix(spec_str, default=None):
         return default
     text = spec_str
     if os.path.exists(spec_str):
-        text = Path(spec_str).read_text()
+        try:
+            text = Path(spec_str).read_text()
+        except OSError as exc:
+            raise SchemaError(f"cannot read matrix file {spec_str}: {exc.strerror}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -158,7 +161,10 @@ def _emit(cfg, payload, csv_rows=None, csv_header=None):
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if cfg.out:
-        Path(cfg.out).write_text(text)
+        try:
+            Path(cfg.out).write_text(text)
+        except OSError as exc:
+            raise SchemaError(f"cannot write --out {cfg.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

@@ -164,16 +164,19 @@ def star_square(p: NCPoly) -> NCPoly:
 
 
 def eval_matrices(p: NCPoly, A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
-    """Evaluate p at a pair of square matrices of equal dimension."""
+    """Evaluate p at a pair of square matrices of equal dimension.
+
+    Stacks of shape ``(..., n, n)`` are evaluated block by block.
+    """
     A1 = np.asarray(A1, dtype=complex)
     A2 = np.asarray(A2, dtype=complex)
-    if A1.shape != A2.shape or A1.ndim != 2 or A1.shape[0] != A1.shape[1]:
+    if A1.shape != A2.shape or A1.ndim < 2 or A1.shape[-1] != A1.shape[-2]:
         raise ValueError(f"matrix arguments must be square of equal size, got {A1.shape} and {A2.shape}")
-    n = A1.shape[0]
+    n = A1.shape[-1]
     mats = {1: A1, 2: A2}
-    out = np.zeros((n, n), dtype=complex)
+    out = np.zeros(A1.shape, dtype=complex)
     for word, coeff in p.terms:
-        acc = np.eye(n, dtype=complex)
+        acc = np.broadcast_to(np.eye(n, dtype=complex), A1.shape)
         for letter in word:
             acc = acc @ mats[letter]
         out += coeff * acc

@@ -5,6 +5,9 @@ spectra and Haar-random relative position is asymptotically free, so
 eigenvalue statistics of polynomials or pencils in (A1, A2) estimate
 the corresponding spectral quantities with O(1/N) bias.  Spectra are
 deterministic quantile grids, which removes marginal sampling noise.
+Two laws with at most two atoms each make the pair two projections up
+to scale and shift; their spectra come from Halmos's two-subspace form
+in 2 x 2 blocks instead of a dense N x N eigensolve.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .measure import SpectralMeasure, quantiles
-from .ncpoly import NCPoly, is_selfadjoint
+from .ncpoly import NCPoly, eval_matrices, is_selfadjoint
 from .opval import herm_part
 from .subord import FreeSumModel
 
@@ -45,6 +48,14 @@ def haar_unitary(N, rng):
     q, r = np.linalg.qr(g)
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+def haar_frame(N, k, rng):
+    """N x k orthonormal frame whose range is Haar distributed among the
+    k-dimensional subspaces: the Q factor of an N x k complex Ginibre
+    matrix (column phases do not change the range)."""
+    g = (rng.standard_normal((N, k)) + 1j * rng.standard_normal((N, k))) / np.sqrt(2)
+    return np.linalg.qr(g)[0]
 
 
 def realize_pair(spec: EnsembleSpec, rng=None):
@@ -83,6 +94,52 @@ def kernel_mass_from_eigs(eigs, lam, epsilon):
     return float(np.count_nonzero(np.abs(eigs - lam) <= epsilon)) / eigs.size
 
 
+def _two_atom_laws(spec):
+    """Whether both laws are purely atomic with at most two atoms each."""
+    return all(not mu.continuous and len(mu.atoms) <= 2 for mu in (spec.mu1, spec.mu2))
+
+
+def _two_subspace_eigs(spec, rng, block_eigs):
+    """Spectrum of one draw for two laws with at most two atoms each.
+
+    Each quantile grid is lo + (hi - lo) * (its upper-atom indicator),
+    so the pair is (lo1 + (hi1 - lo1) P, lo2 + (hi2 - lo2) Q) with P the
+    diagonal projection on D1's k1 upper-atom entries and Q = V V*, V a
+    Haar N x k2 frame.  By Halmos's two-subspace theorem the pair splits
+    exactly into the four intersections of ran/ker P with ran/ker Q,
+    whose generic dimensions follow from (N, k1, k2), and into 2 x 2
+    blocks P = [[1, 0], [0, 0]], Q = [[c^2, cs], [cs, s^2]], one per
+    principal angle; the cosines c are the singular values of V's rows
+    on ran P, after the unit ones of ran P & ran Q.  ``block_eigs(X1,
+    X2)`` maps stacks of k x k blocks (k = 1, 2) to their target
+    eigenvalues, shape (stack, rows * k).  The result is sorted; for a
+    fixed frame it is the dense spectrum, and over the draw it equals
+    the dense draw's in law.
+    """
+    N = spec.N
+    d1, d2 = quantiles(spec.mu1, N), quantiles(spec.mu2, N)
+    (lo1, hi1), (lo2, hi2) = (d1[0], d1[-1]), (d2[0], d2[-1])
+    up1 = d1 > lo1
+    k1, k2 = int(np.count_nonzero(up1)), int(np.count_nonzero(d2 > lo2))
+    both = max(0, k1 + k2 - N)
+    angles = min(k1, k2, N - k1, N - k2)
+    # intersections (P, Q) = (1, 1), (1, 0), (0, 1), (0, 0) as 1 x 1 blocks
+    x1 = np.array([hi1, hi1, lo1, lo1], dtype=complex).reshape(4, 1, 1)
+    x2 = np.array([hi2, lo2, hi2, lo2], dtype=complex).reshape(4, 1, 1)
+    dims = [both, max(0, k1 - k2), max(0, k2 - k1), max(0, N - k1 - k2)]
+    parts = [np.repeat(block_eigs(x1, x2), dims, axis=0).reshape(-1)]
+    if angles:
+        c = np.linalg.svd(haar_frame(N, k2, rng)[up1], compute_uv=False)[both:]
+        s = np.sqrt(np.maximum(1.0 - c * c, 0.0))
+        x1 = np.broadcast_to(np.diag([hi1, lo1]).astype(complex), (angles, 2, 2))
+        x2 = np.empty((angles, 2, 2), dtype=complex)
+        x2[:, 0, 0] = lo2 + (hi2 - lo2) * c * c
+        x2[:, 0, 1] = x2[:, 1, 0] = (hi2 - lo2) * c * s
+        x2[:, 1, 1] = lo2 + (hi2 - lo2) * s * s
+        parts.append(block_eigs(x1, x2).reshape(-1))
+    return np.sort(np.concatenate(parts))
+
+
 def _pencil_eigs(spec, model, b, rng):
     """Eigenvalues of one pencil draw.
 
@@ -91,12 +148,20 @@ def _pencil_eigs(spec, model, b, rng):
     a2 (x) A2 itself, whose spectral axis carries the atoms directly.
     When only one coefficient acts (a2 = 0 or mu2 a point mass), the
     relative unitary drops out and the spectrum splits exactly into
-    quantile blocks, which avoids the dense eigensolve.
+    quantile blocks, which avoids the dense eigensolve.  Two laws with at
+    most two atoms each split into 2n x 2n blocks (:func:`_two_subspace_eigs`).
     """
     n = model.n
     N = spec.N
     sign = -1.0 if b is None else 1.0  # b=None: report +sum instead of b-sum
     b_mat = np.zeros((n, n), dtype=complex) if b is None else np.asarray(b, dtype=complex)
+
+    def pencil_spectrum(x1, x2):
+        # np.kron of a matrix with a stack of blocks acts block by block
+        k = x1.shape[-1]
+        big = np.kron(b_mat, np.eye(k)) - np.kron(model.a1, x1) - np.kron(model.a2, x2)
+        return sign * np.linalg.eigvalsh(big)
+
     single = None
     if np.allclose(model.a2, 0.0):
         single = (model.a1, spec.mu1, b_mat)
@@ -113,13 +178,10 @@ def _pencil_eigs(spec, model, b, rng):
         ts = quantiles(mu, N)
         blocks = b_eff[None, :, :] - ts[:, None, None] * a[None, :, :]
         return np.sort(sign * np.linalg.eigvalsh(blocks).reshape(-1))
+    if _two_atom_laws(spec):
+        return _two_subspace_eigs(spec, rng, pencil_spectrum)
     d1, A2 = _realize_reduced(spec, rng)
-    big = (
-        np.kron(b_mat, np.eye(N))
-        - np.kron(model.a1, np.diag(d1).astype(complex))
-        - np.kron(model.a2, A2)
-    )
-    return np.sort(sign * np.linalg.eigvalsh(big))
+    return np.sort(pencil_spectrum(np.diag(d1).astype(complex), A2))
 
 
 def _eval_poly_diag_first(poly, d1, A2):
@@ -153,6 +215,10 @@ def _eval_poly_diag_first(poly, d1, A2):
 
 
 def _poly_eigs(spec, poly, rng):
+    if _two_atom_laws(spec):
+        # eigvalsh reads one triangle, so the blocks need no symmetrization
+        return _two_subspace_eigs(
+            spec, rng, lambda x1, x2: np.linalg.eigvalsh(eval_matrices(poly, x1, x2)))
     d1, A2 = _realize_reduced(spec, rng)
     val = _eval_poly_diag_first(poly, d1, A2)
     return np.linalg.eigvalsh(herm_part(val))

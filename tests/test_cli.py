@@ -347,6 +347,17 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("internal invariant breach: KeyError")
 
 
+    @pytest.mark.parametrize("flag", ["--out", "--mu1", "--mu2", "--a1", "--a2", "--b"])
+    def test_directory_path_is_schema_error(self, files, capsys, flag):
+        # a directory can be neither read as a measure or matrix nor written
+        args = {"--mu1": files["mix1"], "--mu2": files["mix2"], "--size": "8", "--trials": "1",
+                flag: str(files["dir"])}
+        code = run_cli(["oracle", *(x for item in args.items() for x in item)])
+        assert code == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:") and str(files["dir"]) in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [["oracle", "--bogus"], []])
     def test_bad_command_line_returns_usage_error(self, argv, capsys):
         assert run_cli(argv) == cli.EXIT_SCHEMA

@@ -132,6 +132,18 @@ class TestEvalMatrices:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             eval_matrices(Z1, np.eye(2), np.eye(3))
+        with pytest.raises(ValueError):
+            eval_matrices(Z1, np.zeros((4, 2, 3)), np.zeros((4, 2, 3)))
+
+    def test_stack_is_evaluated_block_by_block(self):
+        rng = np.random.default_rng(13)
+        p = Z1 * Z2 * Z1 - 2j * Z2 + 0.5
+        S1 = np.stack([random_hermitian(rng, 2) for _ in range(4)])
+        S2 = np.stack([random_hermitian(rng, 2) for _ in range(4)])
+        out = eval_matrices(p, S1, S2)
+        assert out.shape == (4, 2, 2)
+        for i in range(4):
+            np.testing.assert_allclose(out[i], eval_matrices(p, S1[i], S2[i]), atol=1e-12)
 
     def test_hermitian_output_for_selfadjoint(self):
         rng = np.random.default_rng(11)

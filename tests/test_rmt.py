@@ -5,6 +5,7 @@ from freeatoms import measure as M
 from freeatoms import rmt
 from freeatoms.errors import PreconditionError
 from freeatoms.ncpoly import NCPoly, eval_matrices
+from freeatoms.opval import herm_part
 from freeatoms.subord import FreeSumModel, scalar_model
 
 Z1, Z2 = NCPoly.z1(), NCPoly.z2()
@@ -193,3 +194,110 @@ class TestDensePencilPath:
         rep = rmt.oracle_report(spec, model=model, b=-L.a0, epsilon=1e-7)
         est, se = rep.masses[0.0]
         assert est == pytest.approx(0.1, abs=2 / 300 + 3 * se)
+
+
+def _two_atom_law(alpha, beta, low_mass):
+    return M.point_mass(alpha) if low_mass == 1.0 else M.atomic_measure(
+        [(alpha, low_mass), (beta, 1.0 - low_mass)])
+
+
+def _random_hermitian(rng, n):
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (h + h.conj().T) / 2
+
+
+class TestTwoSubspaceOracle:
+    """Two laws with at most two atoms: the exact block form of the pair."""
+
+    N = 12
+    # lower-atom masses of the two laws and the upper-atom counts (k1, k2)
+    # of their N = 12 quantile grids
+    CASES = {
+        "k1+k2<N": (0.75, 0.6, 3, 5),
+        "k1+k2>N": (0.25, 0.3, 9, 8),
+        "k1=k2=N/2": (0.5, 0.5, 6, 6),
+        "k1<k2": (0.7, 0.2, 4, 10),
+        "mu1-point-mass": (1.0, 0.4, 0, 7),
+        "mu2-point-mass": (0.3, 1.0, 8, 0),
+    }
+
+    def dense_pair(self, spec, seed):
+        """(D1, alpha2 + (beta2 - alpha2) V V*) for the frame V the oracle
+        draws from a generator seeded with ``seed``."""
+        d1, d2 = M.quantiles(spec.mu1, spec.N), M.quantiles(spec.mu2, spec.N)
+        k2 = int(np.count_nonzero(d2 > d2[0]))
+        v = rmt.haar_frame(spec.N, k2, np.random.default_rng(seed))
+        A2 = d2[0] * np.eye(spec.N) + (d2[-1] - d2[0]) * (v @ v.conj().T)
+        return np.diag(d1).astype(complex), A2, (int(np.count_nonzero(d1 > d1[0])), k2)
+
+    def spec(self, case):
+        m1, m2, _k1, _k2 = self.CASES[case]
+        return rmt.EnsembleSpec(N=self.N, trials=1, seed=0, mu1=_two_atom_law(-0.5, 1.0, m1),
+                                mu2=_two_atom_law(0.2, 2.0, m2))
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_polynomial_blocks_equal_dense_spectrum(self, case):
+        spec = self.spec(case)
+        poly = Z1 * Z2 + Z2 * Z1
+        D1, A2, ks = self.dense_pair(spec, seed=21)
+        assert ks == self.CASES[case][2:]
+        blocks = rmt._poly_eigs(spec, poly, np.random.default_rng(21))
+        dense = np.linalg.eigvalsh(eval_matrices(poly, D1, A2))
+        assert blocks.shape == (self.N,)
+        np.testing.assert_allclose(blocks, dense, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("case", [c for c in CASES if "point-mass" not in c])
+    def test_pencil_blocks_equal_dense_spectrum(self, case):
+        # (a point-mass law takes the one-coefficient shortcut instead)
+        spec = self.spec(case)
+        rng = np.random.default_rng(22)
+        a1, a2, b = (_random_hermitian(rng, 2) for _ in range(3))
+        D1, A2, _ = self.dense_pair(spec, seed=23)
+        blocks = rmt._pencil_eigs(spec, FreeSumModel(a1, a2, spec.mu1, spec.mu2), b,
+                                  np.random.default_rng(23))
+        dense = np.linalg.eigvalsh(np.kron(b, np.eye(self.N)) - np.kron(a1, D1) - np.kron(a2, A2))
+        assert blocks.shape == (2 * self.N,)
+        np.testing.assert_allclose(blocks, dense, rtol=0, atol=1e-10)
+
+    def test_moments_agree_with_dense_path_in_law(self):
+        # pooled trials at N = 400: the first four spectral moments of the
+        # block form and of the dense Haar draw agree within 3 SE
+        spec = rmt.EnsembleSpec(N=400, trials=12, seed=24, mu1=MU1, mu2=MU2)
+        poly = Z1 * Z2 + Z2 * Z1 + Z1
+
+        def dense(rng):
+            d1, A2 = rmt._realize_reduced(spec, rng)
+            return np.linalg.eigvalsh(herm_part(rmt._eval_poly_diag_first(poly, d1, A2)))
+
+        rngs = spec.trial_rngs()
+        half = spec.trials // 2
+        moments = {
+            "blocks": np.array([[np.mean(rmt._poly_eigs(spec, poly, r) ** j) for j in range(1, 5)]
+                                for r in rngs[:half]]),
+            "dense": np.array([[np.mean(dense(r) ** j) for j in range(1, 5)]
+                               for r in rngs[half:]]),
+        }
+        mean = {k: m.mean(axis=0) for k, m in moments.items()}
+        se = {k: m.std(axis=0, ddof=1) / np.sqrt(len(m)) for k, m in moments.items()}
+        gap = np.abs(mean["blocks"] - mean["dense"])
+        assert np.all(gap <= 3 * np.hypot(se["blocks"], se["dense"])), (gap, se)
+
+    @pytest.mark.parametrize("target", ["poly", "pencil"])
+    def test_path_follows_the_laws(self, target, monkeypatch):
+        calls = []
+        haar = rmt.haar_unitary
+        monkeypatch.setattr(rmt, "haar_unitary", lambda N, rng: calls.append(N) or haar(N, rng))
+        three_atoms = M.atomic_measure([(0.0, 0.5), (1.0, 0.3), (2.5, 0.2)])
+        mixed = M.SpectralMeasure(atoms=((0.0, 0.4),),
+                                  continuous=(M.SemicirclePiece(2.0, 1.0, 0.6),),
+                                  support=(-0.1, 3.1))
+        kwargs = ({"poly": Z1 * Z2 + Z2 * Z1} if target == "poly"
+                  else {"model": scalar_model(MU1, MU2), "b": np.array([[0.0]])})
+        for mu1, dense_trials in ((MU1, 0), (three_atoms, 3), (mixed, 3)):
+            calls.clear()
+            spec = rmt.EnsembleSpec(N=150, trials=3, seed=25, mu1=mu1, mu2=MU2)
+            if target == "pencil":
+                kwargs["model"] = scalar_model(mu1, MU2)
+            rep = rmt.oracle_report(spec, **kwargs)
+            assert calls == [150] * dense_trials
+            assert rep.counts_mean.sum() == pytest.approx(150)
