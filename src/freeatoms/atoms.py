@@ -391,13 +391,14 @@ def sum_atom_candidates(mu1: SpectralMeasure, mu2: SpectralMeasure):
 def candidate_locations(mu1: SpectralMeasure, mu2: SpectralMeasure, user=(), oracle=None):
     """Union of candidate atom locations for a kernel search.
 
-    Combines histogram spikes of an oracle report (when given), the
-    mass-pigeonhole pairs from :func:`sum_atom_candidates`, and a
-    user-supplied list; duplicates within 1e-6 are merged.  There is no
-    exhaustive search over locations, only these heuristics.
+    Combines the mass-pigeonhole pairs from :func:`sum_atom_candidates`,
+    a user-supplied list and histogram spikes of an oracle report (when
+    given); duplicates within 1e-6 are merged into the first of them in
+    that order, so an exact pigeonhole location is kept as it is.  There
+    is no exhaustive search over locations, only these heuristics.
     """
-    cands = [float(x) for x in user]
-    cands.extend(alpha for alpha, _ in sum_atom_candidates(mu1, mu2))
+    cands = [alpha for alpha, _ in sum_atom_candidates(mu1, mu2)]
+    cands.extend(float(x) for x in user)
     if oracle is not None:
         cands.extend(float(s) for s in oracle.spikes)
     merged = []

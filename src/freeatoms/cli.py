@@ -226,18 +226,19 @@ def _cmd_atom_scan(cfg):
     model = _build_model(cfg)
     if model.n != 1:
         raise SchemaError("atom-scan expects the scalar case (1x1 coefficients)")
-    probes = atoms_mod.sum_atom_candidates(model.mu1, model.mu2)
-    probes += [(float(x), None) for x in cfg.candidates]
+    predicted = dict(atoms_mod.sum_atom_candidates(model.mu1, model.mu2))
+    probes = atoms_mod.candidate_locations(model.mu1, model.mu2, user=cfg.candidates)
     results, reports = [], []
-    for loc, predicted in probes:
+    for loc in probes:
         scan = atoms_mod.ladder_scan(model, np.array([[loc]]), _ladder(cfg), cfg.tol)
-        entry = {"location": loc, "predicted_mass": predicted, "measured_mass": scan.mass}
+        entry = {"location": loc, "predicted_mass": predicted.get(loc),
+                 "measured_mass": scan.mass}
         if scan.invertible:
             rep = atoms_mod.decompose_atom(scan)
             entry["decomposition"] = rep.to_json_dict()
             reports.append(rep)
         results.append(entry)
-    _emit(cfg, {"candidates": results, "locations_probed": [loc for loc, _ in probes]})
+    _emit(cfg, {"candidates": results, "locations_probed": probes})
     if cfg.strict and any(_strict_residual_failures(rep) for rep in reports):
         return EXIT_STRICT
     return EXIT_OK
@@ -278,12 +279,12 @@ def _cmd_oracle(cfg):
         p = parse_poly(cfg.poly)
         rep = rmt.oracle_report(spec, poly=p, lam=cfg.lam,
                                 locations=[cfg.lam] + [float(x) for x in cfg.candidates],
-                                bins=cfg.bins, epsilon=cfg.epsilon, workers=cfg.workers)
+                                bins=cfg.bins, epsilon=cfg.epsilon)
     else:
         b = _parse_matrix(cfg.b_spec, None)
         locations = [float(x) for x in cfg.candidates] or None
         rep = rmt.oracle_report(spec, model=model, b=b, locations=locations,
-                                bins=cfg.bins, epsilon=cfg.epsilon, workers=cfg.workers)
+                                bins=cfg.bins, epsilon=cfg.epsilon)
     rows = [
         (f"{lo:.12g}", f"{hi:.12g}", f"{cm:.12g}", f"{cs:.12g}")
         for lo, hi, cm, cs in zip(rep.bin_edges[:-1], rep.bin_edges[1:],
@@ -300,7 +301,7 @@ def _cmd_compare(cfg):
     spec = _oracle_spec(cfg, mu1, mu2)
     eps = cfg.epsilon if cfg.epsilon is not None else 1e-7
     orep = rmt.oracle_report(spec, poly=p, lam=cfg.lam, locations=[cfg.lam],
-                             bins=cfg.bins, epsilon=eps, workers=cfg.workers)
+                             bins=cfg.bins, epsilon=eps)
     oracle_mass, se = orep.masses[float(cfg.lam)]
     tolerance = 2.0 / cfg.N + 3.0 * se
     agree = abs(pipeline_mass - oracle_mass) <= tolerance
@@ -321,9 +322,9 @@ def _cmd_compare(cfg):
     return EXIT_OK
 
 
-# name -> (handler, help, the flags it reads).  Nothing reads --workers on
-# convolve, decompose, atom-scan and eigtest; it stays accepted there so
-# that existing command lines keep parsing.
+# name -> (handler, help, the flags it reads).  No subcommand reads
+# --workers (oracle trials run serially); it stays accepted where it was
+# so that existing command lines keep parsing.
 _COMMANDS = {
     "linearize": (_cmd_linearize, "linearize a selfadjoint polynomial", "--poly --out"),
     "convolve": (_cmd_convolve, "density of the free sum on a grid",
@@ -485,3 +486,7 @@ def main(argv=None) -> int:
     if argv is None:
         sys.exit(code)
     return code
+
+
+if __name__ == "__main__":
+    main()

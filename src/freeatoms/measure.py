@@ -48,6 +48,14 @@ _GL01_WEIGHTS = 0.5 * _GL_WEIGHTS
 # ---------------------------------------------------------------------------
 
 
+def _require_finite(piece, *names):
+    """Reject a non-finite parameter of a density piece by its field name."""
+    for name in names:
+        value = getattr(piece, name)
+        if not math.isfinite(value):
+            raise MeasureError(f"{piece.family} {name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SemicirclePiece:
     """Semicircle density of given center and radius, unit mass before weighting."""
@@ -59,7 +67,8 @@ class SemicirclePiece:
     family = "semicircle"
 
     def __post_init__(self):
-        if not (self.radius > 0 and math.isfinite(self.radius)):
+        _require_finite(self, "center", "radius")
+        if not self.radius > 0:
             raise MeasureError(f"semicircle radius must be positive, got {self.radius}")
 
     @property
@@ -108,6 +117,7 @@ class ArcsinePiece:
     family = "arcsine"
 
     def __post_init__(self):
+        _require_finite(self, "a", "b")
         if not self.a < self.b:
             raise MeasureError(f"arcsine interval must satisfy a < b, got ({self.a}, {self.b})")
 
@@ -155,6 +165,7 @@ class UniformPiece:
     family = "uniform"
 
     def __post_init__(self):
+        _require_finite(self, "a", "b")
         if not self.a < self.b:
             raise MeasureError(f"uniform interval must satisfy a < b, got ({self.a}, {self.b})")
 
@@ -205,6 +216,8 @@ class TablePiece:
         values = np.asarray(self.values, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2 or nodes.shape != values.shape:
             raise MeasureError("table piece needs matching 1-d nodes/values with >= 2 entries")
+        if not np.all(np.isfinite(nodes)):
+            raise MeasureError("table nodes must be finite")
         if np.any(np.diff(nodes) <= 0):
             raise MeasureError("table nodes must be strictly increasing")
         if not np.all(np.isfinite(values)) or np.any(values < 0):

@@ -5,19 +5,24 @@ spectra and Haar-random relative position is asymptotically free, so
 eigenvalue statistics of polynomials or pencils in (A1, A2) estimate
 the corresponding spectral quantities with O(1/N) bias.  Spectra are
 deterministic quantile grids, which removes marginal sampling noise.
-Two laws with at most two atoms each make the pair two projections up
-to scale and shift; their spectra come from Halmos's two-subspace form
-in 2 x 2 blocks instead of a dense N x N eigensolve.
+One rule (:func:`_trial_eigs`) picks each trial's path from the laws:
+
+- a point mass on either side: the pair commutes, N 1 x 1 blocks and
+  no Haar draw (a pencil coefficient that is exactly zero counts as
+  the point mass at 0);
+- both laws with at most two atoms: Halmos's two-subspace form, 2 x 2
+  blocks from one Haar N x k frame;
+- any other pair: a dense N x N Haar draw and eigensolve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import PreconditionError
-from .measure import SpectralMeasure, quantiles
+from .measure import SpectralMeasure, point_mass, quantiles
 from .ncpoly import NCPoly, eval_matrices, is_selfadjoint
 from .opval import herm_part
 from .subord import FreeSumModel
@@ -94,30 +99,51 @@ def kernel_mass_from_eigs(eigs, lam, epsilon):
     return float(np.count_nonzero(np.abs(eigs - lam) <= epsilon)) / eigs.size
 
 
-def _two_atom_laws(spec):
-    """Whether both laws are purely atomic with at most two atoms each."""
-    return all(not mu.continuous and len(mu.atoms) <= 2 for mu in (spec.mu1, spec.mu2))
+def _point_mass_at(mu):
+    """Location of a point-mass law, None for any other law."""
+    return mu.atoms[0][0] if len(mu.atoms) == 1 and not mu.continuous else None
 
 
-def _two_subspace_eigs(spec, rng, block_eigs):
-    """Spectrum of one draw for two laws with at most two atoms each.
+def _trial_eigs(spec, rng, block_eigs, dense_eigs):
+    """Sorted spectrum of one trial, on the path the two laws choose.
 
-    Each quantile grid is lo + (hi - lo) * (its upper-atom indicator),
-    so the pair is (lo1 + (hi1 - lo1) P, lo2 + (hi2 - lo2) Q) with P the
-    diagonal projection on D1's k1 upper-atom entries and Q = V V*, V a
-    Haar N x k2 frame.  By Halmos's two-subspace theorem the pair splits
+    ``block_eigs(X1, X2)`` maps stacks of k x k blocks to the target's
+    eigenvalues, shape (stack, rows * k); ``dense_eigs(d1, A2)`` gives
+    those of the N x N target at (diag(d1), A2).  A point-mass law c
+    commutes with the other variable, so the spectrum is that of the N
+    1 x 1 blocks (d1_i, d2_i), the constant side ``np.full(N, c)`` (the
+    bits of its quantile grid).  Two laws with at most two atoms take
+    :func:`_two_subspace_eigs`; any other pair the dense draw of
+    :func:`_realize_reduced`.
+    """
+    N = spec.N
+    laws = (spec.mu1, spec.mu2)
+    consts = [_point_mass_at(mu) for mu in laws]
+    commuting = any(c is not None for c in consts)
+    if not commuting and not all(not mu.continuous and len(mu.atoms) <= 2 for mu in laws):
+        return np.sort(dense_eigs(*_realize_reduced(spec, rng)))
+    d1, d2 = (quantiles(mu, N) if c is None else np.full(N, c) for mu, c in zip(laws, consts))
+    if not commuting:
+        return np.sort(_two_subspace_eigs(d1, d2, rng, block_eigs))
+    x1, x2 = (d.astype(complex).reshape(N, 1, 1) for d in (d1, d2))
+    return np.sort(block_eigs(x1, x2).reshape(-1))
+
+
+def _two_subspace_eigs(d1, d2, rng, block_eigs):
+    """Unsorted spectrum of one draw for two-atom quantile grids d1, d2.
+
+    Each grid is lo + (hi - lo) * (its upper-atom indicator), so the pair
+    is (lo1 + (hi1 - lo1) P, lo2 + (hi2 - lo2) Q) with P the diagonal
+    projection on D1's k1 upper-atom entries and Q = V V*, V a Haar
+    N x k2 frame.  By Halmos's two-subspace theorem the pair splits
     exactly into the four intersections of ran/ker P with ran/ker Q,
     whose generic dimensions follow from (N, k1, k2), and into 2 x 2
     blocks P = [[1, 0], [0, 0]], Q = [[c^2, cs], [cs, s^2]], one per
     principal angle; the cosines c are the singular values of V's rows
-    on ran P, after the unit ones of ran P & ran Q.  ``block_eigs(X1,
-    X2)`` maps stacks of k x k blocks (k = 1, 2) to their target
-    eigenvalues, shape (stack, rows * k).  The result is sorted; for a
-    fixed frame it is the dense spectrum, and over the draw it equals
-    the dense draw's in law.
+    on ran P, after the unit ones of ran P & ran Q.  For a fixed frame
+    this is the dense spectrum; over the draw it is equal in law.
     """
-    N = spec.N
-    d1, d2 = quantiles(spec.mu1, N), quantiles(spec.mu2, N)
+    N = d1.size
     (lo1, hi1), (lo2, hi2) = (d1[0], d1[-1]), (d2[0], d2[-1])
     up1 = d1 > lo1
     k1, k2 = int(np.count_nonzero(up1)), int(np.count_nonzero(d2 > lo2))
@@ -137,7 +163,7 @@ def _two_subspace_eigs(spec, rng, block_eigs):
         x2[:, 0, 1] = x2[:, 1, 0] = (hi2 - lo2) * c * s
         x2[:, 1, 1] = lo2 + (hi2 - lo2) * s * s
         parts.append(block_eigs(x1, x2).reshape(-1))
-    return np.sort(np.concatenate(parts))
+    return np.concatenate(parts)
 
 
 def _pencil_eigs(spec, model, b, rng):
@@ -146,15 +172,16 @@ def _pencil_eigs(spec, model, b, rng):
     With ``b`` given this is b (x) 1 - a1 (x) A1 - a2 (x) A2 (kernel
     mass lives at 0); with ``b = None`` it is the sum a1 (x) A1 +
     a2 (x) A2 itself, whose spectral axis carries the atoms directly.
-    When only one coefficient acts (a2 = 0 or mu2 a point mass), the
-    relative unitary drops out and the spectrum splits exactly into
-    quantile blocks, which avoids the dense eigensolve.  Two laws with at
-    most two atoms each split into 2n x 2n blocks (:func:`_two_subspace_eigs`).
+    A coefficient that is exactly zero makes its variable's law the
+    point mass at 0, so the pair commutes.
     """
     n = model.n
-    N = spec.N
     sign = -1.0 if b is None else 1.0  # b=None: report +sum instead of b-sum
     b_mat = np.zeros((n, n), dtype=complex) if b is None else np.asarray(b, dtype=complex)
+    if not np.any(model.a1):
+        spec = replace(spec, mu1=point_mass(0.0))
+    if not np.any(model.a2):
+        spec = replace(spec, mu2=point_mass(0.0))
 
     def pencil_spectrum(x1, x2):
         # np.kron of a matrix with a stack of blocks acts block by block
@@ -162,26 +189,8 @@ def _pencil_eigs(spec, model, b, rng):
         big = np.kron(b_mat, np.eye(k)) - np.kron(model.a1, x1) - np.kron(model.a2, x2)
         return sign * np.linalg.eigvalsh(big)
 
-    single = None
-    if np.allclose(model.a2, 0.0):
-        single = (model.a1, spec.mu1, b_mat)
-    elif np.allclose(model.a1, 0.0):
-        single = (model.a2, spec.mu2, b_mat)
-    elif len(spec.mu2.atoms) == 1 and not spec.mu2.continuous:
-        c = spec.mu2.atoms[0][0]
-        single = (model.a1, spec.mu1, b_mat - c * model.a2)
-    elif len(spec.mu1.atoms) == 1 and not spec.mu1.continuous:
-        c = spec.mu1.atoms[0][0]
-        single = (model.a2, spec.mu2, b_mat - c * model.a1)
-    if single is not None:
-        a, mu, b_eff = single
-        ts = quantiles(mu, N)
-        blocks = b_eff[None, :, :] - ts[:, None, None] * a[None, :, :]
-        return np.sort(sign * np.linalg.eigvalsh(blocks).reshape(-1))
-    if _two_atom_laws(spec):
-        return _two_subspace_eigs(spec, rng, pencil_spectrum)
-    d1, A2 = _realize_reduced(spec, rng)
-    return np.sort(pencil_spectrum(np.diag(d1).astype(complex), A2))
+    return _trial_eigs(spec, rng, pencil_spectrum,
+                       lambda d1, A2: pencil_spectrum(np.diag(d1).astype(complex), A2))
 
 
 def _eval_poly_diag_first(poly, d1, A2):
@@ -215,13 +224,10 @@ def _eval_poly_diag_first(poly, d1, A2):
 
 
 def _poly_eigs(spec, poly, rng):
-    if _two_atom_laws(spec):
-        # eigvalsh reads one triangle, so the blocks need no symmetrization
-        return _two_subspace_eigs(
-            spec, rng, lambda x1, x2: np.linalg.eigvalsh(eval_matrices(poly, x1, x2)))
-    d1, A2 = _realize_reduced(spec, rng)
-    val = _eval_poly_diag_first(poly, d1, A2)
-    return np.linalg.eigvalsh(herm_part(val))
+    # eigvalsh reads one triangle, so the blocks need no symmetrization
+    return _trial_eigs(
+        spec, rng, lambda x1, x2: np.linalg.eigvalsh(eval_matrices(poly, x1, x2)),
+        lambda d1, A2: np.linalg.eigvalsh(herm_part(_eval_poly_diag_first(poly, d1, A2))))
 
 
 @dataclass
@@ -269,8 +275,7 @@ def _find_spikes(counts, edges):
 
 def oracle_report(spec: EnsembleSpec, poly: NCPoly | None = None, lam: float = 0.0,
                   model: FreeSumModel | None = None, b=None, locations=None,
-                  bins: int = 201, epsilon: float | None = None,
-                  workers: int = 1) -> OracleReport:
+                  bins: int = 201, epsilon: float | None = None) -> OracleReport:
     """Monte Carlo spectral report for a polynomial or a pencil target.
 
     Exactly one of ``poly`` or ``model`` must be given.  For a model the
@@ -286,20 +291,10 @@ def oracle_report(spec: EnsembleSpec, poly: NCPoly | None = None, lam: float = 0
         raise PreconditionError("oracle polynomial must be selfadjoint")
     if epsilon is None:
         epsilon = max(4.0 / spec.N, 1e-6)
-    rngs = spec.trial_rngs()
-
-    def one_trial(rng):
-        if poly is not None:
-            return _poly_eigs(spec, poly, rng)
-        return _pencil_eigs(spec, model, b, rng)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            eig_sets = list(pool.map(one_trial, rngs))
+    if poly is not None:
+        eig_sets = [_poly_eigs(spec, poly, rng) for rng in spec.trial_rngs()]
     else:
-        eig_sets = [one_trial(rng) for rng in rngs]
+        eig_sets = [_pencil_eigs(spec, model, b, rng) for rng in spec.trial_rngs()]
     lo = min(float(e.min()) for e in eig_sets)
     hi = max(float(e.max()) for e in eig_sets)
     pad = 1e-9 * max(1.0, abs(lo), abs(hi))

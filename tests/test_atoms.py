@@ -323,3 +323,21 @@ class TestOnePassPerLadder:
         assert code == cli.EXIT_OK
         assert len(json.loads((tmp_path / "scan.json").read_text())["candidates"]) == 2
         assert counts == {"ladder_scan": 2, "boundary_emass": 2}
+
+    def test_atom_scan_probes_a_user_candidate_once(self, monkeypatch, tmp_path):
+        import json
+        from pathlib import Path
+
+        from freeatoms import cli
+
+        data = Path(__file__).parent / "data"
+        counts = self.count_calls(monkeypatch)
+        out = tmp_path / "scan.json"
+        code = cli.main(["atom-scan", "--mu1", str(data / "two_atoms_a.json"),
+                         "--mu2", str(data / "two_atoms_b.json"), "--candidates", "0.0",
+                         "--out", str(out)])
+        assert code == cli.EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["locations_probed"] == [0.0, 2.0]
+        assert [c["predicted_mass"] for c in payload["candidates"]] == pytest.approx([0.3, 0.1])
+        assert counts["ladder_scan"] == 2

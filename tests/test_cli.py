@@ -55,6 +55,23 @@ def run_cli(argv):
 
 
 class TestLinearizeCommand:
+    @pytest.mark.parametrize("argv, code", [(["linearize", "--poly", "Z1*Z2+Z2*Z1"], 0), ([], 2)],
+                             ids=["linearize", "no-arguments"])
+    def test_runs_as_a_module(self, argv, code):
+        import os
+        import subprocess
+        import sys
+
+        import freeatoms
+
+        env = dict(os.environ, PYTHONPATH=str(Path(freeatoms.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "freeatoms.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if code == 0:
+            assert json.loads(proc.stdout)["verified"] is True
+
     def test_anticommutator_pencil_json(self, files, capsys):
         code = run_cli(["linearize", "--poly", "Z1*Z2+Z2*Z1"])
         out = json.loads(capsys.readouterr().out)
@@ -346,6 +363,25 @@ class TestExitCodes:
         assert run_cli(self.oracle_argv(files)) == cli.EXIT_INVARIANT
         assert capsys.readouterr().err.startswith("internal invariant breach: KeyError")
 
+
+    @pytest.mark.parametrize("command", ["convolve", "oracle"])
+    @pytest.mark.parametrize("piece, field", [
+        ('{"family": "semicircle", "center": NaN, "radius": 1, "weight": 1}', "center"),
+        ('{"family": "table", "nodes": [-1, NaN, 1], "values": [0.5, 0.5, 0.5], "weight": 1}',
+         "nodes"),
+    ], ids=["semicircle-center", "table-nodes"])
+    def test_non_finite_piece_parameter_is_schema_error(self, files, capsys, tmp_path,
+                                                        command, piece, field):
+        # JSON readers accept NaN; the measure must still refuse it by name
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"atoms": [], "continuous": [{piece}], "support": [-1, 1]}}')
+        extra = (["--grid", "-1:1:3"] if command == "convolve"
+                 else ["--poly", "Z1+Z2", "--size", "8", "--trials", "1"])
+        code = run_cli([command, "--mu1", str(bad), "--mu2", files["bern"], *extra])
+        assert code == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:") and f"{field} must be finite" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("flag", ["--out", "--mu1", "--mu2", "--a1", "--a2", "--b"])
     def test_directory_path_is_schema_error(self, files, capsys, flag):

@@ -366,6 +366,20 @@ class TestValidation:
         with pytest.raises(MeasureError):
             M.SpectralMeasure(atoms=((0.0, 1.0),), support=None)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("family, field, make", [
+        ("semicircle", "center", lambda v: M.SemicirclePiece(v, 1.0, 1.0)),
+        ("semicircle", "radius", lambda v: M.SemicirclePiece(0.0, v, 1.0)),
+        ("arcsine", "a", lambda v: M.ArcsinePiece(v, 1.0, 1.0)),
+        ("arcsine", "b", lambda v: M.ArcsinePiece(-1.0, v, 1.0)),
+        ("uniform", "a", lambda v: M.UniformPiece(v, 1.0, 1.0)),
+        ("uniform", "b", lambda v: M.UniformPiece(-1.0, v, 1.0)),
+        ("table", "nodes", lambda v: M.TablePiece((0.0, v, 1.0), (1.0, 1.0, 1.0), 1.0)),
+    ])
+    def test_rejects_non_finite_piece_parameter(self, family, field, make, value):
+        with pytest.raises(MeasureError, match=f"{family} {field} must be finite"):
+            make(value)
+
 
 class TestSerialization:
     def test_round_trip(self):

@@ -12,6 +12,8 @@ Z1, Z2 = NCPoly.z1(), NCPoly.z2()
 MU1 = M.atomic_measure([(0.0, 0.7), (1.0, 0.3)])
 MU2 = M.atomic_measure([(0.0, 0.6), (2.0, 0.4)])
 BERN = M.bernoulli_symmetric()
+MIXED = M.SpectralMeasure(atoms=((0.0, 0.4),), continuous=(M.SemicirclePiece(2.0, 1.0, 0.6),),
+                          support=(-0.1, 3.1))  # atom + semicircle
 
 
 class TestHaarUnitary:
@@ -106,17 +108,6 @@ class TestOracleReport:
         assert np.array_equal(r1.counts_std, r2.counts_std)
         assert r1.masses == r2.masses
         assert r1.spikes == r2.spikes
-
-    @pytest.mark.parametrize("target", [
-        {"poly": Z1 * Z2 + Z2 * Z1, "lam": 0.0},
-        {"model": scalar_model(MU1, MU2), "locations": [0.0, 2.0]},
-    ], ids=["poly", "pencil"])
-    def test_threaded_trials_bit_identical_to_serial(self, target):
-        spec = rmt.EnsembleSpec(N=120, trials=4, seed=19, mu1=MU1, mu2=MU2)
-        serial = rmt.oracle_report(spec, workers=1, **target)
-        threaded = rmt.oracle_report(spec, workers=2, **target)
-        assert np.array_equal(serial.bin_edges, threaded.bin_edges)
-        assert serial.to_json_dict() == threaded.to_json_dict()
 
     def test_atomic_sum_spikes_and_masses(self):
         spec = rmt.EnsembleSpec(N=600, trials=4, seed=12, mu1=MU1, mu2=MU2)
@@ -246,9 +237,8 @@ class TestTwoSubspaceOracle:
         assert blocks.shape == (self.N,)
         np.testing.assert_allclose(blocks, dense, rtol=0, atol=1e-10)
 
-    @pytest.mark.parametrize("case", [c for c in CASES if "point-mass" not in c])
+    @pytest.mark.parametrize("case", list(CASES))
     def test_pencil_blocks_equal_dense_spectrum(self, case):
-        # (a point-mass law takes the one-coefficient shortcut instead)
         spec = self.spec(case)
         rng = np.random.default_rng(22)
         a1, a2, b = (_random_hermitian(rng, 2) for _ in range(3))
@@ -288,16 +278,37 @@ class TestTwoSubspaceOracle:
         haar = rmt.haar_unitary
         monkeypatch.setattr(rmt, "haar_unitary", lambda N, rng: calls.append(N) or haar(N, rng))
         three_atoms = M.atomic_measure([(0.0, 0.5), (1.0, 0.3), (2.5, 0.2)])
-        mixed = M.SpectralMeasure(atoms=((0.0, 0.4),),
-                                  continuous=(M.SemicirclePiece(2.0, 1.0, 0.6),),
-                                  support=(-0.1, 3.1))
         kwargs = ({"poly": Z1 * Z2 + Z2 * Z1} if target == "poly"
                   else {"model": scalar_model(MU1, MU2), "b": np.array([[0.0]])})
-        for mu1, dense_trials in ((MU1, 0), (three_atoms, 3), (mixed, 3)):
+        for mu1, mu2, dense_trials in ((MU1, MU2, 0), (three_atoms, MU2, 3), (MIXED, MU2, 3),
+                                       (M.point_mass(0.5), MIXED, 0)):
             calls.clear()
-            spec = rmt.EnsembleSpec(N=150, trials=3, seed=25, mu1=mu1, mu2=MU2)
+            spec = rmt.EnsembleSpec(N=150, trials=3, seed=25, mu1=mu1, mu2=mu2)
             if target == "pencil":
-                kwargs["model"] = scalar_model(mu1, MU2)
+                kwargs["model"] = scalar_model(mu1, mu2)
             rep = rmt.oracle_report(spec, **kwargs)
             assert calls == [150] * dense_trials
             assert rep.counts_mean.sum() == pytest.approx(150)
+
+
+class TestCommutingOracle:
+    """A point-mass law or an exactly zero coefficient: the pair commutes."""
+
+    def test_polynomial_with_point_mass_law_is_evaluated_pointwise(self):
+        c = 0.7
+        spec = rmt.EnsembleSpec(N=200, trials=1, seed=0, mu1=MIXED, mu2=M.point_mass(c))
+        d1 = M.quantiles(MIXED, 200)
+        eigs = rmt._poly_eigs(spec, Z1 * Z2 + Z2 * Z1 + Z1 * Z1, np.random.default_rng(0))
+        np.testing.assert_allclose(eigs, np.sort(2 * c * d1 + d1 * d1), rtol=1e-13, atol=1e-15)
+
+    def test_small_coefficients_are_not_dropped(self):
+        # both coefficients act however small they are: the spectrum of
+        # 1e-9 (X1 + X2) is 1e-9 times that of X1 + X2 for the same draw
+        semi = M.semicircle_measure(0.0, 2.0)
+        spec = rmt.EnsembleSpec(N=200, trials=1, seed=0, mu1=semi, mu2=semi)
+
+        def eigs(scale):
+            model = FreeSumModel(np.array([[scale]]), np.array([[scale]]), semi, semi)
+            return rmt._pencil_eigs(spec, model, None, np.random.default_rng(26))
+
+        np.testing.assert_allclose(eigs(1e-9), 1e-9 * eigs(1.0), rtol=1e-6)
