@@ -202,13 +202,13 @@ def _cmd_convolve(cfg):
     model = _build_model(cfg)
     xs = _grid_points(cfg)
     data = sum_density(model, xs, y_eval=cfg.y_eval, tol=cfg.tol)
-    if cfg.strict and np.any(data[:, 1] < -1e-8):
-        return EXIT_STRICT
     rows = [(f"{x:.12g}", f"{d:.12g}") for x, d in data]
     payload = {"grid": [float(x) for x in data[:, 0]],
                "density": [float(d) for d in data[:, 1]],
                "y_eval": cfg.y_eval}
     _emit(cfg, payload, csv_rows=rows, csv_header=("x", "density"))
+    if cfg.strict and np.any(data[:, 1] < -1e-8):
+        return EXIT_STRICT
     return EXIT_OK
 
 

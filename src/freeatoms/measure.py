@@ -6,7 +6,7 @@ absolutely continuous part built from closed-form density families
 evaluates the scalar Cauchy transform G(z) = int dmu(t)/(z - t) in closed
 form for every family, its reciprocal F = 1/G, and deterministic
 quantiles used by the random matrix oracle.  Adaptive quadrature is kept
-for validating densities and for integrands without a closed form.
+for integrands without a closed form.
 
 Measures are validated at construction and rejected (never silently
 renormalized) when the data is inconsistent.  Instances are immutable
@@ -88,9 +88,6 @@ class SemicirclePiece:
         # bits for a scalar and an array
         return 0.5 + (u * np.sqrt(1.0 - u * u) + np.arcsin(u)) / np.pi
 
-    def unit_mean(self):
-        return self.center
-
     def unit_cauchy(self, w):
         return cauchy_semicircle(self.center, self.radius, w)
 
@@ -136,9 +133,6 @@ class ArcsinePiece:
         u = np.clip((np.asarray(x, dtype=float) - self.a) / (self.b - self.a), 0.0, 1.0)
         return (2.0 / np.pi) * np.arcsin(np.sqrt(u))
 
-    def unit_mean(self):
-        return 0.5 * (self.a + self.b)
-
     def unit_cauchy(self, w):
         return cauchy_arcsine(self.a, self.b, w)
 
@@ -181,9 +175,6 @@ class UniformPiece:
     def unit_cdf(self, x):
         return np.clip((np.asarray(x, dtype=float) - self.a) / (self.b - self.a), 0.0, 1.0)
 
-    def unit_mean(self):
-        return 0.5 * (self.a + self.b)
-
     def unit_cauchy(self, w):
         return cauchy_uniform(self.a, self.b, w)
 
@@ -223,7 +214,7 @@ class TablePiece:
         if not np.all(np.isfinite(values)) or np.any(values < 0):
             raise MeasureError("table density values must be finite and >= 0")
         total = np.trapezoid(values, nodes)
-        if abs(total - 1.0) > 1e-6:
+        if abs(total - 1.0) > 1e-7:
             raise MeasureError(
                 f"table density must be unit-normalized (trapezoid mass {total:.3e}); "
                 "scale the values or adjust the weight instead"
@@ -255,11 +246,6 @@ class TablePiece:
         seg = v0 * dx + 0.5 * slope * (dx * dx)  # not dx**2, see SemicirclePiece.unit_cdf
         out = cum[idx] + np.where(x < nodes[0], 0.0, seg)
         return np.clip(np.where(x >= nodes[-1], cum[-1], out) / cum[-1], 0.0, 1.0)
-
-    def unit_mean(self):
-        nodes = np.asarray(self.nodes)
-        values = np.asarray(self.values)
-        return float(np.trapezoid(nodes * values, nodes))
 
     def unit_cauchy(self, w):
         return cauchy_table(self.nodes, self.values, w)
@@ -399,16 +385,13 @@ class SpectralMeasure:
                 raise MeasureError(f"piece interval {piece.interval} outside support {self.support}")
             intervals.append((plo, phi))
             cont_weight += piece.weight
-            # density sanity at the base quadrature nodes
+            # density sanity at the base quadrature nodes; the unit mass needs
+            # no check here: the closed-form families have it by construction
+            # and a table's trapezoid mass, exact for its piecewise-linear
+            # density, is checked when the piece is built
             dens = piece.unit_density(piece.param_to_t(_GL01_NODES))
             if not np.all(np.isfinite(dens)) or np.any(dens < -VALIDATION_TOL):
                 raise MeasureError("piece density is negative or non-finite at quadrature nodes")
-            try:
-                mass = integrate_piece(lambda t: np.ones_like(t), piece, rtol=1e-10)
-            except ConvergenceError as exc:
-                raise MeasureError(f"piece density cannot be integrated: {exc}") from exc
-            if abs(mass - 1.0) > 1e-7:
-                raise MeasureError(f"piece quadrature mass {mass} deviates from 1")
         intervals.sort()
         for (a0, b0), (a1, b1) in zip(intervals, intervals[1:]):
             if a1 < b0 - VALIDATION_TOL:
@@ -433,11 +416,6 @@ class SpectralMeasure:
             if abs(loc - x) <= tol:
                 return m
         return 0.0
-
-    def mean(self):
-        total = sum(x * m for x, m in self.atoms)
-        total += sum(p.weight * p.unit_mean() for p in self.continuous)
-        return total
 
     def cdf(self, x):
         """Right-continuous distribution function."""

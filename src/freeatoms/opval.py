@@ -5,14 +5,15 @@ X with law mu, the transform is G(z) = int (z - t a)^{-1} dmu(t) for z in
 the matrix upper half-plane, evaluated exactly: atoms as a resolvent sum,
 the continuous part through an eigendecomposition and the scalar closed
 forms of ``measure``.  The second half of the module computes the
-normalized kernel dimension k(t) of the pencil b - t a, its generic
-minimum, the finite exceptional set, and the kernel trace
+normalized kernel dimension k(t) of the pencil b - t a: its generic
+minimum k_min, its value at the atoms of mu, and the kernel trace
 
     tau_n(ker(b (x) 1 - a (x) X)) = k_min + sum_t (k(t) - k_min) mu({t}),
 
-where the sum runs over the atoms of mu.  The matrix conventions the
-other modules share live here too: the Hermitian check, the half-plane
-test, the rank rule and the [re, im] JSON form of complex matrices.
+where the sum runs over the atoms of mu, so k(t) is read nowhere else.
+The matrix conventions the other modules share live here too: the
+Hermitian check, the half-plane test, the rank rule and the [re, im]
+JSON form of complex matrices.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, HalfPlaneError
 from .measure import SpectralMeasure, integrate_piece
@@ -233,17 +233,16 @@ def pencil_kernel_rank(a, b, t: float) -> Fraction:
 
 @dataclass(frozen=True)
 class PencilKernelProfile:
-    """Generic kernel dimension of t -> ker(b - t a) and its exceptional points."""
+    """Generic kernel dimension of t -> ker(b - t a) and its value at the hinted points.
+
+    ``exceptional`` lists the hinted points, normally the atoms of the
+    law, where the kernel is larger than generic; the kernel trace reads
+    k(t) nowhere else.
+    """
 
     k_min: Fraction
-    exceptional: tuple  # ((t, k_t), ...) with k_t > k_min
+    exceptional: tuple  # ((t, k_t), ...) over the hints with k_t > k_min
     n: int
-
-    def k_at(self, t, tol=1e-9):
-        for loc, k in self.exceptional:
-            if abs(loc - t) <= tol:
-                return k
-        return self.k_min
 
     def kernel_trace(self, mu: SpectralMeasure) -> float:
         """tau_n(ker(b (x) 1 - a (x) X)) = k_min + sum_t (k(t) - k_min) mu({t})."""
@@ -253,49 +252,12 @@ class PencilKernelProfile:
         return total
 
 
-def _real_finite_eigs(b, a):
-    """Finite real generalized eigenvalues of (b, a): t with det(b - t a) = 0."""
-    try:
-        vals = scipy.linalg.eig(b, a, right=False)
-    except (np.linalg.LinAlgError, ValueError):
-        return []
-    out = []
-    for v in vals:
-        if not np.isfinite(v):
-            continue
-        if abs(v.imag) <= 1e-8 * (1.0 + abs(v.real)):
-            out.append(float(v.real))
-    return out
-
-
-def _candidate_points(a, b, rng, generic_rank):
-    """Conservative candidate exceptional points.
-
-    Regular pencils: QZ generalized eigenvalues of (b, a).  Singular
-    pencils (identically rank-deficient): compress twice with randomized
-    row/column bases taken at random shifts, collect eigenvalues of the
-    regular subpencils; k(t) is then re-verified on the full pencil.
-    """
-    n = a.shape[0]
-    if generic_rank == n:
-        return _real_finite_eigs(b, a)
-    if generic_rank == 0:
-        return []
-    cands = []
-    scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-    for _ in range(2):
-        s = float(rng.uniform(2.0, 4.0) * scale * (1 if rng.uniform() < 0.5 else -1))
-        m = b - s * a
-        u, sv, vh = np.linalg.svd(m)
-        r = generic_rank
-        q = u[:, :r]
-        w = vh[:r, :].conj().T
-        cands.extend(_real_finite_eigs(q.conj().T @ b @ w, q.conj().T @ a @ w))
-    return cands
-
-
 def kernel_profile(a, b, hints=()) -> PencilKernelProfile:
-    """Find k_min by randomized consensus (seeded draws) and the exceptional points above it."""
+    """k_min by randomized consensus (seeded draws), and k(t) at each hint above it.
+
+    Pass the atoms of the law as ``hints``: the kernel trace formula
+    reads k(t) only there, and a point that is no atom adds nothing.
+    """
     a = herm_part(check_hermitian(a, "a"))
     b = herm_part(check_hermitian(b, "b"))
     n = a.shape[0]
@@ -322,19 +284,12 @@ def kernel_profile(a, b, hints=()) -> PencilKernelProfile:
             "no generic-rank consensus after widening the sample interval",
             {"ranks": ranks},
         )
-    generic_rank = ranks[0]
-    k_min = Fraction(n - generic_rank, n)
+    k_min = Fraction(n - ranks[0], n)
 
-    cands = [float(h) for h in hints]
-    cands.extend(_candidate_points(a, b, rng, generic_rank))
-    # merge candidates that agree to roundoff; hints come first so the
-    # exact atom locations win over QZ roundoff neighbours
-    merged = []
-    for t in cands:
-        if all(abs(t - s) > 1e-9 * (1.0 + abs(t)) for s in merged):
-            merged.append(t)
+    # distinct atoms stay distinct however close they are: each one's
+    # k(t) enters the trace with its own mass
     exceptional = []
-    for t in sorted(merged):
+    for t in sorted({float(h) for h in hints}):
         k_t = Fraction(numerical_kernel_dim(b - t * a), n)
         if k_t > k_min:
             exceptional.append((t, k_t))

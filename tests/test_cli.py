@@ -54,6 +54,21 @@ def run_cli(argv):
     return cli.main(argv)
 
 
+def test_library_does_not_import_scipy():
+    import os
+    import subprocess
+    import sys
+
+    import freeatoms
+
+    env = dict(os.environ, PYTHONPATH=str(Path(freeatoms.__file__).parents[1]))
+    code = "import sys, freeatoms, freeatoms.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 class TestLinearizeCommand:
     @pytest.mark.parametrize("argv, code", [(["linearize", "--poly", "Z1*Z2+Z2*Z1"], 0), ([], 2)],
                              ids=["linearize", "no-arguments"])
@@ -125,6 +140,20 @@ class TestConvolveCommand:
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert len(out["grid"]) == 3
+
+    def test_strict_writes_output_before_exit(self, files, tmp_path, monkeypatch):
+        def negative_density(model, xs, **kwargs):
+            return np.column_stack([xs, np.full(len(xs), -1.0)])
+
+        monkeypatch.setattr(cli, "sum_density", negative_density)
+        out_file = tmp_path / "dens.json"
+        code = run_cli([
+            "convolve", "--mu1", files["bern"], "--mu2", files["bern"],
+            "--grid", "0:1:3", "--strict", "--out", str(out_file),
+        ])
+        assert code == cli.EXIT_STRICT
+        out = json.loads(out_file.read_text())  # written before the strict exit
+        assert out["density"] == [-1.0, -1.0, -1.0]
 
     def test_missing_measure_is_schema_error(self, files, capsys):
         code = run_cli(["convolve", "--mu1", "/nonexistent.json", "--mu2", files["bern"]])

@@ -161,13 +161,18 @@ class TestIntegratePiece:
             M.integrate_piece(lambda t: 1.0 / np.abs(t - 0.3), M.UniformPiece(0.0, 1.0, 1.0),
                               max_depth=4)
 
-    def test_validation_maps_non_convergence_to_measure_error(self, monkeypatch):
+    def test_construction_integrates_nothing(self, monkeypatch):
         def failing(*args, **kwargs):
-            raise ConvergenceError("quadrature failed to converge")
+            raise AssertionError("integrate_piece called")
 
         monkeypatch.setattr(M, "integrate_piece", failing)
-        with pytest.raises(MeasureError):
-            M.uniform_measure(0.0, 1.0)
+        M.SpectralMeasure(
+            atoms=((0.0, 0.2),),
+            continuous=(M.SemicirclePiece(-2.0, 1.0, 0.2), M.ArcsinePiece(0.5, 1.0, 0.2),
+                        M.UniformPiece(1.5, 2.0, 0.2),
+                        M.TablePiece((3.0, 3.5, 4.0), (0.0, 2.0, 0.0), 0.2)),
+            support=(-3.0, 4.0),
+        )
 
 
 class TestFScalar:
@@ -361,6 +366,11 @@ class TestValidation:
     def test_rejects_unnormalized_table(self):
         with pytest.raises(MeasureError):
             M.TablePiece((0.0, 1.0), (3.0, 3.0), 1.0)
+
+    def test_table_mass_off_by_3e_7_is_not_unit_normalized(self):
+        with pytest.raises(MeasureError, match="unit-normalized"):
+            M.SpectralMeasure(continuous=(M.TablePiece((0.0, 1.0), (1 + 3e-7, 1 + 3e-7), 1.0),),
+                              support=(0.0, 1.0))
 
     def test_requires_support(self):
         with pytest.raises(MeasureError):

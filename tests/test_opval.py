@@ -244,7 +244,7 @@ class TestPencilKernelRank:
 
 class TestKernelProfile:
     def test_diag_pencil(self):
-        prof = O.kernel_profile(np.diag([1.0, -1.0]), np.zeros((2, 2)))
+        prof = O.kernel_profile(np.diag([1.0, -1.0]), np.zeros((2, 2)), hints=[0.0])
         assert prof.k_min == 0
         assert prof.exceptional == ((0.0, Fraction(1, 1)),)
 
@@ -254,12 +254,26 @@ class TestKernelProfile:
         assert prof.exceptional == ()
 
     def test_generalized_eigs(self):
-        prof = O.kernel_profile(np.eye(2), np.diag([1.0, 2.0]))
+        prof = O.kernel_profile(np.eye(2), np.diag([1.0, 2.0]), hints=[2.0, 1.0])
         assert prof.k_min == 0
         assert [(round(t, 9), k) for t, k in prof.exceptional] == [
             (1.0, Fraction(1, 2)),
             (2.0, Fraction(1, 2)),
         ]
+
+    def test_reads_k_only_at_the_hints(self):
+        # det(b - t a) vanishes at t = 1 and t = 2, but only the hint is read
+        prof = O.kernel_profile(np.eye(2), np.diag([1.0, 2.0]), hints=[2.0])
+        assert prof.exceptional == ((2.0, Fraction(1, 2)),)
+        assert O.kernel_profile(np.eye(2), np.diag([1.0, 2.0])).exceptional == ()
+
+    def test_close_atoms_are_not_merged(self):
+        # two atoms 1e-4 apart at 1e6 are each an exceptional point
+        t1, t2 = 1e6, 1e6 + 1e-4
+        mu = M.atomic_measure([(t1, 0.5), (t2, 0.5)])
+        prof = O.kernel_profile(np.eye(2), np.diag([t1, t2]), hints=[t1, t2, t1])
+        assert prof.exceptional == ((t1, Fraction(1, 2)), (t2, Fraction(1, 2)))
+        assert prof.kernel_trace(mu) == pytest.approx(0.5, abs=1e-12)
 
     def test_hints_are_checked_not_trusted(self):
         prof = O.kernel_profile(np.eye(2), np.diag([1.0, 2.0]), hints=[5.0])
@@ -269,7 +283,7 @@ class TestKernelProfile:
         # rank-1 pencil: b - t a singular for all t, exceptional point at t=2
         a = np.diag([1.0, 0.0])
         b = np.diag([2.0, 0.0])
-        prof = O.kernel_profile(a, b)
+        prof = O.kernel_profile(a, b, hints=[2.0])
         assert prof.k_min == Fraction(1, 2)
         assert [(round(t, 9), k) for t, k in prof.exceptional] == [(2.0, Fraction(1, 1))]
 
@@ -285,8 +299,9 @@ class TestKernelProfile:
             c = v @ v.conj().T
             b = t0 * a + c
             prof = O.kernel_profile(a, b, hints=[t0])
-            assert prof.k_at(t0) >= Fraction(r, n)
-            assert prof.k_at(t0) > prof.k_min
+            k_t0 = dict(prof.exceptional)[t0]
+            assert k_t0 >= Fraction(r, n)
+            assert k_t0 > prof.k_min
 
 
 class TestPencilKernelTrace:

@@ -66,7 +66,8 @@ class TestRealizePair:
         spec = rmt.EnsembleSpec(N=400, trials=1, seed=8, mu1=MU1, mu2=MU2)
         A1, A2 = rmt.realize_pair(spec)
         lhs = np.trace(A1 @ A2).real / 400
-        assert lhs == pytest.approx(MU1.mean() * MU2.mean(), abs=3 / np.sqrt(400))
+        mean1, mean2 = (sum(x * m for x, m in mu.atoms) for mu in (MU1, MU2))
+        assert lhs == pytest.approx(mean1 * mean2, abs=3 / np.sqrt(400))
 
     def test_reduced_realization_same_law(self):
         # p(D1, U D2 U*) has exactly the spectrum of a conjugated full draw
