@@ -201,11 +201,14 @@ def _cmd_linearize(cfg):
 def _cmd_convolve(cfg):
     model = _build_model(cfg)
     xs = _grid_points(cfg)
-    data = sum_density(model, xs, y_eval=cfg.y_eval, tol=cfg.tol)
+    data, solve = sum_density(model, xs, y_eval=cfg.y_eval, tol=cfg.tol)
     rows = [(f"{x:.12g}", f"{d:.12g}") for x, d in data]
     payload = {"grid": [float(x) for x in data[:, 0]],
                "density": [float(d) for d in data[:, 1]],
-               "y_eval": cfg.y_eval}
+               "y_eval": cfg.y_eval,
+               "max_residual": float(max(np.max(solve.residual_fixed_point),
+                                         np.max(solve.residual_consistency))),
+               "iterations": solve.iterations}
     _emit(cfg, payload, csv_rows=rows, csv_header=("x", "density"))
     if cfg.strict and np.any(data[:, 1] < -1e-8):
         return EXIT_STRICT

@@ -19,6 +19,7 @@ JSON form of complex matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -45,29 +46,36 @@ _PROFILE_SEED = 0x5EED  # every kernel_profile draws from this seed
 
 
 def imag_part(z):
-    """Matrix imaginary part (z - z*) / 2i."""
+    """Matrix imaginary part (z - z*) / 2i, slice by slice over leading axes."""
     z = np.asarray(z, dtype=complex)
-    return (z - z.conj().T) / 2j
+    return (z - z.conj().swapaxes(-1, -2)) / 2j
 
 
 def herm_part(z):
     z = np.asarray(z, dtype=complex)
-    return (z + z.conj().T) / 2
+    return (z + z.conj().swapaxes(-1, -2)) / 2
 
 
 def min_imag_eig(z):
-    """Smallest eigenvalue of the imaginary part of z."""
-    return float(np.linalg.eigvalsh(imag_part(z))[0])  # ascending order
+    """Smallest eigenvalue of the imaginary part of z: a float, or an array over a stack."""
+    gap = np.linalg.eigvalsh(imag_part(z))[..., 0]  # ascending order
+    return float(gap) if gap.ndim == 0 else gap
 
 
 def validate_upper(z, where="argument"):
+    """z as a complex array: one square point (n, n) or a stack (K, n, n) in H+_n.
+
+    A stack is checked slice by slice, and the error names the first bad slice.
+    """
     z = np.atleast_2d(np.asarray(z, dtype=complex))
-    if z.shape[0] != z.shape[1]:
-        raise HalfPlaneError(f"{where} must be square, got shape {z.shape}")
-    gap = min_imag_eig(z)
-    if not gap > 0.0:
+    if z.ndim > 3 or z.shape[-1] != z.shape[-2]:
+        raise HalfPlaneError(f"{where} must be square or a stack of squares, got shape {z.shape}")
+    gap = np.atleast_1d(min_imag_eig(z))
+    if not (gap > 0.0).all():
+        k = int(np.flatnonzero(~(gap > 0.0))[0])
+        at = f"{where}[{k}]" if z.ndim == 3 else where
         raise HalfPlaneError(
-            f"{where} must have positive definite imaginary part (min eigenvalue {gap:.3e})"
+            f"{at} must have positive definite imaginary part (min eigenvalue {gap[k]:.3e})"
         )
     return z
 
@@ -107,33 +115,31 @@ def unpack_matrix(flat, n):
 class Coefficient:
     """A Hermitian coefficient prepared for transforms at many points z.
 
-    Holds the exactly Hermitian matrix ``a`` and the z-independent part
-    of the continuous transform: an eigenbasis ``U`` of ``a`` with the
-    live (nonzero) eigenvalues ``d`` first, its adjoint ``Uh`` and the
-    rank ``r``.  A solve prepares each coefficient once and evaluates
-    every step's transform with it.
+    Holds the exactly Hermitian matrix ``a``.  The z-independent part of
+    the continuous transform, :attr:`split`, is computed on first use, so
+    a solve on atomic laws never pays for it.
     """
-
-    __slots__ = ("a", "U", "Uh", "d", "r")
 
     def __init__(self, a):
         self.a = herm_part(check_hermitian(a))
+
+    @cached_property
+    def split(self):
+        """(U, Uh, d): an eigenbasis U of ``a`` with the live (nonzero) eigenvalues d first, and Uh = U*."""
         d, U = np.linalg.eigh(self.a)
         live = np.abs(d) > self.a.shape[0] * np.finfo(float).eps * np.abs(d).max()
-        self.U = np.concatenate([U[:, live], U[:, ~live]], axis=1)
-        self.Uh = self.U.conj().T
-        self.d = d[live]
-        self.r = self.d.size
+        U = np.concatenate([U[:, live], U[:, ~live]], axis=1)
+        return U, U.conj().T, d[live]
 
 
 def _resolvents(a, z, ts):
-    """The stack (z - t a)^{-1} over the points ``ts``."""
+    """(z - t a)^{-1} over the points ``ts``, stacked on a new first axis."""
     ts = np.asarray(ts, dtype=float)
-    return np.linalg.inv(z[None, :, :] - ts[:, None, None] * a[None, :, :])
+    return np.linalg.inv(z - ts.reshape((-1,) + (1,) * z.ndim) * a)
 
 
 def _continuous_cauchy(c: Coefficient, mu: SpectralMeasure, z) -> np.ndarray:
-    """int (z - t a)^{-1} over the continuous part of mu, in closed form.
+    """int (z - t a)^{-1} over the continuous part of mu at a stack z (K, n, n), in closed form.
 
     In an eigenbasis of a, its kernel N is split off exactly: with the
     Schur complement S = z_RR - z_RN z_NN^{-1} z_NR on the range R
@@ -144,39 +150,50 @@ def _continuous_cauchy(c: Coefficient, mu: SpectralMeasure, z) -> np.ndarray:
     No w_i is real, since S - t d is invertible for every real t.
     Keeping the kernel out of the eigenproblem matters: a zero
     eigenvalue of z^{-1} a next to small nonzero ones (singular pencils
-    near an atom) makes the eigenbasis ill-conditioned.
+    near an atom) makes the eigenbasis ill-conditioned.  The slices
+    whose eigenbasis is too ill-conditioned are integrated by quadrature.
     """
-    n, r, d = c.a.shape[0], c.r, c.d
+    U, Uh, d = c.split
+    n, r = z.shape[-1], d.size
     weight = mu.continuous_weight
     if r == 0:
         return weight * np.linalg.inv(z)
-    zu = c.Uh @ z @ c.U
-    s = zu[:r, :r]
+    zu = Uh @ z @ U
+    s = zu[:, :r, :r]
     if r < n:
-        znn_inv = np.linalg.inv(zu[r:, r:])
-        left = zu[:r, r:] @ znn_inv  # z_RN z_NN^{-1}
-        right = znn_inv @ zu[r:, :r]  # z_NN^{-1} z_NR
-        s = s - left @ zu[r:, :r]
+        znn_inv = np.linalg.inv(zu[:, r:, r:])
+        left = zu[:, :r, r:] @ znn_inv  # z_RN z_NN^{-1}
+        right = znn_inv @ zu[:, r:, :r]  # z_NN^{-1} z_NR
+        s = s - left @ zu[:, r:, :r]
     w, V = np.linalg.eig(s / d[:, None])
     Vinv = np.linalg.inv(V)
-    if np.abs(V).sum(axis=0).max() * np.abs(Vinv).sum(axis=0).max() > _EIG_COND_LIMIT:
-        return sum(p.weight * integrate_piece(lambda ts: _resolvents(c.a, z, ts), p)
-                   for p in mu.continuous)
-    g = (V * mu.continuous_cauchy(w)) @ (Vinv / d[None, :])
+    g = (V * mu.continuous_cauchy(w)[:, None, :]) @ (Vinv / d)
     if r < n:
-        g = np.block([[g, -g @ left], [-right @ g, weight * znn_inv + right @ g @ left]])
-    return c.U @ g @ c.Uh
+        block = np.empty_like(z)
+        block[:, :r, :r] = g
+        block[:, :r, r:] = -g @ left
+        block[:, r:, :r] = -right @ g
+        block[:, r:, r:] = weight * znn_inv + right @ g @ left
+        g = block
+    g = U @ g @ Uh
+    cond = np.abs(V).sum(axis=-2).max(axis=-1) * np.abs(Vinv).sum(axis=-2).max(axis=-1)
+    for k in np.flatnonzero(cond > _EIG_COND_LIMIT):
+        g[k] = sum(p.weight * integrate_piece(lambda ts, zk=z[k]: _resolvents(c.a, zk, ts), p)
+                   for p in mu.continuous)
+    return g
 
 
-def matrix_cauchy(a, mu: SpectralMeasure, z) -> np.ndarray:
+def matrix_cauchy(a, mu: SpectralMeasure, z, *, check_upper=True) -> np.ndarray:
     """G(z) = int (z - t a)^{-1} dmu(t); maps H+_n into H-_n.
 
-    ``a`` is a :class:`Coefficient` or a Hermitian array, which is
-    prepared here.
+    ``z`` is one point (n, n) or a stack (K, n, n), evaluated slice by
+    slice in one pass.  ``a`` is a :class:`Coefficient` or a Hermitian
+    array, which is prepared here.  ``check_upper=False`` skips the
+    half-plane check of z, for a caller that has just made it itself.
     """
     c = a if isinstance(a, Coefficient) else Coefficient(a)
-    z = validate_upper(z, "z")
-    n = z.shape[0]
+    z = validate_upper(z, "z") if check_upper else z
+    n = z.shape[-1]
     if c.a.shape != (n, n):
         raise ValueError(f"coefficient shape {c.a.shape} does not match point shape {z.shape}")
     total = None
@@ -185,17 +202,18 @@ def matrix_cauchy(a, mu: SpectralMeasure, z) -> np.ndarray:
         for (_loc, m), r in zip(mu.atoms, res):
             total = m * r if total is None else total + m * r
     if mu.continuous:
-        g = _continuous_cauchy(c, mu, z)
+        g = _continuous_cauchy(c, mu, z.reshape(-1, n, n)).reshape(z.shape)
         total = g if total is None else total + g
     return np.asarray(total, dtype=complex)
 
 
-def matrix_f(a, mu: SpectralMeasure, z) -> np.ndarray:
+def matrix_f(a, mu: SpectralMeasure, z, *, check_upper=True) -> np.ndarray:
     """Reciprocal transform F(z) = G(z)^{-1}; self-map of H+_n with Im F >= Im z.
 
-    ``a`` is a :class:`Coefficient` or a Hermitian array.
+    ``a`` is a :class:`Coefficient` or a Hermitian array; ``z`` and
+    ``check_upper`` are as for :func:`matrix_cauchy`.
     """
-    return np.linalg.inv(matrix_cauchy(a, mu, z))
+    return np.linalg.inv(matrix_cauchy(a, mu, z, check_upper=check_upper))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +260,6 @@ class PencilKernelProfile:
 
     k_min: Fraction
     exceptional: tuple  # ((t, k_t), ...) over the hints with k_t > k_min
-    n: int
 
     def kernel_trace(self, mu: SpectralMeasure) -> float:
         """tau_n(ker(b (x) 1 - a (x) X)) = k_min + sum_t (k(t) - k_min) mu({t})."""
@@ -293,7 +310,7 @@ def kernel_profile(a, b, hints=()) -> PencilKernelProfile:
         k_t = Fraction(numerical_kernel_dim(b - t * a), n)
         if k_t > k_min:
             exceptional.append((t, k_t))
-    return PencilKernelProfile(k_min=k_min, exceptional=tuple(exceptional), n=n)
+    return PencilKernelProfile(k_min=k_min, exceptional=tuple(exceptional))
 
 
 def pencil_kernel_trace(a, b, mu: SpectralMeasure) -> float:

@@ -82,172 +82,271 @@ def scalar_model(mu1, mu2):
 
 @dataclass
 class SubordinationResult:
-    """omega1, omega2 at z, and cauchy = G1(omega1), the free sum's G(z)."""
+    """omega1, omega2 at z, and cauchy = G1(omega1), the free sum's G(z).
+
+    For a stack z (K, n, n) the matrices are stacks and both residuals
+    are arrays with one entry per point; ``iterations`` and
+    ``lifted_evaluations`` are totals over the points.
+    """
 
     omega1: np.ndarray
     omega2: np.ndarray
     cauchy: np.ndarray
-    residual_fixed_point: float
-    residual_consistency: float
+    residual_fixed_point: float | np.ndarray
+    residual_consistency: float | np.ndarray
     iterations: int
     lifted_evaluations: int = 0
 
 
-def _norm(m):
-    """Spectral norm: the largest singular value (LAPACK sorts them descending)."""
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+def _norms(m):
+    """Spectral norm of each slice: its largest singular value (LAPACK sorts them descending)."""
+    return np.linalg.svd(m, compute_uv=False)[..., 0]
 
 
-def _lift_if_needed(w, floor):
-    """Lift Im w to ``floor`` when roundoff left it below (safeguard only)."""
+def _lift(w, floor):
+    """Lift Im w to ``floor`` in the slices where roundoff left it below (safeguard only).
+
+    Returns the stack and the number of lifted slices.
+    """
     gap = min_imag_eig(w)
-    if gap < floor:
-        return w + 1j * (floor - gap) * np.eye(w.shape[0])
-    return w
+    low = gap < floor
+    if not low.any():
+        return w, 0
+    w = w.copy()
+    w[low] += 1j * (floor - gap)[low, None, None] * np.eye(w.shape[-1])
+    return w, int(low.sum())
+
+
+def _least_squares(a, b):
+    """Minimum-norm least-squares solution of a x = b for each slice of a stack.
+
+    A thin SVD per slice with the cutoff of ``lstsq(rcond=None)``:
+    singular values up to eps * max(rows, columns) * sigma_1 count as
+    zero, so a rank-deficient history still has a solution.
+    """
+    u, sv, vh = np.linalg.svd(a, full_matrices=False)
+    keep = sv > np.finfo(float).eps * max(a.shape[-2:]) * sv[..., :1]
+    coef = np.divide((u.conj().swapaxes(-1, -2) @ b[..., None])[..., 0], sv,
+                     out=np.zeros(sv.shape, dtype=complex), where=keep)
+    return (vh.conj().swapaxes(-1, -2) @ coef[..., None])[..., 0]
 
 
 _STALL_WINDOW = 60
 _STALL_FLOOR = 1e-8
 
 
-def _anderson_fixed_point(step, w0, tol, im_floor=0.0):
-    """Anderson-accelerated fixed point iteration on matrices in H+_n.
+def _damp(fw, w, low, im_floor):
+    """Average each low plain step with its iterate (factor 1/2, up to 8 times).
 
-    ``step`` must be a self-map of the upper half-plane.  Accelerated
-    candidates outside the half-plane fall back to the plain step; a
-    plain step that loses positivity by roundoff is averaged with the
-    previous iterate (factor 1/2, up to 8 times) before giving up.
-    Very close to the real axis the map evaluation itself carries an
-    eps/y conditioning floor, so a stalled iteration with a residual
-    already at that floor is accepted and reported honestly.
+    Every slice flagged in ``low`` stops at its first average above its
+    ``im_floor``.  Returns the repaired stack and the slices that never
+    got there.
     """
-    w = np.array(w0, dtype=complex)
+    fw = fw.copy()
+    todo = np.flatnonzero(low)
+    for _ in range(8):
+        fw[todo] = 0.5 * (fw[todo] + w[todo])
+        todo = todo[~(min_imag_eig(fw[todo]) > im_floor[todo])]
+        if not todo.size:
+            break
+    return fw, todo
+
+
+def _gather(parts):
+    """Solutions, residuals and iteration counts in point order.
+
+    ``parts`` holds (rows, solutions, residuals, iterations) in the order
+    the points left the stack; a lone part holds every point in order.
+    """
+    if len(parts) == 1:
+        rows, w, res, it = parts[0]
+        return w, res, np.full(len(rows), it)
+    k_all = sum(len(rows) for rows, *_ in parts)
+    sol = np.empty((k_all,) + parts[0][1].shape[1:], dtype=complex)
+    sol_res, sol_it = np.empty(k_all), np.empty(k_all, dtype=int)
+    for rows, w, res, it in parts:
+        sol[rows], sol_res[rows], sol_it[rows] = w, res, it
+    return sol, sol_res, sol_it
+
+
+def _anderson_fixed_point(step, w0, args, tol, im_floor, points):
+    """Anderson-accelerated fixed point iteration on a stack of matrices in H+_n.
+
+    ``step(w, *args)`` must map each slice of w into the upper
+    half-plane; ``args`` and ``im_floor`` hold one entry per point and
+    travel with it, and ``points`` numbers the points in errors.  Every
+    point follows the rules of a lone iteration.  Accelerated candidates
+    outside the half-plane fall back to the plain step; a plain step
+    that loses positivity by roundoff is averaged with the previous
+    iterate (factor 1/2, up to 8 times) before giving up.  Very close to
+    the real axis the map evaluation itself carries an eps/y
+    conditioning floor, so a stalled iteration with a residual already
+    at that floor is accepted and reported honestly.  The history has
+    the same length at every point, so one batched least-squares solve
+    serves the stack; a point leaves the stack when it converges or
+    stalls.  Returns the solutions, residuals and iteration counts.
+    """
+    k_all = w0.shape[0]
+    live = np.arange(k_all)  # rows of w0 still iterating
+    parts = []  # (rows, solutions, residuals, iterations) as points leave
+    w = w0
     dw_hist, dr_hist = [], []
-    prev_w = None
-    prev_r = None
-    best_w, best_res, best_it = None, np.inf, 0
+    prev_w = prev_r = None
+    best_w, best_res, best_it = w, np.full(k_all, np.inf), np.zeros(k_all, dtype=int)
     for it in range(1, MAX_ITER + 1):
-        fw = step(w)
-        if min_imag_eig(fw) <= im_floor:
+        fw = step(w, *args)
+        high = min_imag_eig(fw) > im_floor
+        if not high.all():
             # roundoff pushed the plain step too close to the real axis: damp
-            recovered = False
-            cand = fw
-            for _ in range(8):
-                cand = 0.5 * (cand + w)
-                if min_imag_eig(cand) > im_floor:
-                    recovered = True
-                    break
-            if not recovered:
+            fw, failed = _damp(fw, w, ~high, im_floor)
+            if failed.size:
                 raise ConvergenceError(
                     "iterate left the upper half-plane and damping failed",
-                    {"iterations": it},
+                    {"iterations": it, "point": int(points[live[failed[0]]])},
                 )
-            fw = cand
         r = fw - w
-        res = _norm(r)
-        if res < best_res:
-            best_w, best_res, best_it = w, res, it
-        if res <= tol:
-            return w, res, it
-        if it - best_it >= _STALL_WINDOW and best_res <= _STALL_FLOOR:
-            return best_w, best_res, it
+        res = _norms(r)
+        better = res < best_res
+        if better.all():
+            best_w, best_res = w, res
+        elif better.any():
+            best_w = np.where(better[:, None, None], w, best_w)
+            best_res = np.where(better, res, best_res)
+        best_it[better] = it
+        converged = done = res <= tol
+        if it >= _STALL_WINDOW:
+            done = converged | ((it - best_it >= _STALL_WINDOW) & (best_res <= _STALL_FLOOR))
+        if done.any():
+            # a converged point keeps its iterate, a stalled one its best
+            w_out, res_out = w, res
+            if not converged.all():
+                w_out = np.where(converged[:, None, None], w, best_w)
+                res_out = np.where(converged, res, best_res)
+            if done.all():
+                parts.append((live, w_out, res_out, it))
+                return _gather(parts)
+            parts.append((live[done], w_out[done], res_out[done], it))
+            keep = ~done
+            live, w, fw, r = live[keep], w[keep], fw[keep], r[keep]
+            best_w, best_res, best_it = best_w[keep], best_res[keep], best_it[keep]
+            args = tuple(a[keep] for a in args)
+            im_floor = im_floor[keep]
+            if prev_w is not None:
+                prev_w, prev_r = prev_w[keep], prev_r[keep]
+                dw_hist = [h[keep] for h in dw_hist]
+                dr_hist = [h[keep] for h in dr_hist]
         if prev_w is not None:
-            dw_hist.append((w - prev_w).reshape(-1))
-            dr_hist.append((r - prev_r).reshape(-1))
+            dw_hist.append((w - prev_w).reshape(len(w), -1))
+            dr_hist.append((r - prev_r).reshape(len(w), -1))
             if len(dw_hist) > _ANDERSON_MEMORY:
                 dw_hist.pop(0)
                 dr_hist.pop(0)
         prev_w, prev_r = w, r
         w_next = fw
         if dr_hist:
-            R = np.stack(dr_hist, axis=1)
-            W = np.stack(dw_hist, axis=1)
-            gamma, *_ = np.linalg.lstsq(R, r.reshape(-1), rcond=None)
-            cand = fw - ((W + R) @ gamma).reshape(w.shape)
-            if min_imag_eig(cand) > im_floor:
-                w_next = cand
+            R = np.stack(dr_hist, axis=-1)
+            W = np.stack(dw_hist, axis=-1)
+            gamma = _least_squares(R, r.reshape(len(r), -1))
+            cand = fw - ((W + R) @ gamma[..., None]).reshape(w.shape)
+            ok = min_imag_eig(cand) > im_floor
+            w_next = cand if ok.all() else np.where(ok[:, None, None], cand, fw)
         w = w_next
-    fw = step(w)
-    res = _norm(fw - w)
-    if res <= max(tol, _STALL_FLOOR) or best_res <= _STALL_FLOOR:
-        if best_res < res:
-            return best_w, best_res, MAX_ITER
-        return w, res, MAX_ITER
-    raise ConvergenceError(
-        f"subordination iteration did not reach tol={tol:g} "
-        f"within {MAX_ITER} iterations (residual {res:.3e})",
-        {"residual": res, "iterations": MAX_ITER},
-    )
+    fw = step(w, *args)
+    res = _norms(fw - w)
+    accepted = (res <= max(tol, _STALL_FLOOR)) | (best_res <= _STALL_FLOOR)
+    if not accepted.all():
+        k = int(np.flatnonzero(~accepted)[0])
+        raise ConvergenceError(
+            f"subordination iteration did not reach tol={tol:g} "
+            f"within {MAX_ITER} iterations (residual {res[k]:.3e})",
+            {"residual": float(res[k]), "iterations": MAX_ITER, "point": int(points[live[k]])},
+        )
+    use_best = best_res < res
+    parts.append((live, np.where(use_best[:, None, None], best_w, w),
+                  np.where(use_best, best_res, res), MAX_ITER))
+    return _gather(parts)
 
 
 def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL,
                         warm_start=None) -> SubordinationResult:
     """Solve the subordination fixed point at z in H+_n.
 
-    Deterministic for fixed (model, z, tol).  ``warm_start`` seeds the
-    iteration with a previously computed omega1 (ladder continuation);
-    evaluations at very small Im z without a warm start are continued
-    down an internal geometric ladder automatically.  G1(omega1) is
-    evaluated once at the solution; omega2 = F1(omega1) - omega1 + z and
-    both residuals are derived from it.
+    ``z`` is one point (n, n) or a stack (K, n, n) of points solved
+    together, each by the rules of a lone solve; one point is the K = 1
+    case.  Deterministic for fixed (model, z, tol).  ``warm_start``
+    seeds the iteration with previously computed omega1 (ladder
+    continuation); points at very small Im z without a warm start are
+    continued down an internal geometric ladder automatically.
+    G1(omega1) is evaluated once at the solution; omega2 = F1(omega1) -
+    omega1 + z and both residuals are derived from it.  A point that
+    fails raises ConvergenceError with its stack index as ``point`` in
+    the details.
     """
     z = validate_upper(z, "z")
     if not (tol > 0 and math.isfinite(tol)):
         raise PreconditionError(f"tol must be positive and finite, got {tol!r}")
+    single = z.ndim == 2
+    zs = z[None] if single else z
     a1, a2 = Coefficient(model.a1), Coefficient(model.a2)
     lifts = [0]
 
-    def step_at(zz):
-        y_floor = 0.25 * min_imag_eig(zz)
+    # every iterate passed the iteration's floor check (a NaN fails it) and
+    # every lifted point sits on its floor, so the transforms skip their check
+    def step(w, zz, y_floor):
+        u = matrix_f(a1, model.mu1, w, check_upper=False) - w + zz  # h1(w) + z
+        # exact arithmetic guarantees Im u >= Im zz; near the real axis
+        # the inversion error can break that by O(eps/y), so lift the
+        # evaluation point back to a quarter of the guaranteed height
+        lifted, count = _lift(u, y_floor)
+        lifts[0] += count
+        return matrix_f(a2, model.mu2, lifted, check_upper=False) - lifted + zz  # h2(lifted) + z
 
-        def step(w):
-            u = matrix_f(a1, model.mu1, w) - w + zz  # h1(w) + z
-            # exact arithmetic guarantees Im u >= Im zz; near the real axis
-            # the inversion error can break that by O(eps/y), so lift the
-            # evaluation point back to a quarter of the guaranteed height
-            lifted = _lift_if_needed(u, y_floor)
-            if lifted is not u:
-                lifts[0] += 1
-            return matrix_f(a2, model.mu2, lifted) - lifted + zz  # h2(lifted) + z
+    y_here = min_imag_eig(zs)
+    if warm_start is None:
+        w0 = zs
+    else:
+        w0 = np.array(warm_start, dtype=complex).reshape(zs.shape)
+        cold = ~(min_imag_eig(w0) > 0)
+        w0[cold] = zs[cold]
 
-        return step
-
-    y_here = min_imag_eig(z)
-    w0 = np.array(z if warm_start is None else warm_start, dtype=complex)
-    if min_imag_eig(w0) <= 0:
-        w0 = np.array(z, dtype=complex)
-
-    if warm_start is None and y_here < 1e-6:
+    if warm_start is None and (y_here < 1e-6).any():
         # continuation ladder: reuse omega from larger heights as warm start
-        herm = herm_part(z)
-        im = imag_part(z)
+        deep = np.flatnonzero(y_here < 1e-6)
+        w0 = w0.copy()
+        herm, im, y_deep = herm_part(zs[deep]), imag_part(zs[deep]), y_here[deep]
         y = _LADDER_START
-        while y > y_here * 2:
-            zz = herm + 1j * (im + (y - y_here) * np.eye(model.n))
-            w0, _, _ = _anderson_fixed_point(step_at(zz), w0, max(tol, 1e-10),
-                                             im_floor=0.5 * (y_here + y))
+        while (on := y > y_deep * 2).any():
+            zz = herm[on] + 1j * (im[on] + (y - y_deep[on])[:, None, None] * np.eye(model.n))
+            rows = deep[on]
+            w0[rows], _, _ = _anderson_fixed_point(
+                step, w0[rows], (zz, 0.25 * min_imag_eig(zz)), max(tol, 1e-10),
+                0.5 * (y_deep[on] + y), rows)
             y /= 4.0
 
-    omega1, res, iters = _anderson_fixed_point(step_at(z), w0, tol, im_floor=0.5 * y_here)
+    omega1, _, iters = _anderson_fixed_point(step, w0, (zs, 0.25 * y_here), tol,
+                                             0.5 * y_here, np.arange(len(zs)))
     g1 = matrix_cauchy(a1, model.mu1, omega1)
     f1 = np.linalg.inv(g1)
-    omega2 = _lift_if_needed((f1 - omega1) + z, 0.25 * y_here)
+    omega2, _ = _lift((f1 - omega1) + zs, 0.25 * y_here)
     f2 = matrix_f(a2, model.mu2, omega2)
-    residual_fixed = _norm(omega1 + omega2 - z - f1)
-    residual_cons = _norm(f1 - f2)
+    residual_fixed = _norms(omega1 + omega2 - zs - f1)
+    residual_cons = _norms(f1 - f2)
+    if single:
+        omega1, omega2, g1 = omega1[0], omega2[0], g1[0]
+        residual_fixed, residual_cons = float(residual_fixed[0]), float(residual_cons[0])
     return SubordinationResult(
         omega1=omega1,
         omega2=omega2,
         cauchy=g1,
         residual_fixed_point=residual_fixed,
         residual_consistency=residual_cons,
-        iterations=iters,
+        iterations=int(iters.sum()),
         lifted_evaluations=lifts[0],
     )
 
 
 def sum_cauchy(model: FreeSumModel, z, tol: float = DEFAULT_TOL, warm_start=None):
-    """Cauchy transform of the free sum at z: G(z) = G1(omega1(z))."""
+    """Cauchy transform of the free sum at z (one point or a stack): G(z) = G1(omega1(z))."""
     result = solve_subordination(model, z, tol=tol, warm_start=warm_start)
     return result.cauchy, result
 
@@ -255,18 +354,25 @@ def sum_cauchy(model: FreeSumModel, z, tol: float = DEFAULT_TOL, warm_start=None
 def sum_density(model: FreeSumModel, grid, y_eval: float = 1e-4, tol: float = DEFAULT_TOL):
     """Smoothed spectral density -(1/pi) Im tr_n G(x + i y_eval) on a grid.
 
-    Points are swept left to right with warm starts, so a fine grid is
-    cheap.  Returns an array of (x, density) pairs.
+    The whole grid is one stacked solve, every point started cold at
+    w0 = z.  Returns the array of (x, density) pairs and the solve's
+    :class:`SubordinationResult`, with its per-point residuals.  A point
+    that fails raises ConvergenceError with its x in the details.
     """
     if not (y_eval > 0 and math.isfinite(y_eval)):
         raise PreconditionError(f"y_eval must be positive and finite, got {y_eval!r}")
     n = model.n
     eye = np.eye(n)
-    out = np.empty((len(grid), 2))
-    warm = None
-    for i, x in enumerate(grid):
-        z = float(x) * eye + 1j * y_eval * eye
-        g, result = sum_cauchy(model, z, tol=tol, warm_start=warm)
-        warm = result.omega1
-        out[i] = (float(x), -np.trace(g).imag / (np.pi * n))
-    return out
+    xs = np.asarray(grid, dtype=float)
+    if not xs.size:
+        raise PreconditionError("the grid has no points")
+    z = xs[:, None, None] * eye + 1j * y_eval * eye
+    try:
+        result = solve_subordination(model, z, tol=tol)
+    except ConvergenceError as exc:
+        if "point" not in exc.details:
+            raise
+        x = float(xs[exc.details["point"]])
+        raise ConvergenceError(f"{exc} at x={x:.12g}", {**exc.details, "x": x}) from exc
+    density = -np.trace(result.cauchy, axis1=-2, axis2=-1).imag / (np.pi * n)
+    return np.column_stack([xs, density]), result

@@ -67,7 +67,7 @@ def test_criterion_1_arcsine_fixture():
         assert worst < 1e-9, f"omega error {worst:.2e}"
         # density at y = 1e-4 against 1/(pi sqrt(4 - x^2))
         xs = np.linspace(-1.9, 1.9, 96)
-        dens = sum_density(model, xs, y_eval=1e-4, tol=1e-12)
+        dens, _ = sum_density(model, xs, y_eval=1e-4, tol=1e-12)
         exact = 1.0 / (np.pi * np.sqrt(4.0 - xs**2))
         err = np.max(np.abs(dens[:, 1] - exact))
         assert err < 1e-3, f"density L-inf error {err:.2e}"
@@ -77,7 +77,7 @@ def test_criterion_2_semicircle_stability():
     with _Criterion(2, 10.0):
         model = scalar_model(SC2, SC2)
         xs = np.linspace(-2.7, 2.7, 96)
-        dens = sum_density(model, xs, y_eval=1e-4, tol=1e-12)
+        dens, _ = sum_density(model, xs, y_eval=1e-4, tol=1e-12)
         exact = np.sqrt(np.maximum(8.0 - xs**2, 0.0)) / (4.0 * np.pi)
         err = np.max(np.abs(dens[:, 1] - exact))
         assert err < 1e-3, f"density L-inf error {err:.2e}"

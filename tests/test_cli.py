@@ -5,13 +5,14 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeatoms import cli, rmt
+from freeatoms import cli, rmt, subord
 from freeatoms.atoms import AtomReport
 from freeatoms.linearize import LinearPencil
 from freeatoms.measure import SpectralMeasure
@@ -140,10 +141,26 @@ class TestConvolveCommand:
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert len(out["grid"]) == 3
+        # what the one stacked solve of the grid did
+        assert 0.0 <= out["max_residual"] <= 1e-12
+        assert isinstance(out["iterations"], int) and out["iterations"] >= 3
+
+    def test_failing_point_exits_3_with_its_x(self, files, capsys, monkeypatch):
+        # on the +-1 Bernoulli pair x = -3 converges in 6 iterations, x = 0 needs about 40
+        monkeypatch.setattr(subord, "MAX_ITER", 12)
+        code = run_cli([
+            "convolve", "--mu1", files["bern"], "--mu2", files["bern"], "--grid=-3:0:2",
+        ])
+        assert code == cli.EXIT_NOCONV
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["details"]["x"] == 0.0
+        assert "at x=0" in diag["error"]
 
     def test_strict_writes_output_before_exit(self, files, tmp_path, monkeypatch):
         def negative_density(model, xs, **kwargs):
-            return np.column_stack([xs, np.full(len(xs), -1.0)])
+            solve = SimpleNamespace(residual_fixed_point=np.zeros(len(xs)),
+                                    residual_consistency=np.zeros(len(xs)), iterations=0)
+            return np.column_stack([xs, np.full(len(xs), -1.0)]), solve
 
         monkeypatch.setattr(cli, "sum_density", negative_density)
         out_file = tmp_path / "dens.json"

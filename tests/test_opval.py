@@ -182,16 +182,116 @@ class TestPreparedCoefficient:
     def test_eigen_split(self):
         rng = np.random.default_rng(35)
         a = singular_coefficient(rng)
-        c = O.Coefficient(a)
-        assert c.r == 2 and c.d.shape == (2,)
-        np.testing.assert_allclose(c.U[:, :2] * c.d @ c.Uh[:2], a, atol=1e-12)
-        assert O.Coefficient(np.zeros((2, 2))).r == 0
+        U, Uh, d = O.Coefficient(a).split
+        assert d.shape == (2,)
+        np.testing.assert_allclose(U[:, :2] * d @ Uh[:2], a, atol=1e-12)
+        assert O.Coefficient(np.zeros((2, 2))).split[2].size == 0
+
+    def test_atomic_solve_runs_no_eigh(self, monkeypatch):
+        # the eigen split serves only continuous parts: an atomic solve never
+        # computes it, and forcing it changes no bit of the solution
+        from freeatoms import subord
+
+        atomic = M.atomic_measure([(-1.0, 0.25), (0.5, 0.75)])
+        model = FreeSumModel(np.diag([1.0, -0.5]), np.array([[0.0, 1.0], [1.0, 0.0]]),
+                             atomic, M.bernoulli_symmetric())
+        z = np.array([[0.3 + 0.4j, 0.1], [0.1, -0.2 + 0.6j]])
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *args: calls.append(args) or eigh(*args))
+        lazy = subord.solve_subordination(model, z)
+        subord.sum_density(model, np.linspace(-2.0, 2.0, 5))
+        assert calls == []
+
+        class Eager(O.Coefficient):
+            def __init__(self, a):
+                super().__init__(a)
+                self.split
+
+        monkeypatch.setattr(subord, "Coefficient", Eager)
+        eager = subord.solve_subordination(model, z)
+        assert len(calls) == 2
+        for field in ("omega1", "omega2", "cauchy"):
+            assert getattr(eager, field).tobytes() == getattr(lazy, field).tobytes()
+        assert eager.residual_fixed_point == lazy.residual_fixed_point
+        assert eager.iterations == lazy.iterations
 
     def test_still_rejects_non_upper(self):
         c = O.Coefficient(np.eye(2))
         for transform in (O.matrix_cauchy, O.matrix_f):
             with pytest.raises(HalfPlaneError):
                 transform(c, M.semicircle_measure(), np.diag([1j, -1j]))
+
+
+CONTINUOUS_LAW = M.SpectralMeasure(
+    atoms=(),
+    continuous=(M.SemicirclePiece(-2.0, 0.8, 0.5), M.ArcsinePiece(-1.0, 0.2, 0.3),
+                M.UniformPiece(0.5, 1.0, 0.2)),
+    support=(-3.0, 3.0),
+)
+
+
+class TestStackedTransform:
+    """A stack (K, n, n) is evaluated slice by slice, as K calls would."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), k=st.integers(1, 5),
+           law=st.sampled_from(["atomic", "continuous", "mixed"]), rank_deficient=st.booleans())
+    def test_stack_equals_slices(self, seed, n, k, law, rank_deficient):
+        rng = np.random.default_rng(seed)
+        a = random_hermitian(rng, n)
+        if rank_deficient:
+            a[:, -1] = a[-1, :] = 0.0  # the zero coefficient when n = 1
+        mu = {"atomic": M.atomic_measure([(-1.0, 0.25), (0.3, 0.5), (1.5, 0.25)]),
+              "continuous": CONTINUOUS_LAW, "mixed": MIXED_LAW}[law]
+        z = np.stack([random_hermitian(rng, n)
+                      + 1j * float(10.0 ** rng.uniform(-3, 0.3)) * np.eye(n)
+                      for _ in range(k)])
+        for transform in (O.matrix_cauchy, O.matrix_f):
+            stacked = transform(a, mu, z)
+            assert stacked.shape == z.shape
+            for zk, gk in zip(z, stacked):
+                ref = transform(a, mu, zk)
+                assert np.max(np.abs(gk - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_quadrature_fallback_only_for_flagged_slices(self, monkeypatch):
+        # at a scalar point the eigenbasis of the diagonal coefficient's
+        # pencil is the identity (condition number 1); a generic point's is not
+        rng = np.random.default_rng(36)
+        a = np.diag([1.0, -0.5, 2.0])
+        z = np.stack([(0.3 + 0.8j) * np.eye(3),
+                      random_hermitian(rng, 3) + 1j * (0.5 * np.eye(3) + 0.1 * random_hermitian(rng, 3)),
+                      (-0.2 + 1.1j) * np.eye(3)])
+        exact = O.matrix_cauchy(a, MIXED_LAW, z)
+        integrated = []
+        integrate_piece = O.integrate_piece
+
+        def counting(f, piece, *args, **kwargs):
+            integrated.append(piece)
+            return integrate_piece(f, piece, *args, **kwargs)
+
+        monkeypatch.setattr(O, "integrate_piece", counting)
+        monkeypatch.setattr(O, "_EIG_COND_LIMIT", 1.5)
+        mixed = O.matrix_cauchy(a, MIXED_LAW, z)
+        assert len(integrated) == len(MIXED_LAW.continuous)  # the middle slice alone
+        assert mixed[0].tobytes() == exact[0].tobytes()
+        assert mixed[2].tobytes() == exact[2].tobytes()
+        assert mixed[1].tobytes() == O.matrix_cauchy(a, MIXED_LAW, z[1]).tobytes()
+        assert np.max(np.abs(mixed[1] - exact[1])) <= 1e-12 * np.max(np.abs(exact[1]))
+
+    def test_validate_upper_names_the_bad_slice(self):
+        good = 1j * np.eye(2)
+        z = np.stack([good, good, np.diag([1j, -1j]), good])
+        with pytest.raises(HalfPlaneError, match=r"^z\[2\] must have positive definite"):
+            O.validate_upper(z, "z")
+        with pytest.raises(HalfPlaneError, match=r"z\[2\]"):
+            O.matrix_cauchy(np.eye(2), M.semicircle_measure(), z)
+        assert O.validate_upper(z[:2], "z").shape == (2, 2, 2)
+
+    def test_min_imag_eig_per_slice(self):
+        z = np.stack([1j * np.eye(2), np.diag([2j, 0.5j])])
+        np.testing.assert_allclose(O.min_imag_eig(z), [1.0, 0.5])
+        assert isinstance(O.min_imag_eig(z[1]), float)
 
 
 class TestMatrixF:

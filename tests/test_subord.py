@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freeatoms import measure as M
-from freeatoms.errors import HalfPlaneError, PreconditionError
+from freeatoms import subord
+from freeatoms.errors import ConvergenceError, HalfPlaneError, PreconditionError
 from freeatoms.opval import imag_part, matrix_cauchy
 from freeatoms.subord import (
+    DEFAULT_TOL,
     FreeSumModel,
     scalar_model,
     solve_subordination,
@@ -138,6 +140,96 @@ class TestSolveSubordination:
             solve_subordination(model, np.array([[1j]]), tol=tol)
 
 
+def scalar_points(xs, y):
+    """The stack of 1 x 1 points x + iy."""
+    return np.asarray(xs, dtype=float)[:, None, None] * np.eye(1) + 1j * y * np.eye(1)
+
+
+def assert_agrees_with_lone_solves(model, z, stacked, tol=DEFAULT_TOL):
+    lone = [solve_subordination(model, zk, tol=tol) for zk in z]
+    for k, r in enumerate(lone):
+        for field in ("omega1", "omega2", "cauchy"):
+            assert np.max(np.abs(getattr(stacked, field)[k] - getattr(r, field))) <= 1e-11
+    return lone
+
+
+class TestStackedSolve:
+    def test_points_converge_on_their_own_schedules(self):
+        # outside the arcsine support a point converges in under 10
+        # iterations, inside it takes up to about 40
+        model = scalar_model(BERN, BERN)
+        z = scalar_points(np.linspace(-3.0, 3.0, 25), 1e-4)
+        stacked = solve_subordination(model, z)
+        assert stacked.residual_fixed_point.shape == (25,)
+        assert np.all(stacked.residual_fixed_point <= DEFAULT_TOL)
+        assert np.all(stacked.residual_consistency <= DEFAULT_TOL)
+        lone = assert_agrees_with_lone_solves(model, z, stacked)
+        iterations = [r.iterations for r in lone]
+        assert min(iterations) <= 10 and max(iterations) >= 35
+        assert stacked.iterations == sum(iterations)
+
+    def test_matrix_points_at_their_own_heights(self):
+        model = FreeSumModel(np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), SC2, BERN)
+        rng = np.random.default_rng(41)
+        z = []
+        for y in (1e-4, 0.3, 2.0, 1e-2):
+            h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            z.append((h + h.conj().T) / 2 + 1j * y * np.eye(2))
+        stacked = solve_subordination(model, np.stack(z))
+        assert np.all(stacked.residual_fixed_point <= 1e-10)
+        assert np.all(stacked.residual_consistency <= 1e-10)
+        assert_agrees_with_lone_solves(model, np.stack(z), stacked)
+
+    def test_one_point_keeps_float_residuals(self):
+        r = solve_subordination(scalar_model(BERN, SC2), np.array([[0.1 + 0.2j]]))
+        assert r.omega1.shape == (1, 1)
+        assert isinstance(r.residual_fixed_point, float)
+        assert isinstance(r.residual_consistency, float)
+        assert isinstance(r.iterations, int)
+
+    def test_continuation_ladder_runs_on_the_stack(self, monkeypatch):
+        model = scalar_model(BERN, SC2)
+        deep = scalar_points([-3.5, -0.5, 0.4, 1.7], 5e-7)
+        z = np.concatenate([deep[:2], scalar_points([0.2], 1e-3), deep[2:]])
+        sizes = []
+        fixed_point = subord._anderson_fixed_point
+
+        def spy(step, w0, *args):
+            sizes.append(len(w0))
+            return fixed_point(step, w0, *args)
+
+        monkeypatch.setattr(subord, "_anderson_fixed_point", spy)
+        stacked = solve_subordination(model, z)
+        # rungs at y = 1e-3, 2.5e-4, ... down to 3.9e-6 for the four deep
+        # points, then the final solve of all five
+        assert sizes == [4] * 5 + [5]
+        monkeypatch.undo()
+        assert np.all(stacked.residual_fixed_point <= DEFAULT_TOL)
+        assert_agrees_with_lone_solves(model, z, stacked)
+
+    def test_failing_point_raises_with_its_x(self, monkeypatch):
+        # x = -3 converges in 6 iterations, x = 0 needs about 40
+        monkeypatch.setattr(subord, "MAX_ITER", 12)
+        with pytest.raises(ConvergenceError, match="at x=0") as info:
+            sum_density(scalar_model(BERN, BERN), [-3.0, 0.0])
+        assert info.value.details["x"] == 0.0
+        assert info.value.details["point"] == 1
+
+    def test_sum_density_solves_its_grid_once(self, monkeypatch):
+        shapes = []
+        solve = subord.solve_subordination
+
+        def counting(model, z, *args, **kwargs):
+            shapes.append(np.shape(z))
+            return solve(model, z, *args, **kwargs)
+
+        monkeypatch.setattr(subord, "solve_subordination", counting)
+        data, result = sum_density(scalar_model(BERN, SC2), np.linspace(-3.0, 3.0, 9))
+        assert shapes == [(9, 1, 1)]
+        assert data.shape == (9, 2)
+        assert result.residual_fixed_point.shape == (9,)
+
+
 class TestSumCauchy:
     def test_bernoulli_arcsine_value(self):
         model = scalar_model(BERN, BERN)
@@ -174,23 +266,27 @@ class TestSumCauchy:
 class TestSumDensity:
     def test_arcsine_center_value(self):
         model = scalar_model(BERN, BERN)
-        d = sum_density(model, [0.0], y_eval=1e-5)
+        d, _ = sum_density(model, [0.0], y_eval=1e-5)
         assert d[0, 1] == pytest.approx(1 / (2 * np.pi), abs=1e-4)
 
     def test_point_mass_sum_is_flat_away_from_atom(self):
         model = scalar_model(M.point_mass(0.0), M.point_mass(0.0))
-        d = sum_density(model, [1.0], y_eval=1e-4)
+        d, _ = sum_density(model, [1.0], y_eval=1e-4)
         assert abs(d[0, 1]) < 1e-3
 
     def test_semicircle_sum_center(self):
         model = scalar_model(SC2, SC2)
-        d = sum_density(model, [0.0], y_eval=1e-5)
+        d, _ = sum_density(model, [0.0], y_eval=1e-5)
         assert d[0, 1] == pytest.approx(1 / (np.pi * np.sqrt(2)), abs=1e-4)
 
     def test_nonnegative_on_grid(self):
         model = scalar_model(BERN, SC2)
-        d = sum_density(model, np.linspace(-3.5, 3.5, 41), y_eval=1e-4)
+        d, _ = sum_density(model, np.linspace(-3.5, 3.5, 41), y_eval=1e-4)
         assert np.all(d[:, 1] >= -1e-10)
+
+    def test_rejects_empty_grid(self):
+        with pytest.raises(PreconditionError, match="no points"):
+            sum_density(scalar_model(BERN, BERN), [])
 
     def test_rejects_nonpositive_height(self):
         model = scalar_model(BERN, BERN)
