@@ -102,7 +102,9 @@ class LadderScan:
     """One boundary ladder at b: the subordination data down b + iy and their limit.
 
     ``y_ladder`` is the ladder asked for and ``ys`` the rungs solved.
-    ``cauchy`` holds G(b + iy) = G1(omega1) per rung.  ``E_p`` and
+    ``cauchy`` holds G(b + iy) = G1(omega1) per rung, ``iterations``
+    each rung's iteration count and ``residuals`` the larger of its
+    fixed-point and consistency residuals.  ``E_p`` and
     ``diagnostics`` are the extrapolated kernel expectation of
     :func:`boundary_emass`, computed once when :func:`ladder_scan` builds
     the scan; every consumer reads them from here.
@@ -116,6 +118,7 @@ class LadderScan:
     omega2: list
     cauchy: list
     iterations: list
+    residuals: list
     truncated: str = ""
     E_p: np.ndarray | None = None
     diagnostics: dict | None = None
@@ -142,37 +145,39 @@ _MIN_RUNGS = 6
 
 
 def ladder_scan(model: FreeSumModel, b, y_ladder=None, tol: float = 1e-12) -> LadderScan:
-    """Solve the subordination problem at b + iy down the ladder, warm-started.
+    """Solve the subordination problem at b + iy on every rung as one stack.
 
-    At locations with a singular kernel expectation the subordination
-    point runs off to infinity like 1/y in the null directions and the
-    deepest rungs can become unsolvable; the scan then stops early
-    (keeping at least six rungs for extrapolation) and records why.
-    The scan's boundary limit is extrapolated once, here.
+    Every rung starts cold at w0 = b + iy.  At locations with a singular
+    kernel expectation the subordination point runs off to infinity like
+    1/y in the null directions and the deepest rungs can become
+    unsolvable; the scan then keeps the rungs above the first failing
+    one, solved again as one stack, if there are at least six of them,
+    and records why.  With fewer it raises ConvergenceError naming the
+    failing rung's y.  The scan's boundary limit is extrapolated once,
+    here.
     """
     b = herm_part(np.atleast_2d(np.asarray(b, dtype=complex)))
     ys = default_ladder() if y_ladder is None else np.asarray(y_ladder, dtype=float)
     if np.any(np.diff(ys) >= 0) or ys[-1] < 1e-8:
         raise PreconditionError("y ladder must be strictly descending with min >= 1e-8")
-    eye = np.eye(model.n)
-    omega1, omega2, cauchy, iters = [], [], [], []
+    z = b + 1j * ys[:, None, None] * np.eye(model.n)
     truncated = ""
-    warm = None
-    for y in ys:
-        z = b + 1j * float(y) * eye
+    while True:
         try:
-            res = solve_subordination(model, z, tol=tol, warm_start=warm)
+            res = solve_subordination(model, z, tol=tol)
+            break
         except ConvergenceError as exc:
-            if len(omega1) >= _MIN_RUNGS:
-                truncated = f"ladder stopped at y={y:.3e}: {exc}"
-                break
-            raise
-        warm = res.omega1
-        omega1.append(res.omega1)
-        omega2.append(res.omega2)
-        cauchy.append(res.cauchy)
-        iters.append(res.iterations)
-    scan = LadderScan(model, b, ys, tol, omega1, omega2, cauchy, iters, truncated)
+            if "point" not in exc.details:
+                raise
+            k = exc.details["point"]
+            y = float(ys[k])
+            if k < _MIN_RUNGS:
+                raise ConvergenceError(f"{exc} at y={y:.3e}", {**exc.details, "y": y}) from exc
+            truncated = f"ladder stopped at y={y:.3e}: {exc}"
+            z = z[:k]
+    residuals = np.maximum(res.residual_fixed_point, res.residual_consistency)
+    scan = LadderScan(model, b, ys, tol, list(res.omega1), list(res.omega2), list(res.cauchy),
+                      res.point_iterations.tolist(), residuals.tolist(), truncated)
     scan.E_p, scan.diagnostics = boundary_emass(scan)
     return scan
 
@@ -211,6 +216,7 @@ def boundary_emass(scan: LadderScan):
         "psd_clipped": clipped,
         "hermitian_dominates": dominated,
         "iterations": list(scan.iterations),
+        "rung_residuals": list(scan.residuals),
         "y_min": float(scan.ys[-1]),
     }
     return E, diagnostics

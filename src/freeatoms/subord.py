@@ -84,9 +84,9 @@ def scalar_model(mu1, mu2):
 class SubordinationResult:
     """omega1, omega2 at z, and cauchy = G1(omega1), the free sum's G(z).
 
-    For a stack z (K, n, n) the matrices are stacks and both residuals
-    are arrays with one entry per point; ``iterations`` and
-    ``lifted_evaluations`` are totals over the points.
+    For a stack z (K, n, n) the matrices are stacks, both residuals and
+    ``point_iterations`` are arrays with one entry per point, and
+    ``iterations`` and ``lifted_evaluations`` are totals over the points.
     """
 
     omega1: np.ndarray
@@ -95,6 +95,7 @@ class SubordinationResult:
     residual_fixed_point: float | np.ndarray
     residual_consistency: float | np.ndarray
     iterations: int
+    point_iterations: int | np.ndarray
     lifted_evaluations: int = 0
 
 
@@ -133,6 +134,9 @@ def _least_squares(a, b):
 
 _STALL_WINDOW = 60
 _STALL_FLOOR = 1e-8
+# a point whose best residual, still above the stall floor, has not
+# improved for this many iterations fails instead of running to MAX_ITER
+_FAIL_WINDOW = 1000
 
 
 def _damp(fw, w, low, im_floor):
@@ -152,12 +156,20 @@ def _damp(fw, w, low, im_floor):
     return fw, todo
 
 
-def _gather(parts):
+def _gather(parts, failures):
     """Solutions, residuals and iteration counts in point order.
 
     ``parts`` holds (rows, solutions, residuals, iterations) in the order
     the points left the stack; a lone part holds every point in order.
+    ``failures`` maps each failed point's number to its message and
+    details; if there is any, one ConvergenceError names them all.
     """
+    if failures:
+        points = sorted(failures)
+        message, details = failures[points[0]]
+        if len(points) > 1:
+            message += f" ({len(points)} points failed)"
+        raise ConvergenceError(message, {**details, "point": points[0], "points": points})
     if len(parts) == 1:
         rows, w, res, it = parts[0]
         return w, res, np.full(len(rows), it)
@@ -178,17 +190,23 @@ def _anderson_fixed_point(step, w0, args, tol, im_floor, points):
     point follows the rules of a lone iteration.  Accelerated candidates
     outside the half-plane fall back to the plain step; a plain step
     that loses positivity by roundoff is averaged with the previous
-    iterate (factor 1/2, up to 8 times) before giving up.  Very close to
-    the real axis the map evaluation itself carries an eps/y
+    iterate (factor 1/2, up to 8 times) before the point fails.  Very
+    close to the real axis the map evaluation itself carries an eps/y
     conditioning floor, so a stalled iteration with a residual already
-    at that floor is accepted and reported honestly.  The history has
+    at that floor is accepted and reported honestly; one stuck above
+    that floor for ``_FAIL_WINDOW`` iterations fails.  The history has
     the same length at every point, so one batched least-squares solve
-    serves the stack; a point leaves the stack when it converges or
-    stalls.  Returns the solutions, residuals and iteration counts.
+    serves the stack; a point leaves the stack when it converges, stalls
+    or fails.  Every point runs to its end, so a failure stops no other
+    point; then one ConvergenceError names every failed point in
+    ``details["points"]`` (ascending) and the first in
+    ``details["point"]``.  Returns the solutions, residuals and
+    iteration counts.
     """
     k_all = w0.shape[0]
     live = np.arange(k_all)  # rows of w0 still iterating
     parts = []  # (rows, solutions, residuals, iterations) as points leave
+    failures = {}  # point number -> (message, details)
     w = w0
     dw_hist, dr_hist = [], []
     prev_w = prev_r = None
@@ -196,14 +214,14 @@ def _anderson_fixed_point(step, w0, args, tol, im_floor, points):
     for it in range(1, MAX_ITER + 1):
         fw = step(w, *args)
         high = min_imag_eig(fw) > im_floor
+        lost = np.zeros(len(w), dtype=bool)
         if not high.all():
             # roundoff pushed the plain step too close to the real axis: damp
             fw, failed = _damp(fw, w, ~high, im_floor)
-            if failed.size:
-                raise ConvergenceError(
-                    "iterate left the upper half-plane and damping failed",
-                    {"iterations": it, "point": int(points[live[failed[0]]])},
-                )
+            lost[failed] = True
+            for k in failed:
+                failures[int(points[live[k]])] = (
+                    "iterate left the upper half-plane and damping failed", {"iterations": it})
         r = fw - w
         res = _norms(r)
         better = res < best_res
@@ -215,18 +233,29 @@ def _anderson_fixed_point(step, w0, args, tol, im_floor, points):
         best_it[better] = it
         converged = done = res <= tol
         if it >= _STALL_WINDOW:
-            done = converged | ((it - best_it >= _STALL_WINDOW) & (best_res <= _STALL_FLOOR))
-        if done.any():
-            # a converged point keeps its iterate, a stalled one its best
-            w_out, res_out = w, res
-            if not converged.all():
-                w_out = np.where(converged[:, None, None], w, best_w)
-                res_out = np.where(converged, res, best_res)
-            if done.all():
-                parts.append((live, w_out, res_out, it))
-                return _gather(parts)
-            parts.append((live[done], w_out[done], res_out[done], it))
-            keep = ~done
+            idle = it - best_it
+            done = converged | ((idle >= _STALL_WINDOW) & (best_res <= _STALL_FLOOR))
+            # idle that long above the floor, a point was never stall-accepted
+            stuck = idle >= _FAIL_WINDOW
+            for k in np.flatnonzero(stuck):
+                failures[int(points[live[k]])] = (
+                    f"subordination iteration stuck at residual {best_res[k]:.3e} "
+                    f"for {_FAIL_WINDOW} iterations",
+                    {"residual": float(best_res[k]), "iterations": it})
+            lost |= stuck
+        done = done & ~lost
+        leave = done | lost
+        if leave.any():
+            if done.any():
+                # a converged point keeps its iterate, a stalled one its best
+                w_out, res_out = w, res
+                if not converged.all():
+                    w_out = np.where(converged[:, None, None], w, best_w)
+                    res_out = np.where(converged, res, best_res)
+                parts.append((live[done], w_out[done], res_out[done], it))
+            if leave.all():
+                return _gather(parts, failures)
+            keep = ~leave
             live, w, fw, r = live[keep], w[keep], fw[keep], r[keep]
             best_w, best_res, best_it = best_w[keep], best_res[keep], best_it[keep]
             args = tuple(a[keep] for a in args)
@@ -254,33 +283,29 @@ def _anderson_fixed_point(step, w0, args, tol, im_floor, points):
     fw = step(w, *args)
     res = _norms(fw - w)
     accepted = (res <= max(tol, _STALL_FLOOR)) | (best_res <= _STALL_FLOOR)
-    if not accepted.all():
-        k = int(np.flatnonzero(~accepted)[0])
-        raise ConvergenceError(
+    for k in np.flatnonzero(~accepted):
+        failures[int(points[live[k]])] = (
             f"subordination iteration did not reach tol={tol:g} "
             f"within {MAX_ITER} iterations (residual {res[k]:.3e})",
-            {"residual": float(res[k]), "iterations": MAX_ITER, "point": int(points[live[k]])},
-        )
+            {"residual": float(res[k]), "iterations": MAX_ITER})
     use_best = best_res < res
     parts.append((live, np.where(use_best[:, None, None], best_w, w),
                   np.where(use_best, best_res, res), MAX_ITER))
-    return _gather(parts)
+    return _gather(parts, failures)
 
 
-def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL,
-                        warm_start=None) -> SubordinationResult:
+def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL) -> SubordinationResult:
     """Solve the subordination fixed point at z in H+_n.
 
     ``z`` is one point (n, n) or a stack (K, n, n) of points solved
     together, each by the rules of a lone solve; one point is the K = 1
-    case.  Deterministic for fixed (model, z, tol).  ``warm_start``
-    seeds the iteration with previously computed omega1 (ladder
-    continuation); points at very small Im z without a warm start are
-    continued down an internal geometric ladder automatically.
-    G1(omega1) is evaluated once at the solution; omega2 = F1(omega1) -
-    omega1 + z and both residuals are derived from it.  A point that
-    fails raises ConvergenceError with its stack index as ``point`` in
-    the details.
+    case.  Deterministic for fixed (model, z, tol).  Every point starts
+    cold at w0 = z; points below Im z = 1e-6 are continued down an
+    internal geometric ladder first.  G1(omega1) is evaluated once at
+    the solution; omega2 = F1(omega1) - omega1 + z and both residuals
+    are derived from it.  Failing points raise one ConvergenceError
+    with their stack indices as ``points`` in the details, ascending,
+    and the first as ``point``.
     """
     z = validate_upper(z, "z")
     if not (tol > 0 and math.isfinite(tol)):
@@ -302,14 +327,8 @@ def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL,
         return matrix_f(a2, model.mu2, lifted, check_upper=False) - lifted + zz  # h2(lifted) + z
 
     y_here = min_imag_eig(zs)
-    if warm_start is None:
-        w0 = zs
-    else:
-        w0 = np.array(warm_start, dtype=complex).reshape(zs.shape)
-        cold = ~(min_imag_eig(w0) > 0)
-        w0[cold] = zs[cold]
-
-    if warm_start is None and (y_here < 1e-6).any():
+    w0 = zs
+    if (y_here < 1e-6).any():
         # continuation ladder: reuse omega from larger heights as warm start
         deep = np.flatnonzero(y_here < 1e-6)
         w0 = w0.copy()
@@ -331,9 +350,11 @@ def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL,
     f2 = matrix_f(a2, model.mu2, omega2)
     residual_fixed = _norms(omega1 + omega2 - zs - f1)
     residual_cons = _norms(f1 - f2)
+    point_iterations = iters
     if single:
         omega1, omega2, g1 = omega1[0], omega2[0], g1[0]
         residual_fixed, residual_cons = float(residual_fixed[0]), float(residual_cons[0])
+        point_iterations = int(iters[0])
     return SubordinationResult(
         omega1=omega1,
         omega2=omega2,
@@ -341,13 +362,14 @@ def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL,
         residual_fixed_point=residual_fixed,
         residual_consistency=residual_cons,
         iterations=int(iters.sum()),
+        point_iterations=point_iterations,
         lifted_evaluations=lifts[0],
     )
 
 
-def sum_cauchy(model: FreeSumModel, z, tol: float = DEFAULT_TOL, warm_start=None):
+def sum_cauchy(model: FreeSumModel, z, tol: float = DEFAULT_TOL):
     """Cauchy transform of the free sum at z (one point or a stack): G(z) = G1(omega1(z))."""
-    result = solve_subordination(model, z, tol=tol, warm_start=warm_start)
+    result = solve_subordination(model, z, tol=tol)
     return result.cauchy, result
 
 

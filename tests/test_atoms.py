@@ -3,9 +3,10 @@ import pytest
 
 from freeatoms import atoms as A
 from freeatoms import measure as M
-from freeatoms.errors import PreconditionError
+from freeatoms import subord
+from freeatoms.errors import ConvergenceError, PreconditionError
 from freeatoms.ncpoly import NCPoly
-from freeatoms.subord import FreeSumModel, scalar_model
+from freeatoms.subord import FreeSumModel, scalar_model, solve_subordination
 
 Z1, Z2 = NCPoly.z1(), NCPoly.z2()
 
@@ -13,6 +14,7 @@ MU1 = M.atomic_measure([(0.0, 0.7), (1.0, 0.3)])
 MU2 = M.atomic_measure([(0.0, 0.6), (2.0, 0.4)])
 SC2 = M.semicircle_measure(0.0, 2.0)
 PROJ = M.atomic_measure([(0.0, 0.5), (1.0, 0.5)])
+BERN = M.bernoulli_symmetric()
 
 
 def b_scalar(x):
@@ -341,3 +343,85 @@ class TestOnePassPerLadder:
         assert payload["locations_probed"] == [0.0, 2.0]
         assert [c["predicted_mass"] for c in payload["candidates"]] == pytest.approx([0.3, 0.1])
         assert counts["ladder_scan"] == 2
+
+
+class TestStackedLadder:
+    """A ladder is one stacked subordination solve, every rung started cold."""
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        calls = []
+
+        def counted(model, z, *args, **kwargs):
+            try:
+                result = solve_subordination(model, z, *args, **kwargs)
+            except ConvergenceError as exc:
+                calls.append((np.shape(z), exc))
+                raise
+            calls.append((np.shape(z), result))
+            return result
+
+        monkeypatch.setattr(A, "solve_subordination", counted)
+        return calls
+
+    def test_untruncated_scan_is_one_stacked_solve(self, monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        model = FreeSumModel(np.diag([1.0, 2.0]), np.eye(2), MU1, MU2)
+        scan = A.ladder_scan(model, np.zeros((2, 2)))
+        assert [shape for shape, _ in calls] == [(16, 2, 2)]
+        assert not scan.truncated
+        assert len(scan.ys) == 16
+
+    @pytest.mark.parametrize("model, b", [
+        (scalar_model(MU1, MU2), b_scalar(2.0)),
+        (scalar_model(BERN, SC2), b_scalar(0.0)),
+        (FreeSumModel(np.diag([1.0, 2.0]), np.eye(2), MU1, MU2), np.zeros((2, 2))),
+    ])
+    def test_each_rung_agrees_with_its_own_solve(self, model, b):
+        scan = A.ladder_scan(model, b, y_ladder=A.default_ladder(depth=12))
+        for k, y in enumerate(scan.ys):
+            lone = solve_subordination(model, b + 1j * y * np.eye(model.n), tol=scan.tol)
+            for mine, theirs in [(scan.omega1, lone.omega1), (scan.omega2, lone.omega2),
+                                 (scan.cauchy, lone.cauchy)]:
+                assert np.max(np.abs(mine[k] - theirs)) <= 1e-11
+            assert scan.iterations[k] == lone.iterations
+
+    def test_per_rung_iterations_and_residuals(self, monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        rep = A.decompose_atom(A.ladder_scan(scalar_model(MU1, MU2), b_scalar(0.0)))
+        (_, result), = calls
+        iterations = rep.diagnostics["iterations"]
+        assert len(iterations) == 16 and all(isinstance(i, int) and i > 0 for i in iterations)
+        assert sum(iterations) == result.iterations
+        expected = np.maximum(result.residual_fixed_point, result.residual_consistency)
+        assert rep.diagnostics["rung_residuals"] == expected.tolist()
+        assert max(rep.diagnostics["rung_residuals"]) <= 1e-12
+        # the report carries them as plain JSON numbers
+        again = A.AtomReport.from_json_dict(rep.to_json_dict())
+        assert again.diagnostics["rung_residuals"] == pytest.approx(expected.tolist())
+
+    def test_failing_deep_rungs_truncate_with_one_resolve(self, monkeypatch):
+        # cold rungs of the Bernoulli-semicircle sum at 0 need 15, 18, 20,
+        # 25, 27, 34, 41, 50, ... iterations: with a cap of 45 rungs 7 to
+        # 15 fail, and the ladder keeps the seven rungs above them
+        model, ys = scalar_model(BERN, SC2), A.default_ladder()
+        monkeypatch.setattr(subord, "MAX_ITER", 45)
+        with pytest.raises(ConvergenceError) as info:
+            solve_subordination(model, 1j * ys[:, None, None] * np.eye(1))
+        assert info.value.details["points"] == list(range(7, 16))
+        assert info.value.details["point"] == 7
+        calls = self.count_solves(monkeypatch)
+        scan = A.ladder_scan(model, b_scalar(0.0))
+        assert [shape for shape, _ in calls] == [(16, 1, 1), (7, 1, 1)]
+        assert len(scan.ys) == 7 and len(scan.diagnostics["iterations"]) == 7
+        assert scan.truncated.startswith(f"ladder stopped at y={ys[7]:.3e}:")
+        assert scan.diagnostics["ladder_truncated"] == scan.truncated
+
+    def test_failure_above_six_rungs_names_its_y(self, monkeypatch):
+        # a cap of 30 fails rung 5 first, one rung short of an extrapolation
+        monkeypatch.setattr(subord, "MAX_ITER", 30)
+        y = float(A.default_ladder()[5])
+        with pytest.raises(ConvergenceError, match=f"at y={y:.3e}") as info:
+            A.ladder_scan(scalar_model(BERN, SC2), b_scalar(0.0))
+        assert info.value.details["y"] == y
+        assert info.value.details["point"] == 5

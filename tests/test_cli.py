@@ -210,6 +210,21 @@ class TestDecomposeCommand:
         assert code == cli.EXIT_SCHEMA
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--b", "0"],
+    ["eigtest", "--poly", "Z1+Z2", "--lambda", "2"],
+])
+def test_failing_ladder_exits_3_with_its_y(files, capsys, monkeypatch, argv):
+    # three iterations solve no rung, so the ladder fails at its top, y = y0
+    monkeypatch.setattr(subord, "MAX_ITER", 3)
+    code = run_cli(argv + ["--mu1", files["mix1"], "--mu2", files["mix2"]])
+    assert code == cli.EXIT_NOCONV
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["details"]["y"] == 0.1
+    assert diag["details"]["point"] == 0
+    assert diag["error"].endswith("at y=1.000e-01")
+
+
 class TestAtomScanCommand:
     def test_finds_both_atoms(self, files, capsys):
         code = run_cli(["atom-scan", "--mu1", files["mix1"], "--mu2", files["mix2"]])

@@ -230,6 +230,57 @@ class TestStackedSolve:
         assert result.residual_fixed_point.shape == (9,)
 
 
+def affine_steps(slopes, shifts):
+    """A stack of affine maps w -> a w + c, one per point, that logs each stack size."""
+    sizes = []
+
+    def step(w, a, c):
+        sizes.append(len(w))
+        return a[:, None, None] * w + c[:, None, None]
+
+    args = (np.asarray(slopes, dtype=complex), np.asarray(shifts, dtype=complex))
+    return step, args, sizes
+
+
+class TestFailingPoints:
+    """A failing point leaves the stack; the others run on, and one error names all."""
+
+    def run(self, step, args):
+        k = len(args[0])
+        w0 = np.full((k, 1, 1), 1j)
+        return subord._anderson_fixed_point(step, w0, args, DEFAULT_TOL, np.full(k, 1e-3),
+                                            np.arange(k))
+
+    def test_damping_failure_stops_no_other_point(self):
+        # point 0 jumps far below the real axis, point 1 contracts to 1 + 1j,
+        # point 2 drifts upwards forever
+        step, args, sizes = affine_steps([1.0, 0.5, 1.0], [-1e6j, 0.5 + 0.5j, 1j])
+        with pytest.raises(ConvergenceError, match="damping failed") as info:
+            self.run(step, args)
+        assert info.value.details["points"] == [0, 2]
+        assert info.value.details["point"] == 0
+        assert info.value.details["iterations"] == 1
+        assert sizes[:2] == [3, 2]
+        # point 1 converged, point 2 ran until it was stuck
+        assert sizes[-1] == 1 and len(sizes) == subord._FAIL_WINDOW + 1
+
+    def test_stuck_point_fails_after_the_window(self):
+        step, args, sizes = affine_steps([1.0], [1j])
+        with pytest.raises(ConvergenceError, match="stuck at residual 1.000e[+]00") as info:
+            self.run(step, args)
+        assert info.value.details["iterations"] == subord._FAIL_WINDOW + 1
+        assert info.value.details["points"] == [0]
+        assert len(sizes) == subord._FAIL_WINDOW + 1
+
+    def test_every_point_at_the_cap_is_named(self, monkeypatch):
+        monkeypatch.setattr(subord, "MAX_ITER", 20)
+        step, args, _ = affine_steps([1.0, 0.5, 1.0], [1j, 0.5 + 0.5j, 2j])
+        with pytest.raises(ConvergenceError, match="within 20 iterations") as info:
+            self.run(step, args)
+        assert info.value.details["points"] == [0, 2]
+        assert info.value.details["residual"] == 1.0
+
+
 class TestSumCauchy:
     def test_bernoulli_arcsine_value(self):
         model = scalar_model(BERN, BERN)
