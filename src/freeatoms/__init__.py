@@ -44,7 +44,6 @@ from .opval import (
     kernel_profile,
     matrix_cauchy,
     matrix_f,
-    pencil_kernel_rank,
     pencil_kernel_trace,
 )
 from .subord import FreeSumModel, SubordinationResult, scalar_model, solve_subordination, sum_cauchy, sum_density

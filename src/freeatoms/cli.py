@@ -318,6 +318,7 @@ def _cmd_compare(cfg):
         "epsilon": eps,
         "N": cfg.N,
         "trials": cfg.trials,
+        "path": orep.path,
     }
     _emit(cfg, payload)
     if cfg.strict and not agree:

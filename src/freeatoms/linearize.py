@@ -64,11 +64,6 @@ class LinearPencil:
             + np.kron(self.a2, A2)
         )
 
-    def entry_poly(self, i, j):
-        return NCPoly(
-            [((), self.a0[i, j]), ((1,), self.a1[i, j]), ((2,), self.a2[i, j])]
-        )
-
     def to_json_dict(self):
         return {"n": self.n, "a0": pack_matrix(self.a0), "a1": pack_matrix(self.a1),
                 "a2": pack_matrix(self.a2)}

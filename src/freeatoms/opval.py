@@ -242,13 +242,6 @@ def kernel_basis(m):
     return vh[_rank_of(s):, :].conj().T
 
 
-def pencil_kernel_rank(a, b, t: float) -> Fraction:
-    """k(t) = dim ker(b - t a) / n as an exact rational."""
-    a = herm_part(check_hermitian(a, "a"))
-    b = herm_part(check_hermitian(b, "b"))
-    return Fraction(numerical_kernel_dim(b - t * a), a.shape[0])
-
-
 @dataclass(frozen=True)
 class PencilKernelProfile:
     """Generic kernel dimension of t -> ker(b - t a) and its value at the hinted points.

@@ -5,14 +5,17 @@ spectra and Haar-random relative position is asymptotically free, so
 eigenvalue statistics of polynomials or pencils in (A1, A2) estimate
 the corresponding spectral quantities with O(1/N) bias.  Spectra are
 deterministic quantile grids, which removes marginal sampling noise.
-One rule (:func:`_trial_eigs`) picks each trial's path from the laws:
+One rule (:func:`_trial_path`) names each trial's path from the laws,
+and :func:`_trial_eigs` alone takes it; reports carry the name:
 
-- a point mass on either side: the pair commutes, N 1 x 1 blocks and
-  no Haar draw (a pencil coefficient that is exactly zero counts as
-  the point mass at 0);
-- both laws with at most two atoms: Halmos's two-subspace form, 2 x 2
-  blocks from one Haar N x k frame;
-- any other pair: a dense N x N Haar draw and eigensolve.
+- "commuting", a point mass on either side: N 1 x 1 blocks and no Haar
+  draw (a pencil coefficient that is exactly zero counts as the point
+  mass at 0);
+- "two-subspace", both laws with at most two atoms: Halmos's
+  two-subspace form, 2 x 2 blocks whose principal-angle cosines come
+  from the beta = 2 Jacobi bidiagonal model, with no N x N or N x k
+  draw;
+- "dense", any other pair: a dense N x N Haar draw and eigensolve.
 """
 
 from __future__ import annotations
@@ -53,14 +56,6 @@ def haar_unitary(N, rng):
     q, r = np.linalg.qr(g)
     d = np.diag(r)
     return q * (d / np.abs(d))
-
-
-def haar_frame(N, k, rng):
-    """N x k orthonormal frame whose range is Haar distributed among the
-    k-dimensional subspaces: the Q factor of an N x k complex Ginibre
-    matrix (column phases do not change the range)."""
-    g = (rng.standard_normal((N, k)) + 1j * rng.standard_normal((N, k))) / np.sqrt(2)
-    return np.linalg.qr(g)[0]
 
 
 def realize_pair(spec: EnsembleSpec, rng=None):
@@ -104,8 +99,18 @@ def _point_mass_at(mu):
     return mu.atoms[0][0] if len(mu.atoms) == 1 and not mu.continuous else None
 
 
+def _trial_path(spec):
+    """The path every trial of ``spec`` takes (see the module docstring)."""
+    laws = (spec.mu1, spec.mu2)
+    if any(_point_mass_at(mu) is not None for mu in laws):
+        return "commuting"
+    if all(not mu.continuous and len(mu.atoms) <= 2 for mu in laws):
+        return "two-subspace"
+    return "dense"
+
+
 def _trial_eigs(spec, rng, block_eigs, dense_eigs):
-    """Sorted spectrum of one trial, on the path the two laws choose.
+    """Sorted spectrum of one trial, on the path :func:`_trial_path` names.
 
     ``block_eigs(X1, X2)`` maps stacks of k x k blocks to the target's
     eigenvalues, shape (stack, rows * k); ``dense_eigs(d1, A2)`` gives
@@ -113,57 +118,98 @@ def _trial_eigs(spec, rng, block_eigs, dense_eigs):
     commutes with the other variable, so the spectrum is that of the N
     1 x 1 blocks (d1_i, d2_i), the constant side ``np.full(N, c)`` (the
     bits of its quantile grid).  Two laws with at most two atoms take
-    :func:`_two_subspace_eigs`; any other pair the dense draw of
-    :func:`_realize_reduced`.
+    :func:`_halmos_eigs` at cosines from :func:`_two_subspace_cosines`;
+    any other pair the dense draw of :func:`_realize_reduced`.
     """
     N = spec.N
+    path = _trial_path(spec)
+    if path == "dense":
+        return np.sort(dense_eigs(*_realize_reduced(spec, rng)))
     laws = (spec.mu1, spec.mu2)
     consts = [_point_mass_at(mu) for mu in laws]
-    commuting = any(c is not None for c in consts)
-    if not commuting and not all(not mu.continuous and len(mu.atoms) <= 2 for mu in laws):
-        return np.sort(dense_eigs(*_realize_reduced(spec, rng)))
     d1, d2 = (quantiles(mu, N) if c is None else np.full(N, c) for mu, c in zip(laws, consts))
-    if not commuting:
-        return np.sort(_two_subspace_eigs(d1, d2, rng, block_eigs))
+    if path == "two-subspace":
+        k1, k2 = (int(np.count_nonzero(d > d[0])) for d in (d1, d2))
+        cosines = _two_subspace_cosines(N, k1, k2, rng)
+        return np.sort(_halmos_eigs(d1, d2, cosines, block_eigs))
     x1, x2 = (d.astype(complex).reshape(N, 1, 1) for d in (d1, d2))
     return np.sort(block_eigs(x1, x2).reshape(-1))
 
 
-def _two_subspace_eigs(d1, d2, rng, block_eigs):
-    """Unsorted spectrum of one draw for two-atom quantile grids d1, d2.
+def _two_subspace_cosines(N, k1, k2, rng):
+    """One draw of the principal-angle cosines strictly between 0 and 1
+    of a fixed coordinate k1-subspace and a Haar k2-subspace of C^N:
+    min(k1, k2, N - k1, N - k2) of them, unordered.
+
+    Complementing both subspaces keeps every such cosine, so take
+    k1 + k2 <= N, and p <= q the two dimensions.  The squared cosines
+    then form the beta = 2 Jacobi ensemble of weight
+    x^a (1 - x)^b, a = q - p, b = N - p - q: the squared singular
+    values of a p x p real bidiagonal matrix with independent entries,
+    c_k^2 ~ Beta(a + k, b + k) and c'_k^2 ~ Beta(k, a + b + 1 + k)
+    (Edelman & Sutton, Found. Comput. Math. 8, 2008).  Each Beta draw
+    is g / (g + h) of two Gamma draws, so that its cosine and its sine
+    both carry relative roundoff, and the dense SVD gives every cosine
+    to absolute roundoff: a small c stays accurate in c, not only in
+    c^2.
+    """
+    if k1 + k2 > N:
+        k1, k2 = N - k1, N - k2
+    p, q = sorted((k1, k2))
+    if p == 0:
+        return np.empty(0)
+    a, b = q - p, N - p - q
+    k = np.arange(1.0, p + 1)
+    g = rng.standard_gamma(np.concatenate([a + k, k[:-1]]))
+    h = rng.standard_gamma(np.concatenate([b + k, a + b + 1 + k[:-1]]))
+    cos, sin = np.sqrt(g / (g + h)), np.sqrt(h / (g + h))
+    # diagonal c_k s'_k (s'_p = 1), superdiagonal s_{k+1} c'_k: the model's
+    # B11 up to the order of its rows and columns and their signs
+    bidiag = np.diag(cos[:p] * np.append(sin[p:], 1.0))
+    np.fill_diagonal(bidiag[:, 1:], sin[1:p] * cos[p:])
+    return np.linalg.svd(bidiag, compute_uv=False)
+
+
+def _halmos_eigs(d1, d2, c, block_eigs):
+    """Unsorted spectrum of the pair at two-atom quantile grids d1, d2
+    whose principal-angle cosines strictly between 0 and 1 are ``c``.
 
     Each grid is lo + (hi - lo) * (its upper-atom indicator), so the pair
     is (lo1 + (hi1 - lo1) P, lo2 + (hi2 - lo2) Q) with P the diagonal
-    projection on D1's k1 upper-atom entries and Q = V V*, V a Haar
-    N x k2 frame.  By Halmos's two-subspace theorem the pair splits
-    exactly into the four intersections of ran/ker P with ran/ker Q,
-    whose generic dimensions follow from (N, k1, k2), and into 2 x 2
-    blocks P = [[1, 0], [0, 0]], Q = [[c^2, cs], [cs, s^2]], one per
-    principal angle; the cosines c are the singular values of V's rows
-    on ran P, after the unit ones of ran P & ran Q.  For a fixed frame
-    this is the dense spectrum; over the draw it is equal in law.
+    projection on D1's k1 upper-atom entries and Q a projection of rank
+    k2 in generic position.  By Halmos's two-subspace theorem the pair
+    splits exactly into the four intersections of ran/ker P with
+    ran/ker Q, whose generic dimensions follow from (N, k1, k2), and
+    into 2 x 2 blocks P = [[1, 0], [0, 0]], Q = [[c^2, cs], [cs, s^2]],
+    one per cosine c.
     """
     N = d1.size
     (lo1, hi1), (lo2, hi2) = (d1[0], d1[-1]), (d2[0], d2[-1])
-    up1 = d1 > lo1
-    k1, k2 = int(np.count_nonzero(up1)), int(np.count_nonzero(d2 > lo2))
-    both = max(0, k1 + k2 - N)
-    angles = min(k1, k2, N - k1, N - k2)
+    k1, k2 = int(np.count_nonzero(d1 > lo1)), int(np.count_nonzero(d2 > lo2))
     # intersections (P, Q) = (1, 1), (1, 0), (0, 1), (0, 0) as 1 x 1 blocks
     x1 = np.array([hi1, hi1, lo1, lo1], dtype=complex).reshape(4, 1, 1)
     x2 = np.array([hi2, lo2, hi2, lo2], dtype=complex).reshape(4, 1, 1)
-    dims = [both, max(0, k1 - k2), max(0, k2 - k1), max(0, N - k1 - k2)]
+    dims = [max(0, k1 + k2 - N), max(0, k1 - k2), max(0, k2 - k1), max(0, N - k1 - k2)]
     parts = [np.repeat(block_eigs(x1, x2), dims, axis=0).reshape(-1)]
-    if angles:
-        c = np.linalg.svd(haar_frame(N, k2, rng)[up1], compute_uv=False)[both:]
+    if c.size:
         s = np.sqrt(np.maximum(1.0 - c * c, 0.0))
-        x1 = np.broadcast_to(np.diag([hi1, lo1]).astype(complex), (angles, 2, 2))
-        x2 = np.empty((angles, 2, 2), dtype=complex)
+        x1 = np.broadcast_to(np.diag([hi1, lo1]).astype(complex), (c.size, 2, 2))
+        x2 = np.empty((c.size, 2, 2), dtype=complex)
         x2[:, 0, 0] = lo2 + (hi2 - lo2) * c * c
         x2[:, 0, 1] = x2[:, 1, 0] = (hi2 - lo2) * c * s
         x2[:, 1, 1] = lo2 + (hi2 - lo2) * s * s
         parts.append(block_eigs(x1, x2).reshape(-1))
     return np.concatenate(parts)
+
+
+def _pencil_laws(spec, model):
+    """``spec`` with the law of each variable whose coefficient is exactly
+    zero replaced by the point mass at 0."""
+    if not np.any(model.a1):
+        spec = replace(spec, mu1=point_mass(0.0))
+    if not np.any(model.a2):
+        spec = replace(spec, mu2=point_mass(0.0))
+    return spec
 
 
 def _pencil_eigs(spec, model, b, rng):
@@ -178,10 +224,7 @@ def _pencil_eigs(spec, model, b, rng):
     n = model.n
     sign = -1.0 if b is None else 1.0  # b=None: report +sum instead of b-sum
     b_mat = np.zeros((n, n), dtype=complex) if b is None else np.asarray(b, dtype=complex)
-    if not np.any(model.a1):
-        spec = replace(spec, mu1=point_mass(0.0))
-    if not np.any(model.a2):
-        spec = replace(spec, mu2=point_mass(0.0))
+    spec = _pencil_laws(spec, model)
 
     def pencil_spectrum(x1, x2):
         # np.kron of a matrix with a stack of blocks acts block by block
@@ -243,11 +286,7 @@ class OracleReport:
     trials: int
     seed: int
     epsilon: float
-
-    def density_estimate(self):
-        widths = np.diff(self.bin_edges)
-        total = self.counts_mean.sum()
-        return self.counts_mean / (total * widths)
+    path: str  # "commuting", "two-subspace" or "dense": see _trial_path
 
     def to_json_dict(self):
         return {
@@ -260,6 +299,7 @@ class OracleReport:
             "trials": self.trials,
             "seed": self.seed,
             "epsilon": self.epsilon,
+            "path": self.path,
         }
 
 
@@ -293,8 +333,10 @@ def oracle_report(spec: EnsembleSpec, poly: NCPoly | None = None, lam: float = 0
         epsilon = max(4.0 / spec.N, 1e-6)
     if poly is not None:
         eig_sets = [_poly_eigs(spec, poly, rng) for rng in spec.trial_rngs()]
+        path = _trial_path(spec)
     else:
         eig_sets = [_pencil_eigs(spec, model, b, rng) for rng in spec.trial_rngs()]
+        path = _trial_path(_pencil_laws(spec, model))
     lo = min(float(e.min()) for e in eig_sets)
     hi = max(float(e.max()) for e in eig_sets)
     pad = 1e-9 * max(1.0, abs(lo), abs(hi))
@@ -322,4 +364,5 @@ def oracle_report(spec: EnsembleSpec, poly: NCPoly | None = None, lam: float = 0
         trials=spec.trials,
         seed=spec.seed,
         epsilon=float(epsilon),
+        path=path,
     )

@@ -54,9 +54,6 @@ class FreeSumModel:
     def n(self):
         return self.a1.shape[0]
 
-    def swapped(self):
-        return FreeSumModel(self.a2, self.a1, self.mu2, self.mu1)
-
     def to_json_dict(self):
         return {
             "n": self.n,

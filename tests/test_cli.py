@@ -55,16 +55,29 @@ def run_cli(argv):
     return cli.main(argv)
 
 
-def test_library_does_not_import_scipy():
+def test_library_does_not_import_scipy(tmp_path):
+    # importing the library and running the oracle on each of its paths and
+    # one convolve loads no scipy, not even lazily
     import os
     import subprocess
     import sys
 
     import freeatoms
 
+    laws = {"mix1": MIX1, "mix2": MIX2,
+            "three": {"atoms": [{"x": 0.0, "m": 0.5}, {"x": 1.0, "m": 0.3}, {"x": 2.5, "m": 0.2}],
+                      "continuous": [], "support": [0, 2.5]}}
+    for name, law in laws.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(law))
+    runs = [["oracle", "--mu1", "mix1.json", "--mu2", "mix2.json", "--size", "40"],
+            ["oracle", "--mu1", "three.json", "--mu2", "mix2.json", "--size", "40"],
+            ["convolve", "--mu1", "mix1.json", "--mu2", "mix2.json", "--grid", "-1:3:5"]]
+    code = ("import sys, freeatoms, freeatoms.cli\n"
+            f"for argv in {runs!r}:\n"
+            "    assert freeatoms.cli.main(argv + ['--out', 'out.json']) == 0, argv\n"
+            "print('scipy' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(Path(freeatoms.__file__).parents[1]))
-    code = "import sys, freeatoms, freeatoms.cli; print('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code],
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
@@ -303,6 +316,21 @@ class TestOracleCommand:
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["masses"]["0.0"][0] <= 2 / 200
+        assert out["path"] == "two-subspace"
+
+    @pytest.mark.parametrize("laws, coefficients, path", [
+        (("mix1", "mix2"), [], "two-subspace"),
+        (("mix1", "semicircle"), [], "dense"),
+        (("mix1", "semicircle"), ["--a1", "1", "--a2", "0"], "commuting"),
+    ])
+    def test_reports_the_path_the_laws_choose(self, files, capsys, laws, coefficients, path):
+        files["semicircle"] = str(Path(__file__).parent / "data" / "semicircle.json")
+        code = run_cli(["oracle", "--mu1", files[laws[0]], "--mu2", files[laws[1]], *coefficients,
+                        "--size", "60", "--trials", "2", "--seed", "5"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["path"] == path
+        assert sum(out["counts_mean"]) == pytest.approx(60)
 
 
 class TestCompareCommand:
@@ -317,6 +345,7 @@ class TestCompareCommand:
         assert out["agree"] is True
         assert out["pipeline_mass"] == pytest.approx(0.3, abs=1e-5)
         assert abs(out["oracle_mass"] - 0.3) <= out["tolerance"]
+        assert out["path"] == "two-subspace"
 
 
 # the flags each subcommand reads, and no others

@@ -82,13 +82,17 @@ class TestLinearize:
         L, cert = linearize(p)
         m = cert.m
         assert L.n == 1 + m
-        assert L.entry_poly(0, 0) == NCPoly.zero()
+
+        def entry(i, j):  # the affine polynomial a0 + a1 Z1 + a2 Z2 of entry (i, j)
+            return NCPoly([((), L.a0[i, j]), ((1,), L.a1[i, j]), ((2,), L.a2[i, j])])
+
+        assert entry(0, 0) == NCPoly.zero()
         for j in range(m):
-            assert L.entry_poly(0, 1 + j) == cert.B[j]
-            assert L.entry_poly(1 + j, 0) == cert.C[j]
+            assert entry(0, 1 + j) == cert.B[j]
+            assert entry(1 + j, 0) == cert.C[j]
         for i in range(m):
             for j in range(m):
-                assert L.entry_poly(1 + i, 1 + j) == cert.D[i][j]
+                assert entry(1 + i, 1 + j) == cert.D[i][j]
 
     def test_round_trip_property(self):
         rng = np.random.default_rng(32)

@@ -132,7 +132,7 @@ class TestOracleReport:
         spec = rmt.EnsembleSpec(N=700, trials=4, seed=14, mu1=BERN, mu2=BERN)
         rep = rmt.oracle_report(spec, model=scalar_model(BERN, BERN), bins=81)
         assert rep.spikes == []
-        dens = rep.density_estimate()
+        dens = rep.counts_mean / (rep.counts_mean.sum() * np.diff(rep.bin_edges))
         centers = 0.5 * (rep.bin_edges[:-1] + rep.bin_edges[1:])
         inner = np.abs(centers) <= 1.7
         exact = 1 / (np.pi * np.sqrt(4 - centers[inner] ** 2))
@@ -198,8 +198,28 @@ def _random_hermitian(rng, n):
     return (h + h.conj().T) / 2
 
 
+def haar_frame(N, k, rng):
+    """N x k orthonormal frame whose range is Haar distributed among the
+    k-dimensional subspaces: the Q factor of an N x k complex Ginibre
+    matrix (column phases do not change the range)."""
+    g = (rng.standard_normal((N, k)) + 1j * rng.standard_normal((N, k))) / np.sqrt(2)
+    return np.linalg.qr(g)[0]
+
+
+def frame_cosines(v, k1):
+    """Principal-angle cosines strictly between 0 and 1 of ran v against
+    the last k1 coordinates (the upper atoms of an ascending quantile
+    grid): the singular values of v's rows there, after the unit ones
+    of the generic intersection."""
+    N, k2 = v.shape
+    return np.linalg.svd(v[N - k1:], compute_uv=False)[max(0, k1 + k2 - N):]
+
+
 class TestTwoSubspaceOracle:
-    """Two laws with at most two atoms: the exact block form of the pair."""
+    """Two laws with at most two atoms: the exact block form of the pair.
+
+    The block cases feed :func:`rmt._halmos_eigs` the cosines of a frame
+    drawn here, so that the dense matrix of that same frame is known."""
 
     N = 12
     # lower-atom masses of the two laws and the upper-atom counts (k1, k2)
@@ -214,11 +234,11 @@ class TestTwoSubspaceOracle:
     }
 
     def dense_pair(self, spec, seed):
-        """(D1, alpha2 + (beta2 - alpha2) V V*) for the frame V the oracle
-        draws from a generator seeded with ``seed``."""
+        """(D1, alpha2 + (beta2 - alpha2) V V*) for the frame V that
+        :func:`haar_frame` draws from a generator seeded with ``seed``."""
         d1, d2 = M.quantiles(spec.mu1, spec.N), M.quantiles(spec.mu2, spec.N)
         k2 = int(np.count_nonzero(d2 > d2[0]))
-        v = rmt.haar_frame(spec.N, k2, np.random.default_rng(seed))
+        v = haar_frame(spec.N, k2, np.random.default_rng(seed))
         A2 = d2[0] * np.eye(spec.N) + (d2[-1] - d2[0]) * (v @ v.conj().T)
         return np.diag(d1).astype(complex), A2, (int(np.count_nonzero(d1 > d1[0])), k2)
 
@@ -227,8 +247,14 @@ class TestTwoSubspaceOracle:
         return rmt.EnsembleSpec(N=self.N, trials=1, seed=0, mu1=_two_atom_law(-0.5, 1.0, m1),
                                 mu2=_two_atom_law(0.2, 2.0, m2))
 
+    @pytest.fixture
+    def frame_cosines_drawn(self, monkeypatch):
+        """Make the oracle's cosine draw that of :func:`haar_frame`."""
+        monkeypatch.setattr(rmt, "_two_subspace_cosines",
+                            lambda N, k1, k2, rng: frame_cosines(haar_frame(N, k2, rng), k1))
+
     @pytest.mark.parametrize("case", list(CASES))
-    def test_polynomial_blocks_equal_dense_spectrum(self, case):
+    def test_polynomial_blocks_equal_dense_spectrum(self, case, frame_cosines_drawn):
         spec = self.spec(case)
         poly = Z1 * Z2 + Z2 * Z1
         D1, A2, ks = self.dense_pair(spec, seed=21)
@@ -239,7 +265,7 @@ class TestTwoSubspaceOracle:
         np.testing.assert_allclose(blocks, dense, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("case", list(CASES))
-    def test_pencil_blocks_equal_dense_spectrum(self, case):
+    def test_pencil_blocks_equal_dense_spectrum(self, case, frame_cosines_drawn):
         spec = self.spec(case)
         rng = np.random.default_rng(22)
         a1, a2, b = (_random_hermitian(rng, 2) for _ in range(3))
@@ -281,15 +307,122 @@ class TestTwoSubspaceOracle:
         three_atoms = M.atomic_measure([(0.0, 0.5), (1.0, 0.3), (2.5, 0.2)])
         kwargs = ({"poly": Z1 * Z2 + Z2 * Z1} if target == "poly"
                   else {"model": scalar_model(MU1, MU2), "b": np.array([[0.0]])})
-        for mu1, mu2, dense_trials in ((MU1, MU2, 0), (three_atoms, MU2, 3), (MIXED, MU2, 3),
-                                       (M.point_mass(0.5), MIXED, 0)):
+        for mu1, mu2, dense_trials, path in ((MU1, MU2, 0, "two-subspace"),
+                                             (three_atoms, MU2, 3, "dense"),
+                                             (MIXED, MU2, 3, "dense"),
+                                             (M.point_mass(0.5), MIXED, 0, "commuting")):
             calls.clear()
             spec = rmt.EnsembleSpec(N=150, trials=3, seed=25, mu1=mu1, mu2=mu2)
             if target == "pencil":
                 kwargs["model"] = scalar_model(mu1, mu2)
             rep = rmt.oracle_report(spec, **kwargs)
             assert calls == [150] * dense_trials
+            assert rep.path == path == rmt._trial_path(spec)
             assert rep.counts_mean.sum() == pytest.approx(150)
+
+
+class _RecordingRng:
+    """A generator that logs each draw as (method, value)."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def draw(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.draws.append((name, out))
+            return out
+
+        return draw
+
+
+class TestJacobiCosines:
+    """The beta = 2 Jacobi bidiagonal model of the principal-angle cosines
+    against the singular values of a Haar frame's rows."""
+
+    # (N, k1, k2): the four two-subspace CASES shapes and the N = 400 shape
+    # of MU1, MU2
+    SHAPES = [(12, 3, 5), (12, 9, 8), (12, 6, 6), (12, 4, 10), (400, 120, 160)]
+
+    @pytest.mark.parametrize("N, k1, k2", SHAPES)
+    def test_law_matches_frame_cosines(self, N, k1, k2):
+        from scipy import stats
+
+        trials = 2000 if N <= 12 else 40
+        rng_model, rng_frame = (np.random.default_rng((N, k1, k2, i)) for i in (0, 1))
+        model = [rmt._two_subspace_cosines(N, k1, k2, rng_model) for _ in range(trials)]
+        frame = [frame_cosines(haar_frame(N, k2, rng_frame), k1) for _ in range(trials)]
+        assert {c.size for c in model} == {c.size for c in frame} == {min(k1, k2, N - k1, N - k2)}
+        # first four moments of the pooled cosines within 3 SE, the SE from
+        # the spread of the per-trial moments
+        moments = {name: np.array([[np.mean(c ** j) for j in range(1, 5)] for c in draws])
+                   for name, draws in (("model", model), ("frame", frame))}
+        mean = {k: m.mean(axis=0) for k, m in moments.items()}
+        se = {k: m.std(axis=0, ddof=1) / np.sqrt(trials) for k, m in moments.items()}
+        gap = np.abs(mean["model"] - mean["frame"])
+        assert np.all(gap <= 3 * np.hypot(se["model"], se["frame"])), (gap, se)
+        assert stats.ks_2samp(np.concatenate(model), np.concatenate(frame)).pvalue > 0.01
+
+    @pytest.mark.parametrize("N, k1, k2", [(2, 0, 1), (5, 2, 0), (5, 5, 3), (5, 2, 5), (2, 2, 2)])
+    def test_no_angle_draws_nothing(self, N, k1, k2):
+        rng = _RecordingRng(0)
+        assert rmt._two_subspace_cosines(N, k1, k2, rng).shape == (0,)
+        assert rng.draws == []
+
+    # one angle: c^2 is the Beta law of one coordinate of a Haar unit vector
+    @pytest.mark.parametrize("N, k1, k2, law", [(2, 1, 1, (1, 1)), (3, 1, 1, (1, 2)),
+                                                (3, 2, 2, (1, 2)), (3, 1, 2, (2, 1))])
+    def test_one_angle_follows_its_beta_law(self, N, k1, k2, law):
+        from scipy import stats
+
+        rng = np.random.default_rng((N, k1, k2))
+        c = np.concatenate([rmt._two_subspace_cosines(N, k1, k2, rng) for _ in range(4000)])
+        assert c.shape == (4000,)
+        assert np.all((c > 0) & (c < 1))
+        assert stats.kstest(c * c, stats.beta(*law).cdf).pvalue > 0.01
+
+    @pytest.mark.parametrize("N, k1, k2", [(80, 40, 40), (10**6, 12, 12), (90, 50, 60)])
+    def test_cosines_carry_absolute_roundoff(self, N, k1, k2):
+        # rebuild the bidiagonal matrix from the logged Gamma draws in 40
+        # digits: every cosine, the small ones too, is within a few ulps of 1
+        import mpmath as mp
+
+        rng = _RecordingRng((N, k1, k2))
+        c = np.sort(rmt._two_subspace_cosines(N, k1, k2, rng))
+        g, h = ([mp.mpf(float(x)) for x in v] for _, v in rng.draws)
+        p = c.size
+        cos = [mp.sqrt(x / (x + y)) for x, y in zip(g, h)]
+        sin = [mp.sqrt(y / (x + y)) for x, y in zip(g, h)]
+        with mp.workdps(40):
+            bidiag = mp.zeros(p, p)
+            for i in range(p):
+                bidiag[i, i] = cos[i] * (sin[p + i] if i < p - 1 else 1)
+                if i < p - 1:
+                    bidiag[i, i + 1] = sin[i + 1] * cos[p + i]
+            exact = np.sort([float(s) for s in mp.svd_r(bidiag, compute_uv=False)])
+        assert np.max(np.abs(c - exact)) <= 4 * np.finfo(float).eps
+
+    def test_two_subspace_path_runs_no_qr_and_no_gaussian(self, monkeypatch):
+        qr_calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: qr_calls.append(1) or qr(*a, **k))
+        three_atoms = M.atomic_measure([(0.0, 0.5), (1.0, 0.3), (2.5, 0.2)])
+        poly = Z1 * Z2 + Z2 * Z1
+        for mu1, path in ((MU1, "two-subspace"), (three_atoms, "dense")):
+            qr_calls.clear()
+            spec = rmt.EnsembleSpec(N=400, trials=1, seed=0, mu1=mu1, mu2=MU2)
+            rng = _RecordingRng(27)
+            assert rmt._trial_path(spec) == path
+            assert rmt._poly_eigs(spec, poly, rng).shape == (400,)
+            gaussians = [np.shape(v) for name, v in rng.draws if name == "standard_normal"]
+            if path == "dense":  # the counters do see the dense draw
+                assert qr_calls and gaussians == [(400, 400)] * 2
+            else:
+                assert qr_calls == [] and gaussians == []
+                assert [name for name, _ in rng.draws] == ["standard_gamma"] * 2
 
 
 class TestCommutingOracle:

@@ -77,7 +77,7 @@ class TestSolveSubordination:
         model = scalar_model(M.atomic_measure([(0.0, 0.7), (1.0, 0.3)]), SC2)
         z = np.array([[0.3 + 0.7j]])
         r = solve_subordination(model, z)
-        rs = solve_subordination(model.swapped(), z)
+        rs = solve_subordination(FreeSumModel(model.a2, model.a1, model.mu2, model.mu1), z)
         assert r.omega1[0, 0] == pytest.approx(rs.omega2[0, 0], abs=1e-9)
         assert r.omega2[0, 0] == pytest.approx(rs.omega1[0, 0], abs=1e-9)
 
@@ -98,7 +98,7 @@ class TestSolveSubordination:
         model = FreeSumModel(hermitian(), hermitian(), mu1, mu2)
         z = hermitian() + 1j * y * np.eye(n)
         r = solve_subordination(model, z)
-        rs = solve_subordination(model.swapped(), z)
+        rs = solve_subordination(FreeSumModel(model.a2, model.a1, model.mu2, model.mu1), z)
         assert np.max(np.abs(rs.omega1 - r.omega2)) <= 1e-9
         assert np.max(np.abs(rs.omega2 - r.omega1)) <= 1e-9
 
