@@ -46,7 +46,7 @@ from .opval import (
     matrix_f,
     pencil_kernel_trace,
 )
-from .subord import FreeSumModel, SubordinationResult, scalar_model, solve_subordination, sum_cauchy, sum_density
+from .subord import FreeSumModel, SubordinationResult, scalar_model, solve_subordination, sum_density
 from .atoms import (
     AtomReport,
     LadderScan,

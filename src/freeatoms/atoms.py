@@ -36,7 +36,7 @@ from .measure import SpectralMeasure
 from .ncpoly import NCPoly, format_poly, is_selfadjoint, star_square
 from .opval import (expected_kernel_projection, herm_part, imag_part, kernel_profile, pack_matrix,
                     unpack_matrix)
-from .subord import FreeSumModel, solve_subordination
+from .subord import FreeSumModel, SubordinationResult, solve_subordination
 
 DEFAULT_Y0 = 0.1
 DEFAULT_DEPTH = 16
@@ -61,18 +61,19 @@ def default_ladder(y0: float = DEFAULT_Y0, depth: int = DEFAULT_DEPTH):
 def richardson(values):
     """First-order Richardson limit of f(y_k) on a halving ladder.
 
-    values[k] ~ limit + c y_k + o(y_k); the linear term is eliminated
-    exactly.  A residual tail of unknown power y^s survives as a
-    geometric sequence in k, so when the extrapolant differences show a
-    stable ratio the geometric sum is completed as well.  Returns
+    ``values`` is a stack (K, ...) with values[k] ~ limit + c y_k + o(y_k);
+    the linear term is eliminated exactly.  A residual tail of unknown
+    power y^s survives as a geometric sequence in k, so when the
+    extrapolant differences show a stable ratio the geometric sum is
+    completed as well.  Returns
     (limit, diffs, err) with diffs the extrapolant difference norms and
     err a conservative estimate of the remaining error.
     """
-    vals = [np.asarray(v, dtype=complex) for v in values]
+    vals = np.asarray(values, dtype=complex)
     if len(vals) < 2:
         raise ValueError("need at least two ladder rungs")
-    extr = [2.0 * b - a for a, b in zip(vals, vals[1:])]
-    diffs = [float(np.max(np.abs(b - a))) for a, b in zip(extr, extr[1:])]
+    extr = 2.0 * vals[1:] - vals[:-1]
+    diffs = np.abs(extr[1:] - extr[:-1]).max(axis=tuple(range(1, extr.ndim))).tolist()
     limit = extr[-1]
     if not diffs:
         return limit, [], 0.0
@@ -101,31 +102,23 @@ def richardson(values):
 class LadderScan:
     """One boundary ladder at b: the subordination data down b + iy and their limit.
 
-    ``y_ladder`` is the ladder asked for and ``ys`` the rungs solved.
-    ``cauchy`` holds G(b + iy) = G1(omega1) per rung, ``iterations``
-    each rung's iteration count and ``residuals`` the larger of its
-    fixed-point and consistency residuals.  ``E_p`` and
-    ``diagnostics`` are the extrapolated kernel expectation of
-    :func:`boundary_emass`, computed once when :func:`ladder_scan` builds
-    the scan; every consumer reads them from here.
+    ``y_ladder`` is the ladder asked for and ``ys`` the rungs solved;
+    ``solve`` is their one stacked :class:`SubordinationResult`, whose
+    slice k is rung ys[k].  ``E_p`` and ``diagnostics`` are the
+    extrapolated kernel expectation of :func:`boundary_emass`, computed
+    once when :func:`ladder_scan` builds the scan; every consumer reads
+    them from here.
     """
 
     model: FreeSumModel
     b: np.ndarray
     y_ladder: np.ndarray
     tol: float
-    omega1: list
-    omega2: list
-    cauchy: list
-    iterations: list
-    residuals: list
+    ys: np.ndarray
+    solve: SubordinationResult
     truncated: str = ""
     E_p: np.ndarray | None = None
     diagnostics: dict | None = None
-
-    @property
-    def ys(self):
-        return self.y_ladder[: len(self.omega1)]
 
     @property
     def mass(self):
@@ -175,9 +168,7 @@ def ladder_scan(model: FreeSumModel, b, y_ladder=None, tol: float = 1e-12) -> La
                 raise ConvergenceError(f"{exc} at y={y:.3e}", {**exc.details, "y": y}) from exc
             truncated = f"ladder stopped at y={y:.3e}: {exc}"
             z = z[:k]
-    residuals = np.maximum(res.residual_fixed_point, res.residual_consistency)
-    scan = LadderScan(model, b, ys, tol, list(res.omega1), list(res.omega2), list(res.cauchy),
-                      res.point_iterations.tolist(), residuals.tolist(), truncated)
+    scan = LadderScan(model, b, ys, tol, ys[: len(z)], res, truncated)
     scan.E_p, scan.diagnostics = boundary_emass(scan)
     return scan
 
@@ -197,7 +188,8 @@ def boundary_emass(scan: LadderScan):
     reported in the diagnostics, as is the extrapolation tail.
     :func:`ladder_scan` calls it and keeps the result on the scan.
     """
-    data = [1j * y * g for y, g in zip(scan.ys, scan.cauchy)]
+    res = scan.solve
+    data = 1j * scan.ys[:, None, None] * res.cauchy
     limit, diffs, err = richardson(data)
     if err > CONV_TOL:
         raise ConvergenceError(
@@ -205,18 +197,15 @@ def boundary_emass(scan: LadderScan):
             {"diffs": diffs, "error_estimate": err},
         )
     E, clipped = _psd_project(limit)
-    dominated = []
-    for y, d in zip(scan.ys, data):
-        gap = float(np.linalg.eigvalsh(herm_part(d) - E).min())
-        dominated.append(bool(gap >= -1e-6))
+    gaps = np.linalg.eigvalsh(herm_part(data) - E)[:, 0]  # ascending order
     diagnostics = {
         "richardson_diffs": diffs,
         "extrapolation_error": err,
         "ladder_truncated": scan.truncated,
         "psd_clipped": clipped,
-        "hermitian_dominates": dominated,
-        "iterations": list(scan.iterations),
-        "rung_residuals": list(scan.residuals),
+        "hermitian_dominates": (gaps >= -1e-6).tolist(),
+        "iterations": res.point_iterations.tolist(),
+        "rung_residuals": np.maximum(res.residual_fixed_point, res.residual_consistency).tolist(),
         "y_min": float(scan.ys[-1]),
     }
     return E, diagnostics
@@ -436,11 +425,13 @@ def decompose_atom(scan: LadderScan) -> AtomReport:
         )
     mass = scan.mass
 
-    b1, _d1, e1 = richardson(scan.omega1)
-    b2, _d2, e2 = richardson(scan.omega2)
+    omega1, omega2 = scan.solve.omega1, scan.solve.omega2
+    ys = scan.ys[:, None, None]
+    b1, _d1, e1 = richardson(omega1)
+    b2, _d2, e2 = richardson(omega2)
     b1, b2 = herm_part(b1), herm_part(b2)
-    beta1, _db1, eb1 = richardson([imag_part(w) / y for y, w in zip(scan.ys, scan.omega1)])
-    beta2, _db2, eb2 = richardson([imag_part(w) / y for y, w in zip(scan.ys, scan.omega2)])
+    beta1, _db1, eb1 = richardson(imag_part(omega1) / ys)
+    beta2, _db2, eb2 = richardson(imag_part(omega2) / ys)
     beta1, beta2 = herm_part(beta1), herm_part(beta2)
     worst_tail = max(e1, e2, eb1, eb2)
     if worst_tail > CONV_TOL:

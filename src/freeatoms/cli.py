@@ -7,9 +7,6 @@ dense row-major order.  All randomness flows from one --seed so every
 run is reproducible.  Exit codes: 0 success, 1 strict-mode residual
 failure, 2 schema violation, 3 numerical non-convergence (diagnostic
 JSON on stderr), 4 internal invariant breach.
-
-Environment overrides: FREEATOMS_TOL and FREEATOMS_SEED replace the
-defaults of --tol and --seed when those flags are not given.
 """
 
 from __future__ import annotations
@@ -74,7 +71,7 @@ class RunConfig:
     bins: int = 201
 
     def __post_init__(self):
-        positive = [("--tol (or FREEATOMS_TOL)", self.tol), ("--y0", self.y0),
+        positive = [("--tol", self.tol), ("--y0", self.y0),
                     ("--y-eval", self.y_eval), ("--epsilon", self.epsilon)]
         for flag, value in positive:
             if value is not None and not (math.isfinite(value) and value > 0):
@@ -362,9 +359,8 @@ def run(config: RunConfig) -> int:
 
 # Each flag once, with dest the RunConfig field it sets.  No flag states a
 # default: subparsers suppress absent flags, so the RunConfig field default
-# applies (for --tol and --seed after the environment overrides).  --poly
-# is optional here because oracle takes it optionally; the commands that
-# need it say so.
+# applies.  --poly is optional here because oracle takes it optionally; the
+# commands that need it say so.
 _FLAGS = {
     "--mu1": dict(dest="mu1_path", required=True),
     "--mu2": dict(dest="mu2_path", required=True),
@@ -391,34 +387,16 @@ _FLAGS = {
 }
 
 
-def _env_override(name, kind, default):
-    """Default taken from environment variable ``name`` when it is set."""
-    text = os.environ.get(name)
-    if text is None:
-        return default
-    try:
-        return kind(text)
-    except ValueError as exc:
-        raise SchemaError(f"{name}={text!r} is not a valid {kind.__name__}") from exc
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="freeatoms",
         description="spectral distributions and atoms of free sums and polynomials",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    env_defaults = {
-        "--tol": _env_override("FREEATOMS_TOL", float, RunConfig.tol),
-        "--seed": _env_override("FREEATOMS_SEED", int, RunConfig.seed),
-    }
     for name, (_handler, help_text, flags) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         for flag in flags.split():
-            kwargs = dict(_FLAGS[flag])
-            if flag in env_defaults:
-                kwargs["default"] = env_defaults[flag]
-            sp.add_argument(flag, **kwargs)
+            sp.add_argument(flag, **_FLAGS[flag])
     return parser
 
 

@@ -411,12 +411,6 @@ class SpectralMeasure:
     def is_atomless(self):
         return not self.atoms
 
-    def atom_mass_at(self, x, tol=1e-12):
-        for loc, m in self.atoms:
-            if abs(loc - x) <= tol:
-                return m
-        return 0.0
-
     def cdf(self, x):
         """Right-continuous distribution function."""
         x = np.asarray(x, dtype=float)

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConvergenceError, HalfPlaneError
+from .errors import HalfPlaneError
 from .measure import SpectralMeasure, integrate_piece
 
 # Singular values below RANK_RTOL * max(sigma_1, 1) count as zero: the one
@@ -36,8 +36,6 @@ RANK_RTOL = 1e-8
 # that of quadrature (~1e-12), the continuous part is integrated by
 # quadrature instead.
 _EIG_COND_LIMIT = 1e4
-
-_PROFILE_SEED = 0x5EED  # every kernel_profile draws from this seed
 
 
 # ---------------------------------------------------------------------------
@@ -255,46 +253,37 @@ class PencilKernelProfile:
     exceptional: tuple  # ((t, k_t), ...) over the hints with k_t > k_min
 
     def kernel_trace(self, mu: SpectralMeasure) -> float:
-        """tau_n(ker(b (x) 1 - a (x) X)) = k_min + sum_t (k(t) - k_min) mu({t})."""
+        """tau_n(ker(b (x) 1 - a (x) X)) = k_min + sum_t (k(t) - k_min) mu({t}).
+
+        Each exceptional point is looked up exactly among the atoms of mu,
+        whose own locations are the hints, so two atoms count separately
+        however close they are.
+        """
+        masses = dict(mu.atoms)
         total = float(self.k_min)
         for t, k_t in self.exceptional:
-            total += float(k_t - self.k_min) * mu.atom_mass_at(t, tol=1e-9)
+            total += float(k_t - self.k_min) * masses.get(t, 0.0)
         return total
 
 
 def kernel_profile(a, b, hints=()) -> PencilKernelProfile:
-    """k_min by randomized consensus (seeded draws), and k(t) at each hint above it.
+    """k_min from the generic rank of b - t a, and k(t) at each hint above it.
 
-    Pass the atoms of the law as ``hints``: the kernel trace formula
-    reads k(t) only there, and a point that is no atom adds nothing.
+    The rank of b - t a falls below its generic value r only where a
+    fixed nonzero r x r minor, a polynomial of degree <= n in t, vanishes:
+    at no more than n points.  So r is the largest rank over n + 1
+    distinct points, taken outside the working scale.  Pass the atoms of
+    the law as ``hints``: the kernel trace formula reads k(t) only there,
+    and a point that is no atom adds nothing.
     """
     a = herm_part(check_hermitian(a, "a"))
     b = herm_part(check_hermitian(b, "b"))
     n = a.shape[0]
-    rng = np.random.default_rng(_PROFILE_SEED)
     scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))),
                 *[abs(float(h)) for h in hints])
-
-    # generic rank by consensus over 7 draws outside the working scale,
-    # widening the draw interval on disagreement
-    width = 1.0
-    ranks = None
-    for _attempt in range(6):
-        draws = []
-        while len(draws) < 7:
-            t = float(rng.uniform(scale + 1.0, (3.0 + width) * scale + 2.0))
-            t *= 1 if rng.uniform() < 0.5 else -1
-            draws.append(t)
-        ranks = [numerical_rank(b - t * a) for t in draws]
-        if len(set(ranks)) == 1:
-            break
-        width *= 4.0
-    else:
-        raise ConvergenceError(
-            "no generic-rank consensus after widening the sample interval",
-            {"ranks": ranks},
-        )
-    k_min = Fraction(n - ranks[0], n)
+    ts = (scale + 1.0) * (1.0 + np.arange(n + 1) / n)
+    sv = np.linalg.svd(b - ts[:, None, None] * a, compute_uv=False)
+    k_min = Fraction(n - max(_rank_of(s) for s in sv), n)
 
     # distinct atoms stay distinct however close they are: each one's
     # k(t) enters the trace with its own mass

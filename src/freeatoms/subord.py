@@ -364,12 +364,6 @@ def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL) -> Sub
     )
 
 
-def sum_cauchy(model: FreeSumModel, z, tol: float = DEFAULT_TOL):
-    """Cauchy transform of the free sum at z (one point or a stack): G(z) = G1(omega1(z))."""
-    result = solve_subordination(model, z, tol=tol)
-    return result.cauchy, result
-
-
 def sum_density(model: FreeSumModel, grid, y_eval: float = 1e-4, tol: float = DEFAULT_TOL):
     """Smoothed spectral density -(1/pi) Im tr_n G(x + i y_eval) on a grid.
 

@@ -381,10 +381,10 @@ class TestStackedLadder:
         scan = A.ladder_scan(model, b, y_ladder=A.default_ladder(depth=12))
         for k, y in enumerate(scan.ys):
             lone = solve_subordination(model, b + 1j * y * np.eye(model.n), tol=scan.tol)
-            for mine, theirs in [(scan.omega1, lone.omega1), (scan.omega2, lone.omega2),
-                                 (scan.cauchy, lone.cauchy)]:
+            for mine, theirs in [(scan.solve.omega1, lone.omega1), (scan.solve.omega2, lone.omega2),
+                                 (scan.solve.cauchy, lone.cauchy)]:
                 assert np.max(np.abs(mine[k] - theirs)) <= 1e-11
-            assert scan.iterations[k] == lone.iterations
+            assert scan.solve.point_iterations[k] == lone.iterations
 
     def test_per_rung_iterations_and_residuals(self, monkeypatch):
         calls = self.count_solves(monkeypatch)

@@ -403,16 +403,6 @@ class TestFlagTable:
 
 
 class TestConfig:
-    def test_env_overrides(self, files, capsys, monkeypatch):
-        monkeypatch.setenv("FREEATOMS_SEED", "77")
-        parser = cli._build_parser()
-        args = parser.parse_args(["oracle", "--mu1", files["mix1"], "--mu2", files["mix2"]])
-        assert args.seed == 77
-        monkeypatch.setenv("FREEATOMS_TOL", "1e-9")
-        parser = cli._build_parser()  # defaults are read at build time
-        args = parser.parse_args(["convolve", "--mu1", files["mix1"], "--mu2", files["mix2"]])
-        assert args.tol == pytest.approx(1e-9)
-
     def test_ladder_depth_bounds(self):
         with pytest.raises(Exception):
             cli.RunConfig(command="convolve", ladder_depth=50)
@@ -428,13 +418,6 @@ class TestExitCodes:
     def oracle_argv(self, files):
         return ["oracle", "--poly", "Z1+Z2", "--mu1", files["mix1"], "--mu2", files["mix2"],
                 "--size", "20", "--trials", "1"]
-
-    @pytest.mark.parametrize("var", ["FREEATOMS_TOL", "FREEATOMS_SEED"])
-    def test_bad_env_override_is_schema_error(self, files, capsys, monkeypatch, var):
-        monkeypatch.setenv(var, "abc")
-        code = run_cli(["convolve", "--mu1", files["bern"], "--mu2", files["bern"]])
-        assert code == cli.EXIT_SCHEMA
-        assert var in capsys.readouterr().err
 
     def test_eigensolver_failure_is_nonconvergence(self, files, capsys, monkeypatch):
         def fail(spec, poly, rng):
@@ -493,22 +476,21 @@ class TestExitCodes:
         assert run_cli(["--help"]) == cli.EXIT_OK
         assert capsys.readouterr().out.startswith("usage: freeatoms")
 
-    @pytest.mark.parametrize("command, extra, env, flag", [
-        ("convolve", ["--tol", "nan"], None, "--tol"),
-        ("convolve", ["--tol", "inf"], None, "--tol"),
-        ("convolve", [], "nan", "FREEATOMS_TOL"),
-        ("convolve", ["--y-eval", "nan"], None, "--y-eval"),
-        ("convolve", ["--grid", "nan:1:5"], None, "--grid"),
-        ("convolve", ["--grid", "0:1:0"], None, "--grid"),
-        ("decompose", ["--y0", "nan"], None, "--y0"),
-        ("oracle", ["--epsilon", "nan"], None, "--epsilon"),
-        ("oracle", ["--bins", "0"], None, "--bins"),
-        ("oracle", ["--lambda", "nan"], None, "--lambda"),
+    # the explicit ids keep each case's name when a row is added or removed
+    @pytest.mark.parametrize("command, extra, flag", [
+        pytest.param("convolve", ["--tol", "nan"], "--tol", id="convolve-extra0-None---tol"),
+        pytest.param("convolve", ["--tol", "inf"], "--tol", id="convolve-extra1-None---tol"),
+        pytest.param("convolve", ["--y-eval", "nan"], "--y-eval",
+                     id="convolve-extra3-None---y-eval"),
+        pytest.param("convolve", ["--grid", "nan:1:5"], "--grid", id="convolve-extra4-None---grid"),
+        pytest.param("convolve", ["--grid", "0:1:0"], "--grid", id="convolve-extra5-None---grid"),
+        pytest.param("decompose", ["--y0", "nan"], "--y0", id="decompose-extra6-None---y0"),
+        pytest.param("oracle", ["--epsilon", "nan"], "--epsilon",
+                     id="oracle-extra7-None---epsilon"),
+        pytest.param("oracle", ["--bins", "0"], "--bins", id="oracle-extra8-None---bins"),
+        pytest.param("oracle", ["--lambda", "nan"], "--lambda", id="oracle-extra9-None---lambda"),
     ])
-    def test_non_finite_or_out_of_range_numerics(self, files, capsys, monkeypatch,
-                                                 command, extra, env, flag):
-        if env is not None:
-            monkeypatch.setenv("FREEATOMS_TOL", env)
+    def test_non_finite_or_out_of_range_numerics(self, files, capsys, command, extra, flag):
         code = run_cli([command, "--mu1", files["mix1"], "--mu2", files["mix2"], *extra])
         assert code == cli.EXIT_SCHEMA
         err = capsys.readouterr().err

@@ -382,6 +382,27 @@ class TestKernelProfile:
         assert prof.exceptional == ((t1, Fraction(1, 2)), (t2, Fraction(1, 2)))
         assert prof.kernel_trace(mu) == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("a, b", [
+        (np.eye(1), np.zeros((1, 1))),
+        (np.diag([1.0, 1.0 + 5e-10]), np.zeros((2, 2))),
+    ], ids=["scalar", "diag"])
+    def test_atoms_within_1e9_keep_their_own_mass(self, a, b):
+        # both atoms are exceptional points with k = 1; each adds its own mass
+        mu = M.atomic_measure([(0.0, 0.3), (5e-10, 0.7)])
+        assert O.pencil_kernel_trace(a, b, mu) == pytest.approx(1.0, abs=1e-12)
+
+    def test_draws_no_random_numbers(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        cases = [(random_hermitian(rng, n), random_hermitian(rng, n)) for n in (1, 2, 4)]
+        cases.append((np.diag([1.0, 0.0]), np.diag([2.0, 0.0])))
+        expected = [O.kernel_profile(a, b, hints=[0.5, 2.0]) for a, b in cases]
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("kernel_profile drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        assert [O.kernel_profile(a, b, hints=[0.5, 2.0]) for a, b in cases] == expected
+
     def test_hints_are_checked_not_trusted(self):
         prof = O.kernel_profile(np.eye(2), np.diag([1.0, 2.0]), hints=[5.0])
         assert all(t != 5.0 for t, _ in prof.exceptional)
@@ -396,6 +417,7 @@ class TestKernelProfile:
 
     def test_planted_exceptional_points(self):
         rng = np.random.default_rng(25)
+        srng = np.random.default_rng(27)
         for _ in range(6):
             n = int(rng.integers(2, 5))
             t0 = float(rng.uniform(-2, 2))
@@ -409,6 +431,20 @@ class TestKernelProfile:
             k_t0 = dict(prof.exceptional)[t0]
             assert k_t0 >= Fraction(r, n)
             assert k_t0 > prof.k_min
+            # singular pencil S* blockdiag(0_k, regular) S: b - t a has a
+            # kernel of dimension >= k at every t
+            k = int(srng.integers(1, n))
+            s = srng.standard_normal((n, n)) + 1j * srng.standard_normal((n, n))
+            blocks = []
+            for m in (a, b):
+                embedded = np.zeros((n, n), dtype=complex)
+                embedded[k:, k:] = m[k:, k:]
+                blocks.append(s.conj().T @ embedded @ s)
+            a_s, b_s = blocks
+            prof = O.kernel_profile(a_s, b_s, hints=[t0])
+            brute = max(n - brute_kernel_dim(b_s - t * a_s) for t in srng.uniform(-3, 3, 4 * n))
+            assert prof.k_min == Fraction(n - brute, n)
+            assert prof.k_min >= Fraction(k, n)
 
 
 class TestPencilKernelTrace:

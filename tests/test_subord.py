@@ -15,7 +15,6 @@ from freeatoms.subord import (
     FreeSumModel,
     scalar_model,
     solve_subordination,
-    sum_cauchy,
     sum_density,
 )
 
@@ -103,7 +102,7 @@ class TestSolveSubordination:
         assert np.max(np.abs(rs.omega2 - r.omega1)) <= 1e-9
 
     def test_cauchy_is_g1_at_omega1(self):
-        # one solve evaluates G1(omega1) once; sum_cauchy and ladder scans read it
+        # one solve evaluates G1(omega1) once; ladder scans read it
         cases = [
             (scalar_model(M.atomic_measure([(0.0, 0.7), (1.0, 0.3)]), SC2), np.array([[0.3 + 0.7j]])),
             (FreeSumModel(np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), SC2, BERN),
@@ -112,7 +111,7 @@ class TestSolveSubordination:
         for model, z in cases:
             r = solve_subordination(model, z)
             assert r.cauchy.tobytes() == matrix_cauchy(model.a1, model.mu1, r.omega1).tobytes()
-            g, _ = sum_cauchy(model, z)
+            g = solve_subordination(model, z).cauchy
             assert g.tobytes() == r.cauchy.tobytes()
 
     def test_deterministic(self):
@@ -284,33 +283,34 @@ class TestFailingPoints:
 class TestSumCauchy:
     def test_bernoulli_arcsine_value(self):
         model = scalar_model(BERN, BERN)
-        g, _ = sum_cauchy(model, np.array([[3j]]))
+        g = solve_subordination(model, np.array([[3j]])).cauchy
         assert g[0, 0] == pytest.approx(-1j / np.sqrt(13), abs=1e-11)
 
     def test_additive_identity(self):
         model = scalar_model(SC2, M.point_mass(0.0))
         z = 0.2 + 0.6j
-        g, _ = sum_cauchy(model, np.array([[z]]))
+        g = solve_subordination(model, np.array([[z]])).cauchy
         assert g[0, 0] == pytest.approx(M.cauchy_scalar(SC2, z), abs=1e-11)
 
     def test_semicircle_stability_value(self):
         # oracle: radius adds in quadrature, here sc(0,2)+sc(0,2) = sc(0,2*sqrt2);
         # closed form checked against quadrature in the measure tests
         model = scalar_model(SC2, SC2)
-        g, _ = sum_cauchy(model, np.array([[2j]]))
+        g = solve_subordination(model, np.array([[2j]])).cauchy
         assert g[0, 0] == pytest.approx(1j * (1 - np.sqrt(3)) / 2, abs=1e-9)
 
     def test_consistency_with_omega_sum(self):
         model = scalar_model(BERN, SC2)
         z = np.array([[0.4 + 0.5j]])
-        g, r = sum_cauchy(model, z)
+        r = solve_subordination(model, z)
+        g = r.cauchy
         alt = np.linalg.inv(r.omega1 + r.omega2 - z)
         assert np.linalg.norm(g - alt, 2) < 1e-10
 
     def test_imaginary_part_negative_definite(self):
         model = FreeSumModel(np.diag([1.0, 0.5]), np.diag([0.5, 1.0]), BERN, SC2)
         z = np.array([[0.1 + 0.8j, 0.05], [0.05, -0.2 + 0.9j]])
-        g, _ = sum_cauchy(model, z)
+        g = solve_subordination(model, z).cauchy
         assert np.linalg.eigvalsh(imag_part(g)).max() < 0
 
 
