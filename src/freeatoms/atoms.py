@@ -205,6 +205,7 @@ def boundary_emass(scan: LadderScan):
         "psd_clipped": clipped,
         "hermitian_dominates": (gaps >= -1e-6).tolist(),
         "iterations": res.point_iterations.tolist(),
+        "floor_acceptances": res.floor_acceptances,
         "rung_residuals": np.maximum(res.residual_fixed_point, res.residual_consistency).tolist(),
         "y_min": float(scan.ys[-1]),
     }

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -205,7 +206,8 @@ def _cmd_convolve(cfg):
                "y_eval": cfg.y_eval,
                "max_residual": float(max(np.max(solve.residual_fixed_point),
                                          np.max(solve.residual_consistency))),
-               "iterations": solve.iterations}
+               "iterations": solve.iterations,
+               "floor_acceptances": solve.floor_acceptances}
     _emit(cfg, payload, csv_rows=rows, csv_header=("x", "density"))
     if cfg.strict and np.any(data[:, 1] < -1e-8):
         return EXIT_STRICT
@@ -387,7 +389,9 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def _build_parser():
+    """The command-line parser, built on first use and reused by every later call."""
     parser = argparse.ArgumentParser(
         prog="freeatoms",
         description="spectral distributions and atoms of free sums and polynomials",

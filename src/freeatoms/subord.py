@@ -84,6 +84,9 @@ class SubordinationResult:
     For a stack z (K, n, n) the matrices are stacks, both residuals and
     ``point_iterations`` are arrays with one entry per point, and
     ``iterations`` and ``lifted_evaluations`` are totals over the points.
+    ``floor_acceptances`` counts the points of z accepted at their
+    evaluation floor (the plateau or stall rule) with a fixed-point
+    residual above tol.
     """
 
     omega1: np.ndarray
@@ -94,6 +97,7 @@ class SubordinationResult:
     iterations: int
     point_iterations: int | np.ndarray
     lifted_evaluations: int = 0
+    floor_acceptances: int = 0
 
 
 def _norms(m):
@@ -131,6 +135,11 @@ def _least_squares(a, b):
 
 _STALL_WINDOW = 60
 _STALL_FLOOR = 1e-8
+# a point whose best residual has not halved for _PLATEAU_WINDOW
+# iterations and lies within _FLOOR_FACTOR * eps / y of zero, y its
+# height, is at the evaluation floor of the map and is accepted there
+_PLATEAU_WINDOW = 10
+_FLOOR_FACTOR = 4.0
 # a point whose best residual, still above the stall floor, has not
 # improved for this many iterations fails instead of running to MAX_ITER
 _FAIL_WINDOW = 1000
@@ -189,9 +198,13 @@ def _anderson_fixed_point(step, w0, args, tol, im_floor, points):
     that loses positivity by roundoff is averaged with the previous
     iterate (factor 1/2, up to 8 times) before the point fails.  Very
     close to the real axis the map evaluation itself carries an eps/y
-    conditioning floor, so a stalled iteration with a residual already
-    at that floor is accepted and reported honestly; one stuck above
-    that floor for ``_FAIL_WINDOW`` iterations fails.  The history has
+    conditioning floor, y = 2 ``im_floor`` the point's height.  So a
+    point whose best residual has not halved for ``_PLATEAU_WINDOW``
+    iterations and lies below max(tol, ``_FLOOR_FACTOR`` eps / y) is
+    accepted at that floor, and so is one idle for ``_STALL_WINDOW``
+    iterations below ``_STALL_FLOOR``; both leave with their best
+    iterate, and the residual reports it honestly.  A point stuck above
+    these floors for ``_FAIL_WINDOW`` iterations fails.  The history has
     the same length at every point, so one batched least-squares solve
     serves the stack; a point leaves the stack when it converges, stalls
     or fails.  Every point runs to its end, so a failure stops no other
@@ -208,6 +221,9 @@ def _anderson_fixed_point(step, w0, args, tol, im_floor, points):
     dw_hist, dr_hist = [], []
     prev_w = prev_r = None
     best_w, best_res, best_it = w, np.full(k_all, np.inf), np.zeros(k_all, dtype=int)
+    # the best residual at its last halving, that iteration, and the floor
+    mark, half_it = np.full(k_all, np.inf), np.zeros(k_all, dtype=int)
+    res_floor = np.maximum(tol, _FLOOR_FACTOR * np.finfo(float).eps / (2.0 * im_floor))
     for it in range(1, MAX_ITER + 1):
         fw = step(w, *args)
         high = min_imag_eig(fw) > im_floor
@@ -228,10 +244,14 @@ def _anderson_fixed_point(step, w0, args, tol, im_floor, points):
             best_w = np.where(better[:, None, None], w, best_w)
             best_res = np.where(better, res, best_res)
         best_it[better] = it
-        converged = done = res <= tol
+        halved = best_res < 0.5 * mark
+        mark[halved] = best_res[halved]
+        half_it[halved] = it
+        converged = res <= tol
+        done = converged | ((it - half_it >= _PLATEAU_WINDOW) & (best_res <= res_floor))
         if it >= _STALL_WINDOW:
             idle = it - best_it
-            done = converged | ((idle >= _STALL_WINDOW) & (best_res <= _STALL_FLOOR))
+            done |= (idle >= _STALL_WINDOW) & (best_res <= _STALL_FLOOR)
             # idle that long above the floor, a point was never stall-accepted
             stuck = idle >= _FAIL_WINDOW
             for k in np.flatnonzero(stuck):
@@ -244,7 +264,7 @@ def _anderson_fixed_point(step, w0, args, tol, im_floor, points):
         leave = done | lost
         if leave.any():
             if done.any():
-                # a converged point keeps its iterate, a stalled one its best
+                # a converged point keeps its iterate, an accepted one its best
                 w_out, res_out = w, res
                 if not converged.all():
                     w_out = np.where(converged[:, None, None], w, best_w)
@@ -255,6 +275,7 @@ def _anderson_fixed_point(step, w0, args, tol, im_floor, points):
             keep = ~leave
             live, w, fw, r = live[keep], w[keep], fw[keep], r[keep]
             best_w, best_res, best_it = best_w[keep], best_res[keep], best_it[keep]
+            mark, half_it, res_floor = mark[keep], half_it[keep], res_floor[keep]
             args = tuple(a[keep] for a in args)
             im_floor = im_floor[keep]
             if prev_w is not None:
@@ -339,8 +360,8 @@ def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL) -> Sub
                 0.5 * (y_deep[on] + y), rows)
             y /= 4.0
 
-    omega1, _, iters = _anderson_fixed_point(step, w0, (zs, 0.25 * y_here), tol,
-                                             0.5 * y_here, np.arange(len(zs)))
+    omega1, step_res, iters = _anderson_fixed_point(step, w0, (zs, 0.25 * y_here), tol,
+                                                    0.5 * y_here, np.arange(len(zs)))
     g1 = matrix_cauchy(a1, model.mu1, omega1)
     f1 = np.linalg.inv(g1)
     omega2, _ = _lift((f1 - omega1) + zs, 0.25 * y_here)
@@ -361,6 +382,7 @@ def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL) -> Sub
         iterations=int(iters.sum()),
         point_iterations=point_iterations,
         lifted_evaluations=lifts[0],
+        floor_acceptances=int(np.count_nonzero(step_res > tol)),
     )
 
 

@@ -6,7 +6,7 @@ from freeatoms import measure as M
 from freeatoms import subord
 from freeatoms.errors import ConvergenceError, PreconditionError
 from freeatoms.ncpoly import NCPoly
-from freeatoms.subord import FreeSumModel, scalar_model, solve_subordination
+from freeatoms.subord import FreeSumModel, scalar_model, solve_subordination, sum_density
 
 Z1, Z2 = NCPoly.z1(), NCPoly.z2()
 
@@ -425,3 +425,43 @@ class TestStackedLadder:
             A.ladder_scan(scalar_model(BERN, SC2), b_scalar(0.0))
         assert info.value.details["y"] == y
         assert info.value.details["point"] == 5
+
+
+def atom_plus_semicircle(mass, center):
+    """An atom of ``mass`` at 0 plus a radius-1 semicircle at ``center`` carrying the rest."""
+    return M.SpectralMeasure.from_json_dict({
+        "atoms": [{"x": 0.0, "m": mass}],
+        "support": [min(0.0, center - 1.0), max(0.0, center + 1.0)],
+        "continuous": [{"family": "semicircle", "center": center, "radius": 1.0,
+                        "weight": 1.0 - mass}]})
+
+
+class TestFloorAcceptances:
+    """Deep rungs stop at their evaluation floor; smooth solves report no acceptance."""
+
+    def test_atom_beside_semicircles_stops_at_the_floor(self):
+        # the sum atom at 0 of mass 0.3 (n = 3 linearization): the deep rungs
+        # reach about 1e-11 within 10-30 iterations and then only wander at
+        # eps / y, where waiting for a dip below tol costs 74 to 178 a rung
+        rep = A.eigenvalue_test(Z1 + Z2, 0.0, atom_plus_semicircle(0.7, 1.5),
+                                atom_plus_semicircle(0.6, -1.5))
+        diag = rep.diagnostics
+        assert len(diag["iterations"]) == 16 and max(diag["iterations"]) <= 40
+        assert diag["floor_acceptances"] > 0
+        # an accepted rung reports its residual above tol, under its floor 4 eps / y
+        ys = A.default_ladder()
+        floors = 4 * np.finfo(float).eps / ys
+        assert all(r <= max(1e-12, f) for r, f in zip(diag["rung_residuals"], floors))
+        assert abs(diag["poly_kernel_trace"] - 0.3) <= 1e-9
+
+    @pytest.mark.parametrize("b", [0.0, 2.0])
+    def test_two_atom_ladder_counts_none(self, b):
+        rep = A.decompose_atom(A.ladder_scan(scalar_model(MU1, MU2), b_scalar(b)))
+        assert rep.diagnostics["floor_acceptances"] == 0
+        assert A.AtomReport.from_json_dict(rep.to_json_dict()).diagnostics["floor_acceptances"] == 0
+
+    @pytest.mark.parametrize("y_eval", [1e-4, 1e-6])
+    def test_semicircle_grid_counts_none(self, y_eval):
+        _, result = sum_density(scalar_model(SC2, SC2), np.linspace(-2.5, 2.5, 41), y_eval=y_eval)
+        assert result.floor_acceptances == 0
+        assert np.all(result.residual_consistency <= 1e-12)

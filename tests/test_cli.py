@@ -157,6 +157,7 @@ class TestConvolveCommand:
         # what the one stacked solve of the grid did
         assert 0.0 <= out["max_residual"] <= 1e-12
         assert isinstance(out["iterations"], int) and out["iterations"] >= 3
+        assert out["floor_acceptances"] == 0
 
     def test_failing_point_exits_3_with_its_x(self, files, capsys, monkeypatch):
         # on the +-1 Bernoulli pair x = -3 converges in 6 iterations, x = 0 needs about 40
@@ -172,7 +173,8 @@ class TestConvolveCommand:
     def test_strict_writes_output_before_exit(self, files, tmp_path, monkeypatch):
         def negative_density(model, xs, **kwargs):
             solve = SimpleNamespace(residual_fixed_point=np.zeros(len(xs)),
-                                    residual_consistency=np.zeros(len(xs)), iterations=0)
+                                    residual_consistency=np.zeros(len(xs)), iterations=0,
+                                    floor_acceptances=0)
             return np.column_stack([xs, np.full(len(xs), -1.0)]), solve
 
         monkeypatch.setattr(cli, "sum_density", negative_density)
@@ -475,6 +477,16 @@ class TestExitCodes:
     def test_help_returns_zero(self, capsys):
         assert run_cli(["--help"]) == cli.EXIT_OK
         assert capsys.readouterr().out.startswith("usage: freeatoms")
+
+    def test_repeated_calls_reuse_one_parser(self, capsys):
+        cli._build_parser.cache_clear()
+        for _ in range(2):
+            assert run_cli(["--help"]) == cli.EXIT_OK
+            assert capsys.readouterr().out.startswith("usage: freeatoms")
+            assert run_cli(["oracle", "--bogus"]) == cli.EXIT_SCHEMA
+            assert capsys.readouterr().err.startswith("usage: freeatoms")
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
 
     # the explicit ids keep each case's name when a row is added or removed
     @pytest.mark.parametrize("command, extra, flag", [

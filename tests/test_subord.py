@@ -155,13 +155,15 @@ def assert_agrees_with_lone_solves(model, z, stacked, tol=DEFAULT_TOL):
 class TestStackedSolve:
     def test_points_converge_on_their_own_schedules(self):
         # outside the arcsine support a point converges in under 10
-        # iterations, inside it takes up to about 40
+        # iterations, inside it takes up to about 40; the floor 4 eps / y
+        # lies above tol at y = 1e-4, yet no smooth point stops there
         model = scalar_model(BERN, BERN)
         z = scalar_points(np.linspace(-3.0, 3.0, 25), 1e-4)
         stacked = solve_subordination(model, z)
         assert stacked.residual_fixed_point.shape == (25,)
         assert np.all(stacked.residual_fixed_point <= DEFAULT_TOL)
         assert np.all(stacked.residual_consistency <= DEFAULT_TOL)
+        assert stacked.floor_acceptances == 0
         lone = assert_agrees_with_lone_solves(model, z, stacked)
         iterations = [r.iterations for r in lone]
         assert min(iterations) <= 10 and max(iterations) >= 35
@@ -229,13 +231,20 @@ class TestStackedSolve:
         assert result.residual_fixed_point.shape == (9,)
 
 
-def affine_steps(slopes, shifts):
-    """A stack of affine maps w -> a w + c, one per point, that logs each stack size."""
+def affine_steps(slopes, shifts, noise=0.0, decay=1.0, seed=0):
+    """A stack of affine maps w -> a w + c, one per point, that logs each stack size.
+
+    Call k adds a seeded term of modulus ``noise * decay**k`` and random
+    phase to every point, like the roundoff of a map evaluated near the
+    real axis.
+    """
     sizes = []
+    rng = np.random.default_rng(seed)
 
     def step(w, a, c):
         sizes.append(len(w))
-        return a[:, None, None] * w + c[:, None, None]
+        term = noise * decay ** (len(sizes) - 1) * np.exp(2j * np.pi * rng.random(len(w)))
+        return a[:, None, None] * w + (c + term)[:, None, None]
 
     args = (np.asarray(slopes, dtype=complex), np.asarray(shifts, dtype=complex))
     return step, args, sizes
@@ -278,6 +287,69 @@ class TestFailingPoints:
             self.run(step, args)
         assert info.value.details["points"] == [0, 2]
         assert info.value.details["residual"] == 1.0
+
+
+class TestFloorAcceptance:
+    """A point whose best residual stops halving at its evaluation floor leaves with its best."""
+
+    @staticmethod
+    def run(step, args, height):
+        """Solve one point at im_floor = height / 2; return the result and the (iterate, residual) log."""
+        log = []
+
+        def logged(w, *a):
+            fw = step(w, *a)
+            log.append((w[0].copy(), float(subord._norms(fw - w)[0])))
+            return fw
+
+        out = subord._anderson_fixed_point(logged, np.full((1, 1, 1), 1j), args, DEFAULT_TOL,
+                                           np.array([height / 2]), np.arange(1))
+        return out, log
+
+    @staticmethod
+    def halvings(log):
+        """Iterations (1-based) at which the best residual fell below half its previous mark."""
+        mark, best, out = np.inf, np.inf, []
+        for it, (_, res) in enumerate(log, start=1):
+            best = min(best, res)
+            if best < 0.5 * mark:
+                mark = best
+                out.append(it)
+        return out
+
+    def test_plateau_below_the_floor_leaves_ten_iterations_after_its_last_halving(self):
+        # the residual wanders near 1e-11, under the floor 4 eps / y = 4.4e-10
+        step, args, _ = affine_steps([0.5], [0.5 + 0.5j], noise=1e-11, seed=1)
+        (w, res, its), log = self.run(step, args, 2e-6)
+        best = min(range(len(log)), key=lambda k: log[k][1])
+        assert its[0] == len(log) == self.halvings(log)[-1] + subord._PLATEAU_WINDOW
+        assert DEFAULT_TOL < res[0] == log[best][1] <= 1e-10
+        assert best < len(log) - 1 and w[0] == log[best][0]
+
+    def test_plateau_above_the_floor_ends_by_the_stall_rule(self):
+        # at y = 2e-3 the floor is tol itself, so the same plateau is not accepted early
+        step, args, _ = affine_steps([0.5], [0.5 + 0.5j], noise=1e-11, seed=1)
+        (w, res, its), log = self.run(step, args, 2e-3)
+        best = min(range(len(log)), key=lambda k: log[k][1])
+        assert its[0] == len(log) == best + 1 + subord._STALL_WINDOW
+        assert res[0] == log[best][1] and w[0] == log[best][0]
+
+    def test_plateau_above_every_floor_fails(self):
+        step, args, _ = affine_steps([0.5], [0.5 + 0.5j], noise=1e-7, seed=1)
+        with pytest.raises(ConvergenceError, match="stuck") as info:
+            self.run(step, args, 2e-6)
+        residual = info.value.details["residual"]
+        assert subord._STALL_FLOOR < residual < 1e-6
+        assert info.value.details["iterations"] > subord._FAIL_WINDOW
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_smoothly_converging_point_keeps_its_iterate(self, seed):
+        # the residual halves every few iterations far under the floor 4.4e-7
+        step, args, _ = affine_steps([0.5], [0.5 + 0.5j], noise=1e-8, decay=0.5, seed=seed)
+        (w, res, its), log = self.run(step, args, 2e-9)
+        assert its[0] == len(log) > subord._PLATEAU_WINDOW
+        assert np.diff(self.halvings(log)).max() < subord._PLATEAU_WINDOW
+        assert res[0] == log[-1][1] <= DEFAULT_TOL and w[0] == log[-1][0]
 
 
 class TestSumCauchy:
