@@ -144,10 +144,10 @@ def ladder_scan(model: FreeSumModel, b, y_ladder=None, tol: float = 1e-12) -> La
     kernel expectation the subordination point runs off to infinity like
     1/y in the null directions and the deepest rungs can become
     unsolvable; the scan then keeps the rungs above the first failing
-    one, solved again as one stack, if there are at least six of them,
-    and records why.  With fewer it raises ConvergenceError naming the
-    failing rung's y.  The scan's boundary limit is extrapolated once,
-    here.
+    one, as the failing stack solved them, if there are at least six of
+    them, and records why.  With fewer it raises ConvergenceError naming
+    the failing rung's y.  The scan's boundary limit is extrapolated
+    once, here.
     """
     b = herm_part(np.atleast_2d(np.asarray(b, dtype=complex)))
     ys = default_ladder() if y_ladder is None else np.asarray(y_ladder, dtype=float)
@@ -155,20 +155,18 @@ def ladder_scan(model: FreeSumModel, b, y_ladder=None, tol: float = 1e-12) -> La
         raise PreconditionError("y ladder must be strictly descending with min >= 1e-8")
     z = b + 1j * ys[:, None, None] * np.eye(model.n)
     truncated = ""
-    while True:
-        try:
-            res = solve_subordination(model, z, tol=tol)
-            break
-        except ConvergenceError as exc:
-            if "point" not in exc.details:
-                raise
-            k = exc.details["point"]
-            y = float(ys[k])
-            if k < _MIN_RUNGS:
-                raise ConvergenceError(f"{exc} at y={y:.3e}", {**exc.details, "y": y}) from exc
-            truncated = f"ladder stopped at y={y:.3e}: {exc}"
-            z = z[:k]
-    scan = LadderScan(model, b, ys, tol, ys[: len(z)], res, truncated)
+    try:
+        res = solve_subordination(model, z, tol=tol)
+    except ConvergenceError as exc:
+        if "point" not in exc.details:
+            raise
+        k = exc.details["point"]
+        y = float(ys[k])
+        if k < _MIN_RUNGS:
+            raise ConvergenceError(f"{exc} at y={y:.3e}", {**exc.details, "y": y}) from exc
+        truncated = f"ladder stopped at y={y:.3e}: {exc}"
+        res = exc.result  # rungs 0 .. k-1
+    scan = LadderScan(model, b, ys, tol, ys[: len(res.omega1)], res, truncated)
     scan.E_p, scan.diagnostics = boundary_emass(scan)
     return scan
 
@@ -206,6 +204,7 @@ def boundary_emass(scan: LadderScan):
         "hermitian_dominates": (gaps >= -1e-6).tolist(),
         "iterations": res.point_iterations.tolist(),
         "floor_acceptances": res.floor_acceptances,
+        "lifted_evaluations": res.lifted_evaluations,
         "rung_residuals": np.maximum(res.residual_fixed_point, res.residual_consistency).tolist(),
         "y_min": float(scan.ys[-1]),
     }

@@ -207,7 +207,8 @@ def _cmd_convolve(cfg):
                "max_residual": float(max(np.max(solve.residual_fixed_point),
                                          np.max(solve.residual_consistency))),
                "iterations": solve.iterations,
-               "floor_acceptances": solve.floor_acceptances}
+               "floor_acceptances": solve.floor_acceptances,
+               "lifted_evaluations": solve.lifted_evaluations}
     _emit(cfg, payload, csv_rows=rows, csv_header=("x", "density"))
     if cfg.strict and np.any(data[:, 1] < -1e-8):
         return EXIT_STRICT

@@ -16,12 +16,16 @@ class HalfPlaneError(FreeAtomsError, ValueError):
 class ConvergenceError(FreeAtomsError, RuntimeError):
     """An iterative solver or extrapolation failed to converge.
 
-    Carries the final residual / diagnostics in ``details`` when available.
+    Carries the final residual / diagnostics in ``details`` when available,
+    and in ``result`` what the solver finished before it failed, when it
+    can say (for a stacked subordination solve, the points before the
+    first failed one).
     """
 
-    def __init__(self, message, details=None):
+    def __init__(self, message, details=None, result=None):
         super().__init__(message)
         self.details = details or {}
+        self.result = result
 
 
 class PreconditionError(FreeAtomsError, ValueError):

@@ -55,9 +55,19 @@ def herm_part(z):
 
 
 def min_imag_eig(z):
-    """Smallest eigenvalue of the imaginary part of z: a float, or an array over a stack."""
-    gap = np.linalg.eigvalsh(imag_part(z))[..., 0]  # ascending order
+    """Smallest eigenvalue of the imaginary part of z: a float, or an array over a stack.
+
+    A 1 x 1 imaginary part is its own eigenvalue; that is Im z for a
+    finite z, and eigvalsh returns the same number for it.
+    """
+    im = imag_part(z)
+    gap = im[..., 0, 0].real if im.shape[-1] == 1 else np.linalg.eigvalsh(im)[..., 0]
     return float(gap) if gap.ndim == 0 else gap
+
+
+def inverse(m):
+    """Inverse of each slice of a stack; a 1 x 1 slice is its reciprocal."""
+    return 1.0 / m if m.shape[-1] == 1 else np.linalg.inv(m)
 
 
 def validate_upper(z, where="argument"):
@@ -133,7 +143,7 @@ class Coefficient:
 def _resolvents(a, z, ts):
     """(z - t a)^{-1} over the points ``ts``, stacked on a new first axis."""
     ts = np.asarray(ts, dtype=float)
-    return np.linalg.inv(z - ts.reshape((-1,) + (1,) * z.ndim) * a)
+    return inverse(z - ts.reshape((-1,) + (1,) * z.ndim) * a)
 
 
 def _continuous_cauchy(c: Coefficient, mu: SpectralMeasure, z) -> np.ndarray:
@@ -150,12 +160,15 @@ def _continuous_cauchy(c: Coefficient, mu: SpectralMeasure, z) -> np.ndarray:
     eigenvalue of z^{-1} a next to small nonzero ones (singular pencils
     near an atom) makes the eigenbasis ill-conditioned.  The slices
     whose eigenbasis is too ill-conditioned are integrated by quadrature.
+    For n = 1 and a != 0 the transform is G_c(z / a) / a: no eigenbasis.
     """
     U, Uh, d = c.split
     n, r = z.shape[-1], d.size
     weight = mu.continuous_weight
     if r == 0:
-        return weight * np.linalg.inv(z)
+        return weight * inverse(z)
+    if n == 1:
+        return mu.continuous_cauchy(z / d) * (1.0 / d)
     zu = Uh @ z @ U
     s = zu[:, :r, :r]
     if r < n:
@@ -211,7 +224,7 @@ def matrix_f(a, mu: SpectralMeasure, z, *, check_upper=True) -> np.ndarray:
     ``a`` is a :class:`Coefficient` or a Hermitian array; ``z`` and
     ``check_upper`` are as for :func:`matrix_cauchy`.
     """
-    return np.linalg.inv(matrix_cauchy(a, mu, z, check_upper=check_upper))
+    return inverse(matrix_cauchy(a, mu, z, check_upper=check_upper))
 
 
 # ---------------------------------------------------------------------------

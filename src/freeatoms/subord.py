@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
 from .measure import SpectralMeasure
-from .opval import (Coefficient, check_hermitian, herm_part, imag_part, matrix_cauchy,
+from .opval import (Coefficient, check_hermitian, herm_part, imag_part, inverse, matrix_cauchy,
                     matrix_f, min_imag_eig, pack_matrix, unpack_matrix, validate_upper)
 
 DEFAULT_TOL = 1e-12
@@ -101,22 +101,27 @@ class SubordinationResult:
 
 
 def _norms(m):
-    """Spectral norm of each slice: its largest singular value (LAPACK sorts them descending)."""
+    """Spectral norm of each slice: its largest singular value (LAPACK sorts them descending).
+
+    A 1 x 1 slice is its own singular value up to phase.
+    """
+    if m.shape[-2:] == (1, 1):
+        return np.abs(m[..., 0, 0])
     return np.linalg.svd(m, compute_uv=False)[..., 0]
 
 
 def _lift(w, floor):
     """Lift Im w to ``floor`` in the slices where roundoff left it below (safeguard only).
 
-    Returns the stack and the number of lifted slices.
+    Returns the stack and the mask of lifted slices.
     """
     gap = min_imag_eig(w)
     low = gap < floor
     if not low.any():
-        return w, 0
+        return w, low
     w = w.copy()
     w[low] += 1j * (floor - gap)[low, None, None] * np.eye(w.shape[-1])
-    return w, int(low.sum())
+    return w, low
 
 
 def _least_squares(a, b):
@@ -124,8 +129,16 @@ def _least_squares(a, b):
 
     A thin SVD per slice with the cutoff of ``lstsq(rcond=None)``:
     singular values up to eps * max(rows, columns) * sigma_1 count as
-    zero, so a rank-deficient history still has a solution.
+    zero, so a rank-deficient history still has a solution.  With one
+    row (n = 1) the rank is at most one and the cutoff keeps sigma_1 =
+    ||a|| exactly when it is nonzero, so the solution is
+    conj(a) b / ||a||^2, and 0 where a = 0.
     """
+    if a.shape[-2] == 1:
+        row = a[..., 0, :]
+        sq = np.sum(row.real ** 2 + row.imag ** 2, axis=-1, keepdims=True)
+        return np.divide(row.conj() * b, sq, out=np.zeros(row.shape, dtype=complex),
+                         where=sq > 0)
     u, sv, vh = np.linalg.svd(a, full_matrices=False)
     keep = sv > np.finfo(float).eps * max(a.shape[-2:]) * sv[..., :1]
     coef = np.divide((u.conj().swapaxes(-1, -2) @ b[..., None])[..., 0], sv,
@@ -162,32 +175,37 @@ def _damp(fw, w, low, im_floor):
     return fw, todo
 
 
-def _gather(parts, failures):
+def _failure(failures, result=None):
+    """One ConvergenceError naming every failed point of ``failures``.
+
+    ``failures`` maps each failed point's number to its message and
+    details; the first point's message leads.
+    """
+    points = sorted(failures)
+    message, details = failures[points[0]]
+    if len(points) > 1:
+        message += f" ({len(points)} points failed)"
+    return ConvergenceError(message, {**details, "point": points[0], "points": points}, result)
+
+
+def _gather(parts, w0):
     """Solutions, residuals and iteration counts in point order.
 
     ``parts`` holds (rows, solutions, residuals, iterations) in the order
     the points left the stack; a lone part holds every point in order.
-    ``failures`` maps each failed point's number to its message and
-    details; if there is any, one ConvergenceError names them all.
+    A failed point in no part reads NaN with 0 iterations.
     """
-    if failures:
-        points = sorted(failures)
-        message, details = failures[points[0]]
-        if len(points) > 1:
-            message += f" ({len(points)} points failed)"
-        raise ConvergenceError(message, {**details, "point": points[0], "points": points})
-    if len(parts) == 1:
+    if len(parts) == 1 and len(parts[0][0]) == len(w0):
         rows, w, res, it = parts[0]
         return w, res, np.full(len(rows), it)
-    k_all = sum(len(rows) for rows, *_ in parts)
-    sol = np.empty((k_all,) + parts[0][1].shape[1:], dtype=complex)
-    sol_res, sol_it = np.empty(k_all), np.empty(k_all, dtype=int)
+    sol = np.full(w0.shape, np.nan, dtype=complex)
+    sol_res, sol_it = np.full(len(w0), np.nan), np.zeros(len(w0), dtype=int)
     for rows, w, res, it in parts:
         sol[rows], sol_res[rows], sol_it[rows] = w, res, it
     return sol, sol_res, sol_it
 
 
-def _anderson_fixed_point(step, w0, args, tol, im_floor, points):
+def _anderson_fixed_point(step, w0, args, tol, im_floor, points, failures):
     """Anderson-accelerated fixed point iteration on a stack of matrices in H+_n.
 
     ``step(w, *args)`` must map each slice of w into the upper
@@ -208,15 +226,14 @@ def _anderson_fixed_point(step, w0, args, tol, im_floor, points):
     the same length at every point, so one batched least-squares solve
     serves the stack; a point leaves the stack when it converges, stalls
     or fails.  Every point runs to its end, so a failure stops no other
-    point; then one ConvergenceError names every failed point in
-    ``details["points"]`` (ascending) and the first in
-    ``details["point"]``.  Returns the solutions, residuals and
-    iteration counts.
+    point; each failed point's number goes into the dict ``failures``
+    with its message and details, for the caller to raise
+    (:func:`_failure`).  Returns the solutions, residuals and iteration
+    counts; a point that failed before ``MAX_ITER`` reads NaN.
     """
     k_all = w0.shape[0]
     live = np.arange(k_all)  # rows of w0 still iterating
     parts = []  # (rows, solutions, residuals, iterations) as points leave
-    failures = {}  # point number -> (message, details)
     w = w0
     dw_hist, dr_hist = [], []
     prev_w = prev_r = None
@@ -271,7 +288,7 @@ def _anderson_fixed_point(step, w0, args, tol, im_floor, points):
                     res_out = np.where(converged, res, best_res)
                 parts.append((live[done], w_out[done], res_out[done], it))
             if leave.all():
-                return _gather(parts, failures)
+                return _gather(parts, w0)
             keep = ~leave
             live, w, fw, r = live[keep], w[keep], fw[keep], r[keep]
             best_w, best_res, best_it = best_w[keep], best_res[keep], best_it[keep]
@@ -309,7 +326,7 @@ def _anderson_fixed_point(step, w0, args, tol, im_floor, points):
     use_best = best_res < res
     parts.append((live, np.where(use_best[:, None, None], best_w, w),
                   np.where(use_best, best_res, res), MAX_ITER))
-    return _gather(parts, failures)
+    return _gather(parts, w0)
 
 
 def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL) -> SubordinationResult:
@@ -319,11 +336,15 @@ def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL) -> Sub
     together, each by the rules of a lone solve; one point is the K = 1
     case.  Deterministic for fixed (model, z, tol).  Every point starts
     cold at w0 = z; points below Im z = 1e-6 are continued down an
-    internal geometric ladder first.  G1(omega1) is evaluated once at
-    the solution; omega2 = F1(omega1) - omega1 + z and both residuals
-    are derived from it.  Failing points raise one ConvergenceError
-    with their stack indices as ``points`` in the details, ascending,
-    and the first as ``point``.
+    internal geometric ladder first.  ``residual_fixed_point`` is the
+    iteration's own step residual ||Phi(omega1) - omega1|| at the
+    returned omega1.  G1(omega1) is evaluated once at the solution;
+    omega2 = F1(omega1) - omega1 + z and the consistency residual are
+    derived from it.  A failing point stops no other point; then one
+    ConvergenceError names them all, with their stack indices as
+    ``points`` in the details, ascending, and the first as ``point``.
+    Its ``result`` is the SubordinationResult of the points before the
+    first failed one (None when that is point 0).
     """
     z = validate_upper(z, "z")
     if not (tol > 0 and math.isfinite(tol)):
@@ -331,59 +352,76 @@ def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL) -> Sub
     single = z.ndim == 2
     zs = z[None] if single else z
     a1, a2 = Coefficient(model.a1), Coefficient(model.a2)
-    lifts = [0]
+    lifts = np.zeros(len(zs), dtype=int)  # lifted evaluations per point
+    failures = {}  # point number -> (message, details)
 
     # every iterate passed the iteration's floor check (a NaN fails it) and
     # every lifted point sits on its floor, so the transforms skip their check
-    def step(w, zz, y_floor):
+    def step(w, zz, y_floor, rows):
         u = matrix_f(a1, model.mu1, w, check_upper=False) - w + zz  # h1(w) + z
         # exact arithmetic guarantees Im u >= Im zz; near the real axis
         # the inversion error can break that by O(eps/y), so lift the
         # evaluation point back to a quarter of the guaranteed height
-        lifted, count = _lift(u, y_floor)
-        lifts[0] += count
+        lifted, low = _lift(u, y_floor)
+        if low.any():
+            lifts[rows[low]] += 1
         return matrix_f(a2, model.mu2, lifted, check_upper=False) - lifted + zz  # h2(lifted) + z
 
     y_here = min_imag_eig(zs)
+    alive = np.ones(len(zs), dtype=bool)  # no failure yet
     w0 = zs
     if (y_here < 1e-6).any():
         # continuation ladder: reuse omega from larger heights as warm start
-        deep = np.flatnonzero(y_here < 1e-6)
+        deep = y_here < 1e-6
         w0 = w0.copy()
-        herm, im, y_deep = herm_part(zs[deep]), imag_part(zs[deep]), y_here[deep]
+        herm, im = herm_part(zs), imag_part(zs)
         y = _LADDER_START
-        while (on := y > y_deep * 2).any():
-            zz = herm[on] + 1j * (im[on] + (y - y_deep[on])[:, None, None] * np.eye(model.n))
-            rows = deep[on]
+        while (on := alive & deep & (y > y_here * 2)).any():
+            rows = np.flatnonzero(on)
+            zz = herm[rows] + 1j * (im[rows] + (y - y_here[rows])[:, None, None] * np.eye(model.n))
             w0[rows], _, _ = _anderson_fixed_point(
-                step, w0[rows], (zz, 0.25 * min_imag_eig(zz)), max(tol, 1e-10),
-                0.5 * (y_deep[on] + y), rows)
+                step, w0[rows], (zz, 0.25 * min_imag_eig(zz), rows), max(tol, 1e-10),
+                0.5 * (y_here[rows] + y), rows, failures)
+            alive[list(failures)] = False
             y /= 4.0
 
-    omega1, step_res, iters = _anderson_fixed_point(step, w0, (zs, 0.25 * y_here), tol,
-                                                    0.5 * y_here, np.arange(len(zs)))
-    g1 = matrix_cauchy(a1, model.mu1, omega1)
-    f1 = np.linalg.inv(g1)
-    omega2, _ = _lift((f1 - omega1) + zs, 0.25 * y_here)
-    f2 = matrix_f(a2, model.mu2, omega2)
-    residual_fixed = _norms(omega1 + omega2 - zs - f1)
-    residual_cons = _norms(f1 - f2)
-    point_iterations = iters
+    rows = np.flatnonzero(alive)
+    omega1 = np.full(zs.shape, np.nan, dtype=complex)
+    step_res, iters = np.full(len(zs), np.nan), np.zeros(len(zs), dtype=int)
+    if rows.size:
+        omega1[rows], step_res[rows], iters[rows] = _anderson_fixed_point(
+            step, w0[rows], (zs[rows], 0.25 * y_here[rows], rows), tol, 0.5 * y_here[rows],
+            rows, failures)
+
+    def finish(k):
+        """The result for the first k points."""
+        w1, zk = omega1[:k], zs[:k]
+        g1 = matrix_cauchy(a1, model.mu1, w1)
+        f1 = inverse(g1)
+        omega2, _ = _lift((f1 - w1) + zk, 0.25 * y_here[:k])
+        return SubordinationResult(
+            omega1=w1,
+            omega2=omega2,
+            cauchy=g1,
+            residual_fixed_point=step_res[:k],
+            residual_consistency=_norms(f1 - matrix_f(a2, model.mu2, omega2)),
+            iterations=int(iters[:k].sum()),
+            point_iterations=iters[:k],
+            lifted_evaluations=int(lifts[:k].sum()),
+            floor_acceptances=int(np.count_nonzero(step_res[:k] > tol)),
+        )
+
+    if failures:
+        first = min(failures)
+        raise _failure(failures, finish(first) if first else None)
+    result = finish(len(zs))
     if single:
-        omega1, omega2, g1 = omega1[0], omega2[0], g1[0]
-        residual_fixed, residual_cons = float(residual_fixed[0]), float(residual_cons[0])
-        point_iterations = int(iters[0])
-    return SubordinationResult(
-        omega1=omega1,
-        omega2=omega2,
-        cauchy=g1,
-        residual_fixed_point=residual_fixed,
-        residual_consistency=residual_cons,
-        iterations=int(iters.sum()),
-        point_iterations=point_iterations,
-        lifted_evaluations=lifts[0],
-        floor_acceptances=int(np.count_nonzero(step_res > tol)),
-    )
+        r = result
+        r.omega1, r.omega2, r.cauchy = r.omega1[0], r.omega2[0], r.cauchy[0]
+        r.residual_fixed_point = float(r.residual_fixed_point[0])
+        r.residual_consistency = float(r.residual_consistency[0])
+        r.point_iterations = int(r.point_iterations[0])
+    return result
 
 
 def sum_density(model: FreeSumModel, grid, y_eval: float = 1e-4, tol: float = DEFAULT_TOL):

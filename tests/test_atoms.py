@@ -400,7 +400,7 @@ class TestStackedLadder:
         again = A.AtomReport.from_json_dict(rep.to_json_dict())
         assert again.diagnostics["rung_residuals"] == pytest.approx(expected.tolist())
 
-    def test_failing_deep_rungs_truncate_with_one_resolve(self, monkeypatch):
+    def test_failing_deep_rungs_truncate_without_a_resolve(self, monkeypatch):
         # cold rungs of the Bernoulli-semicircle sum at 0 need 15, 18, 20,
         # 25, 27, 34, 41, 50, ... iterations: with a cap of 45 rungs 7 to
         # 15 fail, and the ladder keeps the seven rungs above them
@@ -412,10 +412,22 @@ class TestStackedLadder:
         assert info.value.details["point"] == 7
         calls = self.count_solves(monkeypatch)
         scan = A.ladder_scan(model, b_scalar(0.0))
-        assert [shape for shape, _ in calls] == [(16, 1, 1), (7, 1, 1)]
+        # the failing stack's own rungs 0-6 are kept; nothing is solved again
+        (shape, exc), = calls
+        assert shape == (16, 1, 1) and isinstance(exc, ConvergenceError)
+        assert scan.solve is exc.result
         assert len(scan.ys) == 7 and len(scan.diagnostics["iterations"]) == 7
         assert scan.truncated.startswith(f"ladder stopped at y={ys[7]:.3e}:")
         assert scan.diagnostics["ladder_truncated"] == scan.truncated
+        # they are the rungs a solve of those seven alone returns
+        alone = solve_subordination(model, 1j * ys[:7, None, None] * np.eye(1))
+        for mine, theirs in [(scan.solve.omega1, alone.omega1), (scan.solve.omega2, alone.omega2),
+                             (scan.solve.cauchy, alone.cauchy)]:
+            assert np.max(np.abs(mine - theirs)) <= 1e-11
+        assert scan.solve.point_iterations.tolist() == alone.point_iterations.tolist()
+        assert scan.solve.iterations == alone.iterations
+        assert scan.solve.residual_fixed_point.tolist() == pytest.approx(
+            alone.residual_fixed_point.tolist(), abs=1e-15)
 
     def test_failure_above_six_rungs_names_its_y(self, monkeypatch):
         # a cap of 30 fails rung 5 first, one rung short of an extrapolation
@@ -458,7 +470,9 @@ class TestFloorAcceptances:
     def test_two_atom_ladder_counts_none(self, b):
         rep = A.decompose_atom(A.ladder_scan(scalar_model(MU1, MU2), b_scalar(b)))
         assert rep.diagnostics["floor_acceptances"] == 0
-        assert A.AtomReport.from_json_dict(rep.to_json_dict()).diagnostics["floor_acceptances"] == 0
+        again = A.AtomReport.from_json_dict(rep.to_json_dict()).diagnostics
+        assert again["floor_acceptances"] == 0
+        assert rep.diagnostics["lifted_evaluations"] == again["lifted_evaluations"] == 0
 
     @pytest.mark.parametrize("y_eval", [1e-4, 1e-6])
     def test_semicircle_grid_counts_none(self, y_eval):

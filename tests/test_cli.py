@@ -158,6 +158,7 @@ class TestConvolveCommand:
         assert 0.0 <= out["max_residual"] <= 1e-12
         assert isinstance(out["iterations"], int) and out["iterations"] >= 3
         assert out["floor_acceptances"] == 0
+        assert out["lifted_evaluations"] == 0
 
     def test_failing_point_exits_3_with_its_x(self, files, capsys, monkeypatch):
         # on the +-1 Bernoulli pair x = -3 converges in 6 iterations, x = 0 needs about 40
@@ -174,7 +175,7 @@ class TestConvolveCommand:
         def negative_density(model, xs, **kwargs):
             solve = SimpleNamespace(residual_fixed_point=np.zeros(len(xs)),
                                     residual_consistency=np.zeros(len(xs)), iterations=0,
-                                    floor_acceptances=0)
+                                    floor_acceptances=0, lifted_evaluations=0)
             return np.column_stack([xs, np.full(len(xs), -1.0)]), solve
 
         monkeypatch.setattr(cli, "sum_density", negative_density)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from freeatoms import measure as M
 from freeatoms import subord
 from freeatoms.errors import ConvergenceError, HalfPlaneError, PreconditionError
-from freeatoms.opval import imag_part, matrix_cauchy
+from freeatoms.opval import imag_part, matrix_cauchy, matrix_f
 from freeatoms.subord import (
     DEFAULT_TOL,
     FreeSumModel,
@@ -71,6 +71,24 @@ class TestSolveSubordination:
                 for w in (r.omega1, r.omega2):
                     gap = np.linalg.eigvalsh(imag_part(w) - imag_part(z)).min()
                     assert gap >= -1e-9
+
+    @pytest.mark.parametrize("model", [
+        scalar_model(BERN, SC2),
+        FreeSumModel(np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), SC2, BERN),
+    ])
+    def test_fixed_point_residual_is_the_step_residual(self, model):
+        # ||Phi(omega1) - omega1||, Phi(w) = h2(h1(w) + z) + z, and not the
+        # identity omega2 was built to satisfy (which reads 0 up to rounding)
+        n = model.n
+        z = (0.3 + 0.2j) * np.eye(n)[None]
+        r = solve_subordination(model, z)
+        w = r.omega1
+        u = matrix_f(model.a1, model.mu1, w) - w + z
+        phi = matrix_f(model.a2, model.mu2, u) - u + z
+        step = np.linalg.svd(phi - w, compute_uv=False)[:, 0]
+        assert 0 < r.residual_fixed_point[0] <= DEFAULT_TOL
+        assert r.residual_fixed_point[0] == pytest.approx(step[0], rel=1e-6)
+        assert r.residual_fixed_point[0] > 1e3 * np.linalg.norm(r.omega1 + r.omega2 - z - np.linalg.inv(r.cauchy))
 
     def test_swap_symmetry(self):
         model = scalar_model(M.atomic_measure([(0.0, 0.7), (1.0, 0.3)]), SC2)
@@ -216,6 +234,63 @@ class TestStackedSolve:
         assert info.value.details["x"] == 0.0
         assert info.value.details["point"] == 1
 
+    def test_continuation_failure_stops_no_other_point(self, monkeypatch):
+        # with a cap of 12, point 1 fails on its continuation ladder (x = 0 at
+        # y = 1e-3 needs 31) and point 3 in the final solve (x = 0 at y = 0.1
+        # needs 16); points 0 and 2 (6 each) are solved all the same
+        monkeypatch.setattr(subord, "MAX_ITER", 12)
+        model = scalar_model(BERN, BERN)
+        z = scalar_points([-3.0, 0.0, 3.0, 0.0], 0.1)
+        z[1] = 5e-7j
+        sizes = []
+        fixed_point = subord._anderson_fixed_point
+
+        def spy(step, w0, *args):
+            sizes.append(len(w0))
+            return fixed_point(step, w0, *args)
+
+        monkeypatch.setattr(subord, "_anderson_fixed_point", spy)
+        with pytest.raises(ConvergenceError, match="2 points failed") as info:
+            solve_subordination(model, z)
+        assert info.value.details["points"] == [1, 3]
+        assert sizes == [1, 3]
+        # the error carries the points before the first failure
+        result = info.value.result
+        lone = solve_subordination(model, z[0])
+        assert result.omega1.shape == (1, 1, 1)
+        assert np.max(np.abs(result.cauchy[0] - lone.cauchy)) <= 1e-14
+        assert result.point_iterations.tolist() == [lone.iterations]
+
+    def test_lifted_evaluations_count_per_point(self, monkeypatch):
+        # flag every evaluation of points 1 and 2 (floors 0.25 * 0.2 and
+        # 0.25 * 0.1) as lifted; with a cap of 12, point 2 fails and the
+        # error's result keeps points 0 and 1, with point 1's lifts only
+        lift = subord._lift
+
+        def flag_points_1_2(w, floor):
+            w, low = lift(w, floor)
+            return w, low | (floor == 0.25 * 0.2) | (floor == 0.25 * 0.1)
+
+        monkeypatch.setattr(subord, "_lift", flag_points_1_2)
+        model = scalar_model(BERN, BERN)
+        z = scalar_points([-3.0, 3.0, 0.0], 0.1) + 1j * np.array([0.2, 0.1, 0.0])[:, None, None]
+        full = solve_subordination(model, z)
+        assert full.lifted_evaluations == full.point_iterations[1] + full.point_iterations[2]
+        monkeypatch.setattr(subord, "MAX_ITER", 12)
+        with pytest.raises(ConvergenceError) as info:
+            solve_subordination(model, z)
+        assert info.value.details["points"] == [2]
+        kept = info.value.result
+        assert kept.point_iterations.tolist() == full.point_iterations[:2].tolist()
+        assert kept.lifted_evaluations == full.point_iterations[1]
+
+    def test_failure_at_the_first_point_carries_no_result(self, monkeypatch):
+        monkeypatch.setattr(subord, "MAX_ITER", 12)
+        with pytest.raises(ConvergenceError) as info:
+            solve_subordination(scalar_model(BERN, BERN), scalar_points([0.0, -3.0], 0.1))
+        assert info.value.details["points"] == [0]
+        assert info.value.result is None
+
     def test_sum_density_solves_its_grid_once(self, monkeypatch):
         shapes = []
         solve = subord.solve_subordination
@@ -250,14 +325,23 @@ def affine_steps(slopes, shifts, noise=0.0, decay=1.0, seed=0):
     return step, args, sizes
 
 
+def run_fixed_point(step, w0, args, im_floor):
+    """The stacked fixed point at tol = DEFAULT_TOL, raising its failures as the solver does."""
+    failures = {}
+    out = subord._anderson_fixed_point(step, w0, args, DEFAULT_TOL, im_floor, np.arange(len(w0)),
+                                       failures)
+    if failures:
+        raise subord._failure(failures)
+    return out
+
+
 class TestFailingPoints:
     """A failing point leaves the stack; the others run on, and one error names all."""
 
     def run(self, step, args):
         k = len(args[0])
         w0 = np.full((k, 1, 1), 1j)
-        return subord._anderson_fixed_point(step, w0, args, DEFAULT_TOL, np.full(k, 1e-3),
-                                            np.arange(k))
+        return run_fixed_point(step, w0, args, np.full(k, 1e-3))
 
     def test_damping_failure_stops_no_other_point(self):
         # point 0 jumps far below the real axis, point 1 contracts to 1 + 1j,
@@ -302,8 +386,7 @@ class TestFloorAcceptance:
             log.append((w[0].copy(), float(subord._norms(fw - w)[0])))
             return fw
 
-        out = subord._anderson_fixed_point(logged, np.full((1, 1, 1), 1j), args, DEFAULT_TOL,
-                                           np.array([height / 2]), np.arange(1))
+        out = run_fixed_point(logged, np.full((1, 1, 1), 1j), args, np.array([height / 2]))
         return out, log
 
     @staticmethod
