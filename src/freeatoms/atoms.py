@@ -36,7 +36,7 @@ from .measure import SpectralMeasure
 from .ncpoly import NCPoly, format_poly, is_selfadjoint, star_square
 from .opval import (expected_kernel_projection, herm_part, imag_part, kernel_profile, pack_matrix,
                     unpack_matrix)
-from .subord import FreeSumModel, SubordinationResult, solve_subordination
+from .subord import DEFAULT_TOL, FreeSumModel, SubordinationResult, solve_subordination
 
 DEFAULT_Y0 = 0.1
 DEFAULT_DEPTH = 16
@@ -137,7 +137,7 @@ class LadderScan:
 _MIN_RUNGS = 6
 
 
-def ladder_scan(model: FreeSumModel, b, y_ladder=None, tol: float = 1e-12) -> LadderScan:
+def ladder_scan(model: FreeSumModel, b, y_ladder=None, tol: float = DEFAULT_TOL) -> LadderScan:
     """Solve the subordination problem at b + iy on every rung as one stack.
 
     Every rung starts cold at w0 = b + iy.  At locations with a singular
@@ -606,7 +606,7 @@ TRICHOTOMY_TOL = 1e-2
 
 
 def eigenvalue_test(p: NCPoly, lam: float, mu1: SpectralMeasure, mu2: SpectralMeasure,
-                    y_ladder=None, tol: float = 1e-12) -> AtomReport:
+                    y_ladder=None, tol: float = DEFAULT_TOL) -> AtomReport:
     """Kernel trace of lam - p(X1, X2) for free X1 ~ mu1, X2 ~ mu2.
 
     Linearizes p, shifts the corner by lam, and runs the boundary-limit

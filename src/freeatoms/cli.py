@@ -30,7 +30,7 @@ from .errors import ConvergenceError, PreconditionError, SchemaError
 from .linearize import linearize, verify_certificate
 from .measure import SpectralMeasure
 from .ncpoly import parse_poly
-from .subord import FreeSumModel, sum_density
+from .subord import DEFAULT_TOL, FreeSumModel, sum_density
 
 EXIT_OK = 0
 EXIT_STRICT = 1
@@ -48,9 +48,9 @@ class RunConfig:
     """Parsed invocation: one command plus its inputs and numerics."""
 
     command: str
-    tol: float = 1e-12
-    y0: float = 0.1
-    ladder_depth: int = 16
+    tol: float = DEFAULT_TOL
+    y0: float = atoms_mod.DEFAULT_Y0
+    ladder_depth: int = atoms_mod.DEFAULT_DEPTH
     grid: tuple = (-3.0, 3.0, 201)
     seed: int = 0
     N: int = 2000

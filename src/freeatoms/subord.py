@@ -84,8 +84,9 @@ class SubordinationResult:
     For a stack z (K, n, n) the matrices are stacks, both residuals and
     ``point_iterations`` are arrays with one entry per point, and
     ``iterations`` and ``lifted_evaluations`` are totals over the points.
+    Iterations and lifts count the continuation ladder's rungs too.
     ``floor_acceptances`` counts the points of z accepted at their
-    evaluation floor (the plateau or stall rule) with a fixed-point
+    evaluation floor (the plateau, stall or cap rule) with a fixed-point
     residual above tol.
     """
 
@@ -188,23 +189,6 @@ def _failure(failures, result=None):
     return ConvergenceError(message, {**details, "point": points[0], "points": points}, result)
 
 
-def _gather(parts, w0):
-    """Solutions, residuals and iteration counts in point order.
-
-    ``parts`` holds (rows, solutions, residuals, iterations) in the order
-    the points left the stack; a lone part holds every point in order.
-    A failed point in no part reads NaN with 0 iterations.
-    """
-    if len(parts) == 1 and len(parts[0][0]) == len(w0):
-        rows, w, res, it = parts[0]
-        return w, res, np.full(len(rows), it)
-    sol = np.full(w0.shape, np.nan, dtype=complex)
-    sol_res, sol_it = np.full(len(w0), np.nan), np.zeros(len(w0), dtype=int)
-    for rows, w, res, it in parts:
-        sol[rows], sol_res[rows], sol_it[rows] = w, res, it
-    return sol, sol_res, sol_it
-
-
 def _anderson_fixed_point(step, w0, args, tol, im_floor, points, failures):
     """Anderson-accelerated fixed point iteration on a stack of matrices in H+_n.
 
@@ -220,20 +204,23 @@ def _anderson_fixed_point(step, w0, args, tol, im_floor, points, failures):
     point whose best residual has not halved for ``_PLATEAU_WINDOW``
     iterations and lies below max(tol, ``_FLOOR_FACTOR`` eps / y) is
     accepted at that floor, and so is one idle for ``_STALL_WINDOW``
-    iterations below ``_STALL_FLOOR``; both leave with their best
-    iterate, and the residual reports it honestly.  A point stuck above
-    these floors for ``_FAIL_WINDOW`` iterations fails.  The history has
-    the same length at every point, so one batched least-squares solve
-    serves the stack; a point leaves the stack when it converges, stalls
-    or fails.  Every point runs to its end, so a failure stops no other
-    point; each failed point's number goes into the dict ``failures``
-    with its message and details, for the caller to raise
-    (:func:`_failure`).  Returns the solutions, residuals and iteration
-    counts; a point that failed before ``MAX_ITER`` reads NaN.
+    iterations below ``_STALL_FLOOR``, or one still there at the
+    evaluation after ``MAX_ITER`` steps with its best residual below
+    ``_STALL_FLOOR``; an accepted point leaves with its best iterate, a
+    converged one with its own, and the residual reports it honestly.
+    A point stuck above these floors for ``_FAIL_WINDOW`` iterations or
+    until that last evaluation fails.  The history has the same length
+    at every point, so one batched least-squares solve serves the stack;
+    a point leaves the stack when it converges, is accepted or fails.
+    A failure stops no other point: each failed point's number goes into
+    the dict ``failures`` with its message and details, for the caller
+    to raise (:func:`_failure`).  Returns the solutions, residuals and
+    iteration counts in point order; a failed point reads NaN with 0.
     """
     k_all = w0.shape[0]
     live = np.arange(k_all)  # rows of w0 still iterating
-    parts = []  # (rows, solutions, residuals, iterations) as points leave
+    sol = np.full(w0.shape, np.nan, dtype=complex)
+    sol_res, sol_it = np.full(k_all, np.nan), np.zeros(k_all, dtype=int)
     w = w0
     dw_hist, dr_hist = [], []
     prev_w = prev_r = None
@@ -241,7 +228,7 @@ def _anderson_fixed_point(step, w0, args, tol, im_floor, points, failures):
     # the best residual at its last halving, that iteration, and the floor
     mark, half_it = np.full(k_all, np.inf), np.zeros(k_all, dtype=int)
     res_floor = np.maximum(tol, _FLOOR_FACTOR * np.finfo(float).eps / (2.0 * im_floor))
-    for it in range(1, MAX_ITER + 1):
+    for it in range(1, MAX_ITER + 2):
         fw = step(w, *args)
         high = min_imag_eig(fw) > im_floor
         lost = np.zeros(len(w), dtype=bool)
@@ -264,6 +251,7 @@ def _anderson_fixed_point(step, w0, args, tol, im_floor, points, failures):
         halved = best_res < 0.5 * mark
         mark[halved] = best_res[halved]
         half_it[halved] = it
+        # every exit: converged, accepted (plateau, stall, cap) or failed
         converged = res <= tol
         done = converged | ((it - half_it >= _PLATEAU_WINDOW) & (best_res <= res_floor))
         if it >= _STALL_WINDOW:
@@ -277,7 +265,15 @@ def _anderson_fixed_point(step, w0, args, tol, im_floor, points, failures):
                     f"for {_FAIL_WINDOW} iterations",
                     {"residual": float(best_res[k]), "iterations": it})
             lost |= stuck
-        done = done & ~lost
+        if it > MAX_ITER:  # the last evaluation: accept at the stall floor, fail the rest
+            done |= best_res <= _STALL_FLOOR
+            for k in np.flatnonzero(~(done | lost)):
+                failures[int(points[live[k]])] = (
+                    f"subordination iteration did not reach tol={tol:g} "
+                    f"within {MAX_ITER} iterations (residual {res[k]:.3e})",
+                    {"residual": float(res[k]), "iterations": MAX_ITER})
+            lost |= ~done
+        done &= ~lost
         leave = done | lost
         if leave.any():
             if done.any():
@@ -286,9 +282,11 @@ def _anderson_fixed_point(step, w0, args, tol, im_floor, points, failures):
                 if not converged.all():
                     w_out = np.where(converged[:, None, None], w, best_w)
                     res_out = np.where(converged, res, best_res)
-                parts.append((live[done], w_out[done], res_out[done], it))
+                rows = live[done]
+                sol[rows], sol_res[rows] = w_out[done], res_out[done]
+                sol_it[rows] = min(it, MAX_ITER)
             if leave.all():
-                return _gather(parts, w0)
+                return sol, sol_res, sol_it
             keep = ~leave
             live, w, fw, r = live[keep], w[keep], fw[keep], r[keep]
             best_w, best_res, best_it = best_w[keep], best_res[keep], best_it[keep]
@@ -315,18 +313,6 @@ def _anderson_fixed_point(step, w0, args, tol, im_floor, points, failures):
             ok = min_imag_eig(cand) > im_floor
             w_next = cand if ok.all() else np.where(ok[:, None, None], cand, fw)
         w = w_next
-    fw = step(w, *args)
-    res = _norms(fw - w)
-    accepted = (res <= max(tol, _STALL_FLOOR)) | (best_res <= _STALL_FLOOR)
-    for k in np.flatnonzero(~accepted):
-        failures[int(points[live[k]])] = (
-            f"subordination iteration did not reach tol={tol:g} "
-            f"within {MAX_ITER} iterations (residual {res[k]:.3e})",
-            {"residual": float(res[k]), "iterations": MAX_ITER})
-    use_best = best_res < res
-    parts.append((live, np.where(use_best[:, None, None], best_w, w),
-                  np.where(use_best, best_res, res), MAX_ITER))
-    return _gather(parts, w0)
 
 
 def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL) -> SubordinationResult:
@@ -353,6 +339,7 @@ def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL) -> Sub
     zs = z[None] if single else z
     a1, a2 = Coefficient(model.a1), Coefficient(model.a2)
     lifts = np.zeros(len(zs), dtype=int)  # lifted evaluations per point
+    iters = np.zeros(len(zs), dtype=int)  # iterations per point, continuation included
     failures = {}  # point number -> (message, details)
 
     # every iterate passed the iteration's floor check (a NaN fails it) and
@@ -379,19 +366,21 @@ def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL) -> Sub
         while (on := alive & deep & (y > y_here * 2)).any():
             rows = np.flatnonzero(on)
             zz = herm[rows] + 1j * (im[rows] + (y - y_here[rows])[:, None, None] * np.eye(model.n))
-            w0[rows], _, _ = _anderson_fixed_point(
+            w0[rows], _, rung_iters = _anderson_fixed_point(
                 step, w0[rows], (zz, 0.25 * min_imag_eig(zz), rows), max(tol, 1e-10),
                 0.5 * (y_here[rows] + y), rows, failures)
+            iters[rows] += rung_iters
             alive[list(failures)] = False
             y /= 4.0
 
     rows = np.flatnonzero(alive)
     omega1 = np.full(zs.shape, np.nan, dtype=complex)
-    step_res, iters = np.full(len(zs), np.nan), np.zeros(len(zs), dtype=int)
+    step_res = np.full(len(zs), np.nan)
     if rows.size:
-        omega1[rows], step_res[rows], iters[rows] = _anderson_fixed_point(
+        omega1[rows], step_res[rows], final_iters = _anderson_fixed_point(
             step, w0[rows], (zs[rows], 0.25 * y_here[rows], rows), tol, 0.5 * y_here[rows],
             rows, failures)
+        iters[rows] += final_iters
 
     def finish(k):
         """The result for the first k points."""

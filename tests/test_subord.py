@@ -210,18 +210,22 @@ class TestStackedSolve:
         model = scalar_model(BERN, SC2)
         deep = scalar_points([-3.5, -0.5, 0.4, 1.7], 5e-7)
         z = np.concatenate([deep[:2], scalar_points([0.2], 1e-3), deep[2:]])
-        sizes = []
+        sizes, iterations = [], []
         fixed_point = subord._anderson_fixed_point
 
         def spy(step, w0, *args):
             sizes.append(len(w0))
-            return fixed_point(step, w0, *args)
+            out = fixed_point(step, w0, *args)
+            iterations.append(int(out[2].sum()))
+            return out
 
         monkeypatch.setattr(subord, "_anderson_fixed_point", spy)
         stacked = solve_subordination(model, z)
         # rungs at y = 1e-3, 2.5e-4, ... down to 3.9e-6 for the four deep
         # points, then the final solve of all five
         assert sizes == [4] * 5 + [5]
+        # the reported iterations include every rung of the ladder
+        assert stacked.iterations == sum(iterations) > iterations[-1]
         monkeypatch.undo()
         assert np.all(stacked.residual_fixed_point <= DEFAULT_TOL)
         assert_agrees_with_lone_solves(model, z, stacked)
@@ -424,6 +428,17 @@ class TestFloorAcceptance:
         residual = info.value.details["residual"]
         assert subord._STALL_FLOOR < residual < 1e-6
         assert info.value.details["iterations"] > subord._FAIL_WINDOW
+
+    def test_plateau_at_the_cap_is_accepted_with_its_best(self, monkeypatch):
+        # at y = 2e-3 the floor is tol, and a cap of 20 lies below the stall
+        # window, so only the evaluation after the cap ends the point
+        monkeypatch.setattr(subord, "MAX_ITER", 20)
+        step, args, _ = affine_steps([0.5], [0.5 + 0.5j], noise=1e-9)
+        (w, res, its), log = self.run(step, args, 2e-3)
+        best = min(range(len(log)), key=lambda k: log[k][1])
+        assert len(log) == 21 and its[0] == 20
+        assert DEFAULT_TOL < res[0] == log[best][1] <= subord._STALL_FLOOR
+        assert w[0] == log[best][0]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_smoothly_converging_point_keeps_its_iterate(self, seed):

@@ -1,0 +1,41 @@
+"""Every op of the benchmark workloads exits 0 and passes the workload's own check.
+
+The workload definitions are read from ``perfbench/workloads.py`` without
+changing it; each op runs once, at seed 5, through ``cli.main`` as the
+benchmark runs it.
+"""
+
+import functools
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from freeatoms import cli
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@functools.cache
+def workloads_module():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up there
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+@pytest.mark.parametrize("workload", workloads_module().WORKLOADS)
+def test_every_op_passes_its_check(workload, tmp_path):
+    ops = workloads_module().build(workload, 5, tmp_path)
+    out = tmp_path / "out.json"
+    problems = {}
+    for op in ops:
+        out.unlink(missing_ok=True)
+        code = cli.main(op.argv + ["--out", str(out)])
+        found = op.check(json.loads(out.read_text())) if code == 0 else [f"exit {code}"]
+        if found:
+            problems[op.op_id] = found
+    assert ops and problems == {}
