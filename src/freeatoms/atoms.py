@@ -35,7 +35,7 @@ from .linearize import LinearPencil, corner_shift, linearize
 from .measure import SpectralMeasure
 from .ncpoly import NCPoly, format_poly, is_selfadjoint, star_square
 from .opval import (expected_kernel_projection, herm_part, imag_part, kernel_profile, pack_matrix,
-                    unpack_matrix)
+                    richardson, unpack_matrix)
 from .subord import DEFAULT_TOL, FreeSumModel, SubordinationResult, solve_subordination
 
 DEFAULT_Y0 = 0.1
@@ -56,46 +56,6 @@ def default_ladder(y0: float = DEFAULT_Y0, depth: int = DEFAULT_DEPTH):
     if ladder[-1] < 1e-8:
         raise PreconditionError("ladder descends below 1e-8; reduce depth or raise y0")
     return ladder
-
-
-def richardson(values):
-    """First-order Richardson limit of f(y_k) on a halving ladder.
-
-    ``values`` is a stack (K, ...) with values[k] ~ limit + c y_k + o(y_k);
-    the linear term is eliminated exactly.  A residual tail of unknown
-    power y^s survives as a geometric sequence in k, so when the
-    extrapolant differences show a stable ratio the geometric sum is
-    completed as well.  Returns
-    (limit, diffs, err) with diffs the extrapolant difference norms and
-    err a conservative estimate of the remaining error.
-    """
-    vals = np.asarray(values, dtype=complex)
-    if len(vals) < 2:
-        raise ValueError("need at least two ladder rungs")
-    extr = 2.0 * vals[1:] - vals[:-1]
-    diffs = np.abs(extr[1:] - extr[:-1]).max(axis=tuple(range(1, extr.ndim))).tolist()
-    limit = extr[-1]
-    if not diffs:
-        return limit, [], 0.0
-    err = diffs[-1]
-    if len(diffs) >= 3 and min(diffs[-3:]) > 0:
-        r1 = diffs[-1] / diffs[-2]
-        r2 = diffs[-2] / diffs[-3]
-        spread = abs(r1 - r2) / max(r1, r2)
-        d1 = (extr[-1] - extr[-2]).reshape(-1)
-        d2 = (extr[-2] - extr[-3]).reshape(-1)
-        # the norm ratio cannot see sign alternation, so require the last
-        # two difference directions to actually align before completing
-        align = float(np.real(np.vdot(d2, d1))) / (
-            np.linalg.norm(d1) * np.linalg.norm(d2)
-        )
-        if 0.02 < r1 < 0.9 and spread < 0.35 and align > 0.5:
-            rho = r1
-            correction = (extr[-1] - extr[-2]) * (rho / (1.0 - rho))
-            limit = extr[-1] + correction
-            scale = float(np.max(np.abs(correction)))
-            err = max(scale * max(spread, 0.05), diffs[-1] * 0.05)
-    return limit, diffs, err
 
 
 @dataclass
@@ -450,16 +410,18 @@ def decompose_atom(scan: LadderScan) -> AtomReport:
     # (iv): left side from the spectral model of the single-variable pencil,
     # transformed by beta^{1/2}; right side from the extracted data.  The
     # pencil's kernel profile also gives its kernel trace for (iii), (vii).
-    tau_parts = []
+    tau_parts, lhs_errors = [], []
     for idx, (a_j, mu_j, b_j, beta_j) in enumerate(
         [(model.a1, model.mu1, b1, beta1), (model.a2, model.mu2, b2, beta2)], start=1
     ):
         profile = kernel_profile(a_j, b_j, hints=[x for x, _ in mu_j.atoms])
         sqrt_beta = _matrix_sqrt(beta_j)
-        lhs = expected_kernel_projection(a_j, b_j, mu_j, transform=sqrt_beta, profile=profile)
+        lhs, lhs_err = expected_kernel_projection(a_j, b_j, mu_j, transform=sqrt_beta,
+                                                  profile=profile)
         rhs = sqrt_beta @ E_p @ sqrt_beta
         residuals[f"iv_{idx}"] = float(np.linalg.norm(lhs - rhs, 2))
         tau_parts.append(profile.kernel_trace(mu_j))
+        lhs_errors.append(lhs_err)
     residuals["iv"] = max(residuals["iv_1"], residuals["iv_2"])
     residuals["iii"] = float(min(tau_parts))
     residuals["vii"] = float(abs(tau_parts[0] + tau_parts[1] - 1.0 - mass))
@@ -477,7 +439,7 @@ def decompose_atom(scan: LadderScan) -> AtomReport:
         integer_test=_integer_fields(n, mass),
         model=model,
         kernel_traces=(float(tau_parts[0]), float(tau_parts[1])),
-        diagnostics=dict(scan.diagnostics),
+        diagnostics={**scan.diagnostics, "iv_extrapolation_error": max(lhs_errors)},
     )
 
 

@@ -30,7 +30,7 @@ from .errors import ConvergenceError, PreconditionError, SchemaError
 from .linearize import linearize, verify_certificate
 from .measure import SpectralMeasure
 from .ncpoly import parse_poly
-from .subord import DEFAULT_TOL, FreeSumModel, sum_density
+from .subord import DEFAULT_TOL, DEFAULT_Y_EVAL, FreeSumModel, sum_density
 
 EXIT_OK = 0
 EXIT_STRICT = 1
@@ -67,9 +67,9 @@ class RunConfig:
     b_spec: str | None = None
     a1_spec: str | None = None
     a2_spec: str | None = None
-    y_eval: float = 1e-4
+    y_eval: float = DEFAULT_Y_EVAL
     candidates: list = field(default_factory=list)
-    bins: int = 201
+    bins: int = rmt.DEFAULT_BINS
 
     def __post_init__(self):
         positive = [("--tol", self.tol), ("--y0", self.y0),

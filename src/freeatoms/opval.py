@@ -10,7 +10,11 @@ minimum k_min, its value at the atoms of mu, and the kernel trace
 
     tau_n(ker(b (x) 1 - a (x) X)) = k_min + sum_t (k(t) - k_min) mu({t}),
 
-where the sum runs over the atoms of mu, so k(t) is read nowhere else.
+where the sum runs over the atoms of mu, so k(t) is read nowhere else,
+and the expected kernel projection int P(t) dmu(t) of the pencil: exact
+projections at the atoms, and for the continuous part the boundary limit
+i eps G_c(b + i eps T*T) of the transform as eps -> 0, extrapolated by
+:func:`richardson`, the one home of the library's Richardson limits.
 The matrix conventions the other modules share live here too: the
 Hermitian check, the half-plane test, the rank rule and the [re, im]
 JSON form of complex matrices.
@@ -24,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import HalfPlaneError
+from .errors import ConvergenceError, HalfPlaneError
 from .measure import SpectralMeasure, integrate_piece
 
 # Singular values below RANK_RTOL * max(sigma_1, 1) count as zero: the one
@@ -36,6 +40,13 @@ RANK_RTOL = 1e-8
 # that of quadrature (~1e-12), the continuous part is integrated by
 # quadrature instead.
 _EIG_COND_LIMIT = 1e4
+
+# The continuous part of an expected kernel projection is the limit of the
+# transform down eps_k = _EPS_TOP * scale * 2^{-k}, k < _EPS_RUNGS; a
+# Richardson error estimate above KERNEL_LIMIT_TOL fails it.
+KERNEL_LIMIT_TOL = 1e-8
+_EPS_TOP = 1e-2
+_EPS_RUNGS = 12
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +239,51 @@ def matrix_f(a, mu: SpectralMeasure, z, *, check_upper=True) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# boundary limits
+# ---------------------------------------------------------------------------
+
+
+def richardson(values):
+    """First-order Richardson limit of f(y_k) on a halving ladder y_k = y_0 2^{-k}.
+
+    ``values`` is a stack (K, ...) with values[k] ~ limit + c y_k + o(y_k);
+    the linear term is eliminated exactly.  A residual tail of unknown
+    power y^s survives as a geometric sequence in k, so when the
+    extrapolant differences show a stable ratio the geometric sum is
+    completed as well.  Returns
+    (limit, diffs, err) with diffs the extrapolant difference norms and
+    err a conservative estimate of the remaining error.
+    """
+    vals = np.asarray(values, dtype=complex)
+    if len(vals) < 2:
+        raise ValueError("need at least two ladder rungs")
+    extr = 2.0 * vals[1:] - vals[:-1]
+    diffs = np.abs(extr[1:] - extr[:-1]).max(axis=tuple(range(1, extr.ndim))).tolist()
+    limit = extr[-1]
+    if not diffs:
+        return limit, [], 0.0
+    err = diffs[-1]
+    if len(diffs) >= 3 and min(diffs[-3:]) > 0:
+        r1 = diffs[-1] / diffs[-2]
+        r2 = diffs[-2] / diffs[-3]
+        spread = abs(r1 - r2) / max(r1, r2)
+        d1 = (extr[-1] - extr[-2]).reshape(-1)
+        d2 = (extr[-2] - extr[-3]).reshape(-1)
+        # the norm ratio cannot see sign alternation, so require the last
+        # two difference directions to actually align before completing
+        align = float(np.real(np.vdot(d2, d1))) / (
+            np.linalg.norm(d1) * np.linalg.norm(d2)
+        )
+        if 0.02 < r1 < 0.9 and spread < 0.35 and align > 0.5:
+            rho = r1
+            correction = (extr[-1] - extr[-2]) * (rho / (1.0 - rho))
+            limit = extr[-1] + correction
+            scale = float(np.max(np.abs(correction)))
+            err = max(scale * max(spread, 0.05), diffs[-1] * 0.05)
+    return limit, diffs, err
+
+
+# ---------------------------------------------------------------------------
 # pencil kernels
 # ---------------------------------------------------------------------------
 
@@ -316,12 +372,26 @@ def pencil_kernel_trace(a, b, mu: SpectralMeasure) -> float:
 def expected_kernel_projection(a, b, mu: SpectralMeasure, transform=None, profile=None):
     """Expected kernel projection of (b - t a) under mu, optionally transformed.
 
-    Returns int P(t) dmu(t) where P(t) projects onto T ker(b - t a) for
-    the optional invertible matrix T (identity when omitted).  Used to
+    Returns (E, err): E = int P(t) dmu(t), where P(t) projects onto
+    T ker(b - t a) for the optional invertible matrix T (identity when
+    omitted), and err the error estimate of its continuous part.  Used to
     evaluate kernel expectations of single-variable pencils directly from
     the spectral model, independently of any boundary-limit estimate.
     ``profile`` is the pencil's :func:`kernel_profile` when the caller
     already has it.
+
+    Each atom contributes its exact projection.  The continuous part
+    vanishes unless the pencil is singular for every t (k_min > 0); then,
+    with S = T*T and the Hermitian H(t) = T^{-*}(b - t a)T^{-1}, whose
+    kernel is T ker(b - t a), T (b - t a + i eps S)^{-1} T* = (H + i eps)^{-1}
+    and i eps (H + i eps)^{-1} tends to the projection onto ker H, so
+
+        E_c = lim_{eps -> 0} i eps T G_c(b + i eps S) T*,
+
+    with G_c the continuous transform of a (x) X.  It is evaluated on a
+    halving eps-ladder as one stack and extrapolated by :func:`richardson`;
+    an error estimate above ``KERNEL_LIMIT_TOL`` raises ConvergenceError.
+    For atomic laws and k_min = 0, err is 0.0.
     """
     a = herm_part(check_hermitian(a, "a"))
     b = herm_part(check_hermitian(b, "b"))
@@ -341,10 +411,20 @@ def expected_kernel_projection(a, b, mu: SpectralMeasure, transform=None, profil
     total = np.zeros((n, n), dtype=complex)
     for loc, m in mu.atoms:
         total += m * proj_at(loc)
+    err = 0.0
     if profile.k_min > 0 and mu.continuous:
-        def proj_batch(ts):
-            return np.stack([proj_at(float(t)) for t in np.asarray(ts)])
-
-        for piece in mu.continuous:
-            total += piece.weight * integrate_piece(proj_batch, piece, rtol=1e-10)
-    return herm_part(total)
+        # the limit does not depend on the scale of T; at |T| = 1 the ladder
+        # eps_k meets H(t) at the scale of the pencil
+        Tn = T / np.linalg.norm(T, 2)
+        scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+        eps = (_EPS_TOP * scale * 2.0 ** -np.arange(_EPS_RUNGS))[:, None, None]
+        g = _continuous_cauchy(Coefficient(a), mu, b + 1j * eps * (Tn.conj().T @ Tn))
+        limit, diffs, err = richardson(1j * eps * (Tn @ g @ Tn.conj().T))
+        if err > KERNEL_LIMIT_TOL:
+            raise ConvergenceError(
+                f"kernel projection limit did not settle "
+                f"(error estimate {err:.3e} > {KERNEL_LIMIT_TOL:g})",
+                {"diffs": diffs, "error_estimate": err},
+            )
+        total += limit
+    return herm_part(total), err

@@ -30,6 +30,8 @@ from .ncpoly import NCPoly, eval_matrices, is_selfadjoint
 from .opval import herm_part
 from .subord import FreeSumModel
 
+DEFAULT_BINS = 201  # histogram bins of an oracle report
+
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -315,7 +317,7 @@ def _find_spikes(counts, edges):
 
 def oracle_report(spec: EnsembleSpec, poly: NCPoly | None = None, lam: float = 0.0,
                   model: FreeSumModel | None = None, b=None, locations=None,
-                  bins: int = 201, epsilon: float | None = None) -> OracleReport:
+                  bins: int = DEFAULT_BINS, epsilon: float | None = None) -> OracleReport:
     """Monte Carlo spectral report for a polynomial or a pencil target.
 
     Exactly one of ``poly`` or ``model`` must be given.  For a model the

@@ -28,6 +28,7 @@ from .opval import (Coefficient, check_hermitian, herm_part, imag_part, inverse,
                     matrix_f, min_imag_eig, pack_matrix, unpack_matrix, validate_upper)
 
 DEFAULT_TOL = 1e-12
+DEFAULT_Y_EVAL = 1e-4  # height of sum_density's evaluation points
 MAX_ITER = 10_000
 _ANDERSON_MEMORY = 6
 _LADDER_START = 1e-3  # internal continuation starts here when Im z is tiny
@@ -413,7 +414,8 @@ def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL) -> Sub
     return result
 
 
-def sum_density(model: FreeSumModel, grid, y_eval: float = 1e-4, tol: float = DEFAULT_TOL):
+def sum_density(model: FreeSumModel, grid, y_eval: float = DEFAULT_Y_EVAL,
+                tol: float = DEFAULT_TOL):
     """Smoothed spectral density -(1/pi) Im tr_n G(x + i y_eval) on a grid.
 
     The whole grid is one stacked solve, every point started cold at

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from freeatoms import cli
 from freeatoms import measure as M
 from freeatoms import opval as O
-from freeatoms.atoms import AtomReport, RegularizationResult
+from freeatoms.atoms import AtomReport, RegularizationResult, _matrix_sqrt
 from freeatoms.errors import HalfPlaneError
 from freeatoms.linearize import LinearPencil
 from freeatoms.subord import FreeSumModel
@@ -508,8 +509,9 @@ class TestPencilKernelTrace:
 class TestExpectedKernelProjection:
     def test_atom_projection(self):
         mu = M.atomic_measure([(0.0, 0.7), (1.0, 0.3)])
-        proj = O.expected_kernel_projection(np.eye(1), np.zeros((1, 1)), mu)
+        proj, err = O.expected_kernel_projection(np.eye(1), np.zeros((1, 1)), mu)
         assert proj[0, 0] == pytest.approx(0.7)
+        assert err == 0.0
 
     def test_transformed_subspace(self):
         # kernel of b - 0*a at the atom is span(e1); transform rotates it
@@ -517,7 +519,7 @@ class TestExpectedKernelProjection:
         b = np.diag([0.0, 2.0])  # ker(b - 0 a) = span(e1)
         mu = M.atomic_measure([(0.0, 1.0)])
         T = np.array([[1.0, 0.0], [1.0, 1.0]])
-        proj = O.expected_kernel_projection(a, b, mu, transform=T)
+        proj, _ = O.expected_kernel_projection(a, b, mu, transform=T)
         v = T @ np.array([1.0, 0.0])
         v = v / np.linalg.norm(v)
         np.testing.assert_allclose(proj, np.outer(v, v.conj()), atol=1e-10)
@@ -527,7 +529,7 @@ class TestExpectedKernelProjection:
         a = np.diag([1.0, 0.0])
         b = np.diag([3.0, 0.0])
         mu = M.uniform_measure(0.0, 1.0)
-        proj = O.expected_kernel_projection(a, b, mu)
+        proj, _ = O.expected_kernel_projection(a, b, mu)
         np.testing.assert_allclose(proj, np.diag([0.0, 1.0]), atol=1e-9)
 
     def test_supplied_profile_gives_the_same_projection_and_trace(self):
@@ -537,9 +539,177 @@ class TestExpectedKernelProjection:
         b[:, 0] = b[0, :] = 0.0
         mu = M.atomic_measure([(0.0, 0.6), (1.5, 0.4)])
         profile = O.kernel_profile(a, b, hints=[0.0, 1.5])
-        with_profile = O.expected_kernel_projection(a, b, mu, profile=profile)
-        assert with_profile.tobytes() == O.expected_kernel_projection(a, b, mu).tobytes()
+        with_profile, _ = O.expected_kernel_projection(a, b, mu, profile=profile)
+        assert with_profile.tobytes() == O.expected_kernel_projection(a, b, mu)[0].tobytes()
         assert profile.kernel_trace(mu) == O.pencil_kernel_trace(a, b, mu)
+
+
+def quadrature_kernel_projection(a, b, mu, T):
+    """Reference: each atom's projection plus integrate_piece over the projection onto T ker(b - t a)."""
+    n = a.shape[0]
+
+    def proj_at(t):
+        null = O.kernel_basis(b - t * a)
+        if null.shape[1] == 0:
+            return np.zeros((n, n), dtype=complex)
+        q, _ = np.linalg.qr(T @ null)
+        return q @ q.conj().T
+
+    total = sum((m * proj_at(x) for x, m in mu.atoms), np.zeros((n, n), dtype=complex))
+    for p in mu.continuous:
+        total = total + p.weight * M.integrate_piece(
+            lambda ts: np.stack([proj_at(float(t)) for t in ts]), p, rtol=1e-10)
+    return O.herm_part(total)
+
+
+def singular_pencil(rng, q, grow=None):
+    """(a, b) with b - t a singular at every t and a kernel that turns with t.
+
+    The block [[0, x(t)], [x(t)*, 0]] with the 1 x q row x(t) = x0 - t x1
+    has the kernel {(0, v) : x(t) v = 0}, so k_min = (q - 1)/(q + 1).
+    ``grow`` appends the 1 x 1 block grow - t, which adds a kernel
+    direction at t = grow alone.
+    """
+    x0, x1 = rng.standard_normal((2, q)) + 1j * rng.standard_normal((2, q))
+    size = q + 1 + (grow is not None)
+    blocks = []
+    for x, d in ((x1, 1.0), (x0, grow)):
+        m = np.zeros((size, size), dtype=complex)
+        m[0, 1:q + 1], m[1:q + 1, 0] = x, x.conj()
+        if grow is not None:
+            m[-1, -1] = d
+        blocks.append(m)
+    return tuple(blocks)
+
+
+def transform_with_condition(rng, n, cond):
+    """Invertible T = Q1 diag(sigma) Q2 with 2-norm condition number ``cond``."""
+    q1, q2 = (np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+              for _ in range(2))
+    return (q1 * np.logspace(0, -np.log10(cond), n)) @ q2
+
+
+KERNEL_LAWS = {
+    "semicircle": M.semicircle_measure(0.0, 2.0),
+    "arcsine": M.arcsine_measure(-1.5, 1.5),
+    "uniform": M.uniform_measure(-1.0, 1.0),
+    "table": M.SpectralMeasure(
+        continuous=(M.TablePiece((-1.0, 0.0, 0.5, 1.5), (0.0, 8 / 9, 4 / 9, 0.0), 1.0),),
+        support=(-1.0, 1.5)),
+    "mixed": MIXED_LAW,
+}
+
+
+class TestKernelProjectionLimit:
+    """The continuous part of a singular pencil's kernel projection as a limit of the transform."""
+
+    def check(self, a, b, mu, T):
+        proj, err = O.expected_kernel_projection(a, b, mu, transform=T)
+        ref = quadrature_kernel_projection(a, b, mu, T)
+        assert np.max(np.abs(proj - ref)) <= 1e-10
+        assert 0.0 < err <= O.KERNEL_LIMIT_TOL
+        return proj
+
+    @pytest.mark.parametrize("law", sorted(KERNEL_LAWS))
+    @pytest.mark.parametrize("q, k_min", [(2, Fraction(1, 3)), (3, Fraction(1, 2)),
+                                          (5, Fraction(2, 3))])
+    def test_singular_pencils_match_quadrature(self, law, q, k_min):
+        rng = np.random.default_rng(41 + q)
+        a, b = singular_pencil(rng, q)
+        mu = KERNEL_LAWS[law]
+        assert O.kernel_profile(a, b, hints=[x for x, _ in mu.atoms]).k_min == k_min
+        self.check(a, b, mu, transform_with_condition(rng, q + 1, 3.0))
+
+    @pytest.mark.parametrize("law", sorted(KERNEL_LAWS))
+    def test_kernel_growing_inside_the_support(self, law):
+        # 0.75 is interior to every law's support and no atom of any
+        rng = np.random.default_rng(43)
+        a, b = singular_pencil(rng, 2, grow=0.75)
+        assert O.numerical_kernel_dim(b - 0.75 * a) == O.numerical_kernel_dim(b - 0.3 * a) + 1
+        self.check(a, b, KERNEL_LAWS[law], transform_with_condition(rng, 4, 3.0))
+
+    @pytest.mark.parametrize("cond", [10.0, 100.0, 400.0])
+    def test_ill_conditioned_transforms(self, cond):
+        rng = np.random.default_rng(44)
+        a, b = singular_pencil(rng, 3)
+        T = transform_with_condition(rng, 4, cond)
+        assert np.linalg.cond(T, 1) <= 1e3
+        proj = self.check(a, b, KERNEL_LAWS["semicircle"], T)
+        # the limit does not depend on the scale of T
+        scaled, _ = O.expected_kernel_projection(a, b, KERNEL_LAWS["semicircle"], transform=50.0 * T)
+        assert np.max(np.abs(scaled - proj)) <= 1e-12
+
+    @pytest.mark.parametrize("law", sorted(KERNEL_LAWS))
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_zero_pencil_gives_its_weight(self, law, n):
+        # k_min = 1: every t is in the kernel, so each atom gives its mass
+        # times I and the continuous part its weight times I
+        mu = KERNEL_LAWS[law]
+        T = transform_with_condition(np.random.default_rng(45), n, 10.0)
+        zero = np.zeros((n, n))
+        proj, err = O.expected_kernel_projection(zero, zero, mu, transform=T)
+        np.testing.assert_allclose(proj, np.eye(n), rtol=0, atol=1e-12)
+        assert err <= 1e-12
+
+    def test_regular_and_atomic_pencils_report_no_error(self):
+        rng = np.random.default_rng(46)
+        a, b = random_hermitian(rng, 3), random_hermitian(rng, 3)
+        assert O.expected_kernel_projection(a, b, MIXED_LAW)[1] == 0.0
+        singular = singular_pencil(rng, 2)
+        assert O.expected_kernel_projection(*singular, M.atomic_measure([(0.0, 1.0)]))[1] == 0.0
+
+    @pytest.mark.parametrize("cond", [10.0, 400.0])
+    def test_rank_one_coefficient_draws_no_quadrature(self, monkeypatch, cond):
+        # a rank-one coefficient leaves a 1 x 1 eigenproblem on its range,
+        # so the transform cannot fall back to quadrature
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("integrate_piece called")
+
+        rng = np.random.default_rng(47)
+        v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        q = np.linalg.qr(np.column_stack([v, rng.standard_normal((3, 2))]))[0][:, :2]
+        a = np.outer(v, v.conj())
+        b = q @ random_hermitian(rng, 2) @ q.conj().T  # a and b vanish on q's complement
+        assert O.kernel_profile(a, b).k_min == Fraction(1, 3)
+        T = transform_with_condition(rng, 3, cond)
+        assert np.linalg.cond(T, 1) <= 1e3
+        refs = {name: quadrature_kernel_projection(a, b, law, T) for name, law in KERNEL_LAWS.items()}
+        monkeypatch.setattr(O, "integrate_piece", no_quadrature)
+        monkeypatch.setattr(M, "integrate_piece", no_quadrature)
+        for name, law in KERNEL_LAWS.items():
+            proj, err = O.expected_kernel_projection(a, b, law, transform=T)
+            assert np.max(np.abs(proj - refs[name])) <= 1e-10
+            assert err <= O.KERNEL_LIMIT_TOL
+
+    def test_unsettled_limit_exits_3(self, monkeypatch, tmp_path, capsys):
+        # the sum's atom at 0 on two atom + semicircle laws: identity (iv)
+        # reads the kernel projections of singular pencils
+        laws = []
+        for name, mass, center in (("a", 0.7, 1.5), ("b", 0.6, -1.5)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({
+                "atoms": [{"x": 0.0, "m": mass}], "support": [-2.5, 2.5],
+                "continuous": [{"family": "semicircle", "center": center, "radius": 1.0,
+                                "weight": 1.0 - mass}]}))
+            laws.append(str(path))
+        argv = ["eigtest", "--mu1", laws[0], "--mu2", laws[1], "--poly", "Z1+Z2"]
+        assert cli.main(argv + ["--out", str(tmp_path / "ok.json")]) == cli.EXIT_OK
+        # E(p) is singular there, so the identities are checked on the doubled
+        # pencil, whose report carries the larger of its two pencils' estimates
+        report = AtomReport.from_json_dict(
+            json.loads((tmp_path / "ok.json").read_text())["regularization"]["report"])
+        model = report.model
+        errors = [O.expected_kernel_projection(a, b, mu, transform=_matrix_sqrt(beta))[1]
+                  for a, b, mu, beta in ((model.a1, report.b1, model.mu1, report.beta1),
+                                         (model.a2, report.b2, model.mu2, report.beta2))]
+        assert report.diagnostics["iv_extrapolation_error"] == max(errors)
+        assert 0.0 < max(errors) <= O.KERNEL_LIMIT_TOL
+
+        monkeypatch.setattr(O, "KERNEL_LIMIT_TOL", 1e-300)
+        assert cli.main(argv) == cli.EXIT_NOCONV
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["error"].startswith("kernel projection limit did not settle")
+        assert diag["details"]["error_estimate"] > 0.0
 
 
 def complex_matrices(n):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from freeatoms import cli
+from freeatoms import cli, measure, opval
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -39,3 +39,15 @@ def test_every_op_passes_its_check(workload, tmp_path):
         if found:
             problems[op.op_id] = found
     assert ops and problems == {}
+
+
+
+def test_atoms_ops_run_without_quadrature(tmp_path, monkeypatch):
+    # identity (iv) reads the continuous part of a singular pencil's kernel
+    # projection as a limit of the transform, so no atoms op integrates
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("integrate_piece called")
+
+    monkeypatch.setattr(measure, "integrate_piece", no_quadrature)
+    monkeypatch.setattr(opval, "integrate_piece", no_quadrature)
+    test_every_op_passes_its_check("atoms", tmp_path)
