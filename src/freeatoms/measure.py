@@ -91,6 +91,12 @@ class SemicirclePiece:
     def unit_cauchy(self, w):
         return cauchy_semicircle(self.center, self.radius, w)
 
+    def unit_cauchy_derivative(self, w):
+        # G = 2 / (w + s) with s = sqrt(w^2 - r^2) has G' = -G / s
+        w = np.asarray(w, dtype=complex) - self.center
+        s = np.sqrt(w - self.radius) * np.sqrt(w + self.radius)
+        return -2.0 / ((w + s) * s)
+
     # parameterization s in [0,1] with int_0^1 f(t(s)) w(s) ds = int f dmu_unit
     def param_to_t(self, s):
         return self.center - self.radius * np.cos(np.pi * s)
@@ -136,6 +142,11 @@ class ArcsinePiece:
     def unit_cauchy(self, w):
         return cauchy_arcsine(self.a, self.b, w)
 
+    def unit_cauchy_derivative(self, w):
+        # G = 1 / s with s^2 = (w - a)(w - b) has G' = -(w - (a + b) / 2) G^3
+        g = cauchy_arcsine(self.a, self.b, w)
+        return -(np.asarray(w, dtype=complex) - 0.5 * (self.a + self.b)) * g * g * g
+
     def param_to_t(self, s):
         mid = 0.5 * (self.a + self.b)
         half = 0.5 * (self.b - self.a)
@@ -177,6 +188,10 @@ class UniformPiece:
 
     def unit_cauchy(self, w):
         return cauchy_uniform(self.a, self.b, w)
+
+    def unit_cauchy_derivative(self, w):
+        w = np.asarray(w, dtype=complex)
+        return -1.0 / ((w - self.a) * (w - self.b))
 
     def param_to_t(self, s):
         return self.a + (self.b - self.a) * np.asarray(s, dtype=float)
@@ -249,6 +264,9 @@ class TablePiece:
 
     def unit_cauchy(self, w):
         return cauchy_table(self.nodes, self.values, w)
+
+    def unit_cauchy_derivative(self, w):
+        return cauchy_table(self.nodes, self.values, w, derivative=True)
 
     def param_to_t(self, s):
         lo, hi = self.interval
@@ -443,11 +461,24 @@ class SpectralMeasure:
         Pieces are evaluated at conj(w) in the upper half-plane and
         conjugated back below it; a real w takes the limit from above.
         """
+        return self._reflected("unit_cauchy", w)
+
+    def continuous_cauchy_derivative(self, w):
+        """d/dw of :meth:`continuous_cauchy`, -int dmu_c(t) / (w - t)^2, in closed form.
+
+        Reflected below the real axis in the same way: the transform is
+        real on the real axis outside the support, so its derivative at
+        conj(w) is conj of its derivative at w.
+        """
+        return self._reflected("unit_cauchy_derivative", w)
+
+    def _reflected(self, method, w):
+        """The weighted sum of ``method`` over the pieces at w, via conj(w) below the axis."""
         w = np.asarray(w, dtype=complex)
         upper = w.real + 1j * np.abs(w.imag)
         total = np.zeros_like(upper)
         for p in self.continuous:
-            total = total + p.weight * p.unit_cauchy(upper)
+            total = total + p.weight * getattr(p, method)(upper)
         return np.where(w.imag < 0, total.conj(), total)
 
     # -- serialization -----------------------------------------------------
@@ -598,11 +629,15 @@ def cauchy_uniform(a, b, z):
     return _log_ratio(z, a, b) / (b - a)
 
 
-def cauchy_table(nodes, values, z):
+def cauchy_table(nodes, values, z, derivative=False):
     """Cauchy transform of the piecewise-linear density through (nodes, values).
 
     Near the support each segment contributes its exact logarithmic
     integral; far from it the moment series about the midpoint is used.
+    With ``derivative`` it returns G'(z) = -int f(t) dt / (z - t)^2
+    instead: by parts, sum_k slope_k log((z - x_k)/(z - x_{k+1}))
+    + f(x_0)/(z - x_0) - f(x_N)/(z - x_N) near the support, and the
+    derivative of the series far from it.
     """
     x = np.asarray(nodes, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -617,7 +652,11 @@ def cauchy_table(nodes, values, z):
     zn = z[~far][..., None]
     slope = np.diff(v) / np.diff(x)
     logs = _log_ratio(zn, x[:-1], x[1:])
-    out[~far] = np.sum((v[:-1] + slope * (zn - x[:-1])) * logs, axis=-1) - (v[-1] - v[0])
+    if derivative:
+        zn = zn[..., 0]
+        out[~far] = np.sum(slope * logs, axis=-1) + v[0] / (zn - x[0]) - v[-1] / (zn - x[-1])
+    else:
+        out[~far] = np.sum((v[:-1] + slope * (zn - x[:-1])) * logs, axis=-1) - (v[-1] - v[0])
 
     if np.any(far):
         # moments of f about the midpoint, segment by segment:
@@ -628,8 +667,10 @@ def cauchy_table(nodes, values, z):
         moments = np.sum(alpha * (p1**k - p0**k) / k
                          + slope * (p1 ** (k + 1) - p0 ** (k + 1)) / (k + 1), axis=-1)
         inv = 1.0 / u[far]
+        if derivative:  # -sum_j (j + 1) m_j u^-(j + 2)
+            moments = -k[:, 0] * moments
         series = np.zeros_like(inv)
         for m in moments[::-1]:
             series = (series + m) * inv
-        out[far] = series
+        out[far] = series * inv if derivative else series
     return out

@@ -4,7 +4,8 @@ For a Hermitian n x n coefficient ``a`` and a scalar-distributed variable
 X with law mu, the transform is G(z) = int (z - t a)^{-1} dmu(t) for z in
 the matrix upper half-plane, evaluated exactly: atoms as a resolvent sum,
 the continuous part through an eigendecomposition and the scalar closed
-forms of ``measure``.  The second half of the module computes the
+forms of ``measure``, and on request with its exact derivative
+(:class:`Derivative`) for the Newton steps of ``subord``.  The second half of the module computes the
 normalized kernel dimension k(t) of the pencil b - t a: its generic
 minimum k_min, its value at the atoms of mu, and the kernel trace
 
@@ -157,7 +158,70 @@ def _resolvents(a, z, ts):
     return inverse(z - ts.reshape((-1,) + (1,) * z.ndim) * a)
 
 
-def _continuous_cauchy(c: Coefficient, mu: SpectralMeasure, z) -> np.ndarray:
+@dataclass(frozen=True)
+class Derivative:
+    """The derivative H -> dG[H] of a transform at a point or a stack, kept as factors.
+
+    It is the sum of A H B over ``pairs`` (A, B) and of
+    P (Gamma o (S H T)) Q over ``hadamards`` (P, Q, Gamma, S, T), slice by
+    slice.  Products with fixed matrices and the choice of slices act on
+    the factors; :meth:`matrix` builds the n^2 x n^2 matrix on row-major
+    vec(H), where H -> A H B is kron(A, B^T), only when asked.
+    """
+
+    pairs: tuple = ()
+    hadamards: tuple = ()
+
+    def __add__(self, other):
+        return Derivative(self.pairs + other.pairs, self.hadamards + other.hadamards)
+
+    def map(self, fn):
+        """The same derivative with ``fn`` applied to every factor (slicing, reshaping)."""
+        return Derivative(tuple(tuple(fn(f) for f in term) for term in self.pairs),
+                          tuple(tuple(fn(f) for f in term) for term in self.hadamards))
+
+    def sandwich(self, left, right):
+        """H -> left dG[H] right."""
+        return Derivative(tuple((left @ a, b @ right) for a, b in self.pairs),
+                          tuple((left @ p, q @ right, g, s, t) for p, q, g, s, t in self.hadamards))
+
+    def matrix(self):
+        """The matrix of the map on row-major vec, over the leading axes of the factors.
+
+        Its entry ((i, l), (j, m)) is sum A_ij B_ml + sum P_ik S_kj Gamma_kp T_mp Q_pl
+        (over the terms, and over k, p); in the order ((i, j), (l, m))
+        every term is a product of an (n^2, k) and a (k, n^2) matrix, so
+        the whole map is one matrix product and one transposition.
+        """
+        first = (self.pairs + self.hadamards)[0][0]  # A or P, with n rows
+        lead, n = first.shape[:-2], first.shape[-2]
+        cols = [a.reshape(lead + (n * n, 1)) for a, _ in self.pairs]
+        rows = [b.swapaxes(-1, -2).reshape(lead + (1, n * n)) for _, b in self.pairs]
+        for p, q, gamma, s, t in self.hadamards:
+            r = gamma.shape[-1]
+            cols.append((p[..., :, None, :] * s.swapaxes(-1, -2)[..., None, :, :]).reshape(
+                lead + (n * n, r)))
+            rows.append(gamma @ (q[..., :, :, None] * t.swapaxes(-1, -2)[..., :, None, :]).reshape(
+                lead + (r, n * n)))
+        m = np.concatenate(cols, axis=-1) @ np.concatenate(rows, axis=-2)
+        return m.reshape(lead + (n, n, n, n)).swapaxes(-3, -2).reshape(lead + (n * n, n * n))
+
+
+def _divided_differences(g, dg, w):
+    """Gamma_ij = (g_j - g_i) / (w_i - w_j), and -g'(w_i) where w_i and w_j (nearly) meet.
+
+    Gamma_ij = int dmu_c(t) / ((w_i - t)(w_j - t)) for g = G_c(w), dg = G_c'(w)
+    along the last axis.  Below a gap of 1e-8 |w| the divided difference
+    has lost half its digits and the mean derivative is as close.
+    """
+    gap = w[..., :, None] - w[..., None, :]
+    near = np.abs(gap) <= 1e-8 * (np.abs(w[..., :, None]) + np.abs(w[..., None, :]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (g[..., None, :] - g[..., :, None]) / gap
+    return np.where(near, -0.5 * (dg[..., :, None] + dg[..., None, :]), out)
+
+
+def _continuous_cauchy(c: Coefficient, mu: SpectralMeasure, z, derivative=False):
     """int (z - t a)^{-1} over the continuous part of mu at a stack z (K, n, n), in closed form.
 
     In an eigenbasis of a, its kernel N is split off exactly: with the
@@ -172,14 +236,32 @@ def _continuous_cauchy(c: Coefficient, mu: SpectralMeasure, z) -> np.ndarray:
     near an atom) makes the eigenbasis ill-conditioned.  The slices
     whose eigenbasis is too ill-conditioned are integrated by quadrature.
     For n = 1 and a != 0 the transform is G_c(z / a) / a: no eigenbasis.
+
+    With ``derivative`` it returns (G_c, D), D the :class:`Derivative`
+    H -> dG_c[H] = -int R H R dmu_c, R = (z - t a)^{-1}.  In the
+    eigenbasis R = E X(t) F + C with X(t) = (S - t d)^{-1},
+    E = [I; -z_NN^{-1} z_NR], F = [I, -z_RN z_NN^{-1}] and
+    C = diag(0, z_NN^{-1}), so dG_c[H] is
+    -(E K[F H E] F + E g F H C + C H E g F + weight C H C), g the range
+    block above, with the Daleckii-Krein form
+    K[M] = int X M X dmu_c = V (Gamma o (V^{-1} d^{-1} M V)) V^{-1} d^{-1}
+    (:func:`_divided_differences`).  Quadrature slices take D from the
+    eigenbasis all the same.
     """
     U, Uh, d = c.split
     n, r = z.shape[-1], d.size
     weight = mu.continuous_weight
     if r == 0:
-        return weight * inverse(z)
+        zinv = inverse(z)
+        if not derivative:
+            return weight * zinv
+        return weight * zinv, Derivative(((-weight * zinv, zinv),))
     if n == 1:
-        return mu.continuous_cauchy(z / d) * (1.0 / d)
+        g = mu.continuous_cauchy(z / d) * (1.0 / d)
+        if not derivative:
+            return g
+        dg = mu.continuous_cauchy_derivative(z / d) * (1.0 / (d * d))
+        return g, Derivative(((dg, np.ones_like(dg)),))
     zu = Uh @ z @ U
     s = zu[:, :r, :r]
     if r < n:
@@ -189,53 +271,121 @@ def _continuous_cauchy(c: Coefficient, mu: SpectralMeasure, z) -> np.ndarray:
         s = s - left @ zu[:, r:, :r]
     w, V = np.linalg.eig(s / d[:, None])
     Vinv = np.linalg.inv(V)
-    g = (V * mu.continuous_cauchy(w)[:, None, :]) @ (Vinv / d)
+    gw = mu.continuous_cauchy(w)
+    g = (V * gw[:, None, :]) @ (Vinv / d)
+    if derivative:
+        # E V and V^{-1} d^{-1} F in the original basis
+        ev, vf = U[:, :r] @ V, (Vinv / d) @ Uh[:r]
+        if r < n:
+            ev = ev - U[:, r:] @ (right @ V)
+            vf = vf - (Vinv / d) @ (left @ Uh[r:])
+        gamma = _divided_differences(gw, mu.continuous_cauchy_derivative(w), w)
+        jac = Derivative(hadamards=((-ev, vf, gamma, vf, ev),))
     if r < n:
         block = np.empty_like(z)
         block[:, :r, :r] = g
         block[:, :r, r:] = -g @ left
         block[:, r:, :r] = -right @ g
-        block[:, r:, r:] = weight * znn_inv + right @ g @ left
-        g = block
-    g = U @ g @ Uh
+        block[:, r:, r:] = right @ g @ left
+        # E g F and C in the original basis
+        egf, cc = U @ block @ Uh, U[:, r:] @ znn_inv @ Uh[r:]
+        g = egf + weight * cc
+        if derivative:
+            half = egf + 0.5 * weight * cc
+            jac += Derivative(((-half, cc), (-cc, half)))
+    else:
+        g = U @ g @ Uh
     cond = np.abs(V).sum(axis=-2).max(axis=-1) * np.abs(Vinv).sum(axis=-2).max(axis=-1)
     for k in np.flatnonzero(cond > _EIG_COND_LIMIT):
         g[k] = sum(p.weight * integrate_piece(lambda ts, zk=z[k]: _resolvents(c.a, zk, ts), p)
                    for p in mu.continuous)
-    return g
+    return (g, jac) if derivative else g
 
 
-def matrix_cauchy(a, mu: SpectralMeasure, z, *, check_upper=True) -> np.ndarray:
+def _prepare(a, z, check_upper):
+    """The coefficient as a :class:`Coefficient` and z, checked unless ``check_upper`` is off."""
+    c = a if isinstance(a, Coefficient) else Coefficient(a)
+    z = validate_upper(z, "z") if check_upper else z
+    n = z.shape[-1]
+    if c.a.shape != (n, n):
+        raise ValueError(f"coefficient shape {c.a.shape} does not match point shape {z.shape}")
+    return c, z
+
+
+def matrix_cauchy(a, mu: SpectralMeasure, z, *, check_upper=True, derivative=False):
     """G(z) = int (z - t a)^{-1} dmu(t); maps H+_n into H-_n.
 
     ``z`` is one point (n, n) or a stack (K, n, n), evaluated slice by
     slice in one pass.  ``a`` is a :class:`Coefficient` or a Hermitian
     array, which is prepared here.  ``check_upper=False`` skips the
     half-plane check of z, for a caller that has just made it itself.
+    With ``derivative`` it returns (G, D): D is the :class:`Derivative`
+    of the complex-linear map H -> dG[H] = -int R H R dmu,
+    R = (z - t a)^{-1}; each atom adds -m R H R from the resolvent it
+    already needs.
     """
-    c = a if isinstance(a, Coefficient) else Coefficient(a)
-    z = validate_upper(z, "z") if check_upper else z
+    c, z = _prepare(a, z, check_upper)
     n = z.shape[-1]
-    if c.a.shape != (n, n):
-        raise ValueError(f"coefficient shape {c.a.shape} does not match point shape {z.shape}")
-    total = None
+    total, jac = None, Derivative()
     if mu.atoms:
         res = _resolvents(c.a, z, [loc for loc, _ in mu.atoms])
         for (_loc, m), r in zip(mu.atoms, res):
             total = m * r if total is None else total + m * r
+        if derivative:
+            jac += Derivative(tuple((-m * r, r) for (_loc, m), r in zip(mu.atoms, res)))
     if mu.continuous:
-        g = _continuous_cauchy(c, mu, z.reshape(-1, n, n)).reshape(z.shape)
+        g = _continuous_cauchy(c, mu, z.reshape(-1, n, n), derivative)
+        if derivative:
+            g, dg = g
+            jac += dg.map(lambda f: f.reshape(z.shape[:-2] + f.shape[-2:]))
+        g = g.reshape(z.shape)
         total = g if total is None else total + g
-    return np.asarray(total, dtype=complex)
+    total = np.asarray(total, dtype=complex)
+    return (total, jac) if derivative else total
 
 
-def matrix_f(a, mu: SpectralMeasure, z, *, check_upper=True) -> np.ndarray:
+def matrix_f(a, mu: SpectralMeasure, z, *, check_upper=True, derivative=False):
     """Reciprocal transform F(z) = G(z)^{-1}; self-map of H+_n with Im F >= Im z.
 
-    ``a`` is a :class:`Coefficient` or a Hermitian array; ``z`` and
-    ``check_upper`` are as for :func:`matrix_cauchy`.
+    ``a`` is a :class:`Coefficient` or a Hermitian array; ``z``,
+    ``check_upper`` and ``derivative`` are as for :func:`matrix_cauchy`,
+    and dF[H] = -F dG[H] F.  A law of two atoms takes F in closed form
+    (:func:`_two_atom_f`).
     """
-    return inverse(matrix_cauchy(a, mu, z, check_upper=check_upper))
+    if _two_atom_law(mu):
+        return _two_atom_f(a, mu, z, check_upper, derivative)
+    if not derivative:
+        return inverse(matrix_cauchy(a, mu, z, check_upper=check_upper))
+    g, jac = matrix_cauchy(a, mu, z, check_upper=check_upper, derivative=True)
+    f = inverse(g)
+    return f, jac.sandwich(-f, f)
+
+
+def _two_atom_law(mu: SpectralMeasure):
+    """True for a law of exactly two atoms, whose F :func:`matrix_f` takes in closed form."""
+    return not mu.continuous and len(mu.atoms) == 2
+
+
+def _two_atom_f(a, mu, z, check_upper, derivative):
+    """F = A M^{-1} B for mu = m0 delta_t0 + m1 delta_t1, A = z - t0 a, B = z - t1 a.
+
+    G = m0 A^{-1} + m1 B^{-1} = A^{-1} M B^{-1} with M = m0 B + m1 A, so F
+    needs one solve with M and no inverse of G: where G is
+    ill-conditioned (|z| ~ 1/y next to a singular kernel expectation)
+    inverting it would lose cond(G) eps of F.  Its derivative is
+    H -> m0 B M^{-1} H M^{-1} B + m1 A M^{-1} H M^{-1} A, from
+    F R_0 = B M^{-1}, R_0 F = M^{-1} B and likewise for t1.
+    """
+    c, z = _prepare(a, z, check_upper)
+    (t0, m0), (t1, m1) = mu.atoms
+    A, B = z - t0 * c.a, z - t1 * c.a
+    M = m0 * B + m1 * A
+    mb = B / M if M.shape[-1] == 1 else np.linalg.solve(M, B)
+    f = A @ mb
+    if not derivative:
+        return f
+    minv = inverse(M)
+    return f, Derivative(((m0 * (B @ minv), mb), (m1 * (A @ minv), minv @ A)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,20 @@ The solver finds matrices omega1, omega2 in the upper half-plane with
     Im omega_j(z) >= Im z,
 
 where F_j is the reciprocal transform of a_j (x) X_j.  omega1 is the
-fixed point of w -> h2(h1(w) + z) + z with h_j(w) = F_j(w) - w, starting
-at w0 = z.  The plain iteration is a half-plane self-map but can
-converge slowly near the real axis, so it is wrapped in Anderson
-mixing over the same map; any accelerated candidate that leaves the
-half-plane is discarded for the plain (damped) step, which preserves
-the map's guarantees.  Residuals of the defining identities are
-reported, never assumed.
+fixed point of Phi(w) = h2(h1(w) + z) + z with h_j(w) = F_j(w) - w,
+starting at w0 = z.  The plain iteration is a half-plane self-map
+(Belinschi, Mai & Speicher, J. reine angew. Math. 732, 2017) but slows
+down like 1 / (1 - rho(J)) near the real axis, so each step is a Newton
+step: Phi is holomorphic in the entries of w, and its derivative
+
+    J = (J_F2(u) - I)(J_F1(w) - I),  u = h1(w) + z,
+
+is a complex-linear n^2 x n^2 matrix in closed form (``opval``: dF[H]
+= -F dG[H] F, and dG[H] = -int R H R dmu for the resolvents R).  The
+candidate w + delta with (I - J) delta = Phi(w) - w is kept where it
+lies in the half-plane and discarded for the plain (damped) step
+elsewhere, which preserves the map's guarantees.  Residuals of the
+defining identities are reported, never assumed.
 """
 
 from __future__ import annotations
@@ -24,13 +31,12 @@ import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
 from .measure import SpectralMeasure
-from .opval import (Coefficient, check_hermitian, herm_part, imag_part, inverse, matrix_cauchy,
+from .opval import (Coefficient, check_hermitian, herm_part, imag_part, matrix_cauchy,
                     matrix_f, min_imag_eig, pack_matrix, unpack_matrix, validate_upper)
 
 DEFAULT_TOL = 1e-12
 DEFAULT_Y_EVAL = 1e-4  # height of sum_density's evaluation points
 MAX_ITER = 10_000
-_ANDERSON_MEMORY = 6
 _LADDER_START = 1e-3  # internal continuation starts here when Im z is tiny
 
 
@@ -87,7 +93,7 @@ class SubordinationResult:
     ``iterations`` and ``lifted_evaluations`` are totals over the points.
     Iterations and lifts count the continuation ladder's rungs too.
     ``floor_acceptances`` counts the points of z accepted at their
-    evaluation floor (the plateau, stall or cap rule) with a fixed-point
+    evaluation floor (the plateau or stall rule) with a fixed-point
     residual above tol.
     """
 
@@ -126,26 +132,22 @@ def _lift(w, floor):
     return w, low
 
 
-def _least_squares(a, b):
-    """Minimum-norm least-squares solution of a x = b for each slice of a stack.
+def _newton_step(jac, r):
+    """The Newton correction delta with (I - J) delta = r for each slice of a stack.
 
-    A thin SVD per slice with the cutoff of ``lstsq(rcond=None)``:
-    singular values up to eps * max(rows, columns) * sigma_1 count as
-    zero, so a rank-deficient history still has a solution.  With one
-    row (n = 1) the rank is at most one and the cutoff keeps sigma_1 =
-    ||a|| exactly when it is nonzero, so the solution is
-    conj(a) b / ||a||^2, and 0 where a = 0.
+    ``jac`` (K, n^2, n^2) is the derivative of the map on row-major
+    vec, ``r`` (K, n, n) the plain step minus the iterate.  At n = 1 it
+    is r / (1 - J).  A batch with an exactly singular I - J returns NaN,
+    which the candidate test rejects, so every point takes its plain step.
     """
-    if a.shape[-2] == 1:
-        row = a[..., 0, :]
-        sq = np.sum(row.real ** 2 + row.imag ** 2, axis=-1, keepdims=True)
-        return np.divide(row.conj() * b, sq, out=np.zeros(row.shape, dtype=complex),
-                         where=sq > 0)
-    u, sv, vh = np.linalg.svd(a, full_matrices=False)
-    keep = sv > np.finfo(float).eps * max(a.shape[-2:]) * sv[..., :1]
-    coef = np.divide((u.conj().swapaxes(-1, -2) @ b[..., None])[..., 0], sv,
-                     out=np.zeros(sv.shape, dtype=complex), where=keep)
-    return (vh.conj().swapaxes(-1, -2) @ coef[..., None])[..., 0]
+    if r.shape[-1] == 1:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return r / (1.0 - jac)
+    try:
+        delta = np.linalg.solve(np.eye(jac.shape[-1]) - jac, r.reshape(len(r), -1, 1))
+    except np.linalg.LinAlgError:
+        return np.full(r.shape, np.nan, dtype=complex)
+    return delta.reshape(r.shape)
 
 
 _STALL_WINDOW = 60
@@ -190,14 +192,18 @@ def _failure(failures, result=None):
     return ConvergenceError(message, {**details, "point": points[0], "points": points}, result)
 
 
-def _anderson_fixed_point(step, w0, args, tol, im_floor, points, failures):
-    """Anderson-accelerated fixed point iteration on a stack of matrices in H+_n.
+def _newton_fixed_point(step, w0, args, tol, im_floor, points, failures):
+    """Newton iteration for a fixed point of a stack of maps of H+_n.
 
-    ``step(w, *args)`` must map each slice of w into the upper
-    half-plane; ``args`` and ``im_floor`` hold one entry per point and
-    travel with it, and ``points`` numbers the points in errors.  Every
-    point follows the rules of a lone iteration.  Accelerated candidates
-    outside the half-plane fall back to the plain step; a plain step
+    ``step(w, *args)`` returns (Phi(w), jac): the map, which must send
+    each slice of w into the upper half-plane, and a function that
+    returns its derivative J (k, n^2, n^2) on row-major vec at the
+    slices ``keep`` (a mask or a slice) of w; ``args`` and ``im_floor`` hold one
+    entry per point and travel with it, and ``points`` numbers the
+    points in errors.  Every point follows the rules of a lone
+    iteration.  The Newton candidate w + delta, (I - J) delta =
+    Phi(w) - w, is taken where its imaginary part clears ``im_floor``;
+    elsewhere the point takes the plain step Phi(w).  A plain step
     that loses positivity by roundoff is averaged with the previous
     iterate (factor 1/2, up to 8 times) before the point fails.  Very
     close to the real axis the map evaluation itself carries an eps/y
@@ -205,14 +211,13 @@ def _anderson_fixed_point(step, w0, args, tol, im_floor, points, failures):
     point whose best residual has not halved for ``_PLATEAU_WINDOW``
     iterations and lies below max(tol, ``_FLOOR_FACTOR`` eps / y) is
     accepted at that floor, and so is one idle for ``_STALL_WINDOW``
-    iterations below ``_STALL_FLOOR``, or one still there at the
-    evaluation after ``MAX_ITER`` steps with its best residual below
-    ``_STALL_FLOOR``; an accepted point leaves with its best iterate, a
-    converged one with its own, and the residual reports it honestly.
-    A point stuck above these floors for ``_FAIL_WINDOW`` iterations or
-    until that last evaluation fails.  The history has the same length
-    at every point, so one batched least-squares solve serves the stack;
-    a point leaves the stack when it converges, is accepted or fails.
+    iterations below ``_STALL_FLOOR``; an accepted point leaves with its
+    best iterate, a converged one with its own, and the residual reports
+    it honestly.  A point idle above these floors for ``_FAIL_WINDOW``
+    iterations fails, and so does every point still there at the
+    evaluation after ``MAX_ITER`` steps.  One batched linear solve serves
+    the stack; a point leaves the stack when it converges, is accepted
+    or fails.
     A failure stops no other point: each failed point's number goes into
     the dict ``failures`` with its message and details, for the caller
     to raise (:func:`_failure`).  Returns the solutions, residuals and
@@ -223,14 +228,13 @@ def _anderson_fixed_point(step, w0, args, tol, im_floor, points, failures):
     sol = np.full(w0.shape, np.nan, dtype=complex)
     sol_res, sol_it = np.full(k_all, np.nan), np.zeros(k_all, dtype=int)
     w = w0
-    dw_hist, dr_hist = [], []
-    prev_w = prev_r = None
     best_w, best_res, best_it = w, np.full(k_all, np.inf), np.zeros(k_all, dtype=int)
     # the best residual at its last halving, that iteration, and the floor
     mark, half_it = np.full(k_all, np.inf), np.zeros(k_all, dtype=int)
     res_floor = np.maximum(tol, _FLOOR_FACTOR * np.finfo(float).eps / (2.0 * im_floor))
     for it in range(1, MAX_ITER + 2):
-        fw = step(w, *args)
+        fw, jac = step(w, *args)
+        keep = slice(None)  # the points that stay, for their derivative
         high = min_imag_eig(fw) > im_floor
         lost = np.zeros(len(w), dtype=bool)
         if not high.all():
@@ -252,7 +256,7 @@ def _anderson_fixed_point(step, w0, args, tol, im_floor, points, failures):
         halved = best_res < 0.5 * mark
         mark[halved] = best_res[halved]
         half_it[halved] = it
-        # every exit: converged, accepted (plateau, stall, cap) or failed
+        # every exit: converged, accepted (plateau, stall) or failed
         converged = res <= tol
         done = converged | ((it - half_it >= _PLATEAU_WINDOW) & (best_res <= res_floor))
         if it >= _STALL_WINDOW:
@@ -266,8 +270,7 @@ def _anderson_fixed_point(step, w0, args, tol, im_floor, points, failures):
                     f"for {_FAIL_WINDOW} iterations",
                     {"residual": float(best_res[k]), "iterations": it})
             lost |= stuck
-        if it > MAX_ITER:  # the last evaluation: accept at the stall floor, fail the rest
-            done |= best_res <= _STALL_FLOOR
+        if it > MAX_ITER:  # the last evaluation: every point not done fails
             for k in np.flatnonzero(~(done | lost)):
                 failures[int(points[live[k]])] = (
                     f"subordination iteration did not reach tol={tol:g} "
@@ -294,26 +297,10 @@ def _anderson_fixed_point(step, w0, args, tol, im_floor, points, failures):
             mark, half_it, res_floor = mark[keep], half_it[keep], res_floor[keep]
             args = tuple(a[keep] for a in args)
             im_floor = im_floor[keep]
-            if prev_w is not None:
-                prev_w, prev_r = prev_w[keep], prev_r[keep]
-                dw_hist = [h[keep] for h in dw_hist]
-                dr_hist = [h[keep] for h in dr_hist]
-        if prev_w is not None:
-            dw_hist.append((w - prev_w).reshape(len(w), -1))
-            dr_hist.append((r - prev_r).reshape(len(w), -1))
-            if len(dw_hist) > _ANDERSON_MEMORY:
-                dw_hist.pop(0)
-                dr_hist.pop(0)
-        prev_w, prev_r = w, r
-        w_next = fw
-        if dr_hist:
-            R = np.stack(dr_hist, axis=-1)
-            W = np.stack(dw_hist, axis=-1)
-            gamma = _least_squares(R, r.reshape(len(r), -1))
-            cand = fw - ((W + R) @ gamma[..., None]).reshape(w.shape)
-            ok = min_imag_eig(cand) > im_floor
-            w_next = cand if ok.all() else np.where(ok[:, None, None], cand, fw)
-        w = w_next
+        cand = w + _newton_step(jac(keep), r)
+        ok = np.isfinite(cand).all(axis=(1, 2))  # eigvalsh fails on non-finite entries
+        ok[ok] = min_imag_eig(cand[ok]) > im_floor[ok]
+        w = cand if ok.all() else np.where(ok[:, None, None], cand, fw)
 
 
 def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL) -> SubordinationResult:
@@ -343,17 +330,35 @@ def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL) -> Sub
     iters = np.zeros(len(zs), dtype=int)  # iterations per point, continuation included
     failures = {}  # point number -> (message, details)
 
-    # every iterate passed the iteration's floor check (a NaN fails it) and
-    # every lifted point sits on its floor, so the transforms skip their check
+    eye = np.eye(model.n ** 2)
+
+    # Phi(w) = h2(h1(w) + z) + z with h_j = F_j - id, and its derivative
+    # (J_F2(u) - I)(J_F1(w) - I) at the lifted point u, built only for the
+    # points that stay.  Every iterate passed the iteration's floor check
+    # (a NaN fails it) and every lifted point sits on its floor, so the
+    # transforms skip their check
     def step(w, zz, y_floor, rows):
-        u = matrix_f(a1, model.mu1, w, check_upper=False) - w + zz  # h1(w) + z
+        f1, j1 = matrix_f(a1, model.mu1, w, check_upper=False, derivative=True)
+        u = f1 - w + zz  # h1(w) + z
         # exact arithmetic guarantees Im u >= Im zz; near the real axis
         # the inversion error can break that by O(eps/y), so lift the
         # evaluation point back to a quarter of the guaranteed height
         lifted, low = _lift(u, y_floor)
         if low.any():
             lifts[rows[low]] += 1
-        return matrix_f(a2, model.mu2, lifted, check_upper=False) - lifted + zz  # h2(lifted) + z
+        f2, j2 = matrix_f(a2, model.mu2, lifted, check_upper=False, derivative=True)
+
+        def jac(keep):
+            # products of resolvents of order 1/y overflow at extreme
+            # heights; the non-finite candidate is then rejected
+            with np.errstate(over="ignore", invalid="ignore"):
+                jh1 = j1.map(lambda f: f[keep]).matrix()
+                jh1 -= eye
+                jh2 = j2.map(lambda f: f[keep]).matrix()
+                jh2 -= eye
+                return jh2 @ jh1
+
+        return f2 - lifted + zz, jac  # h2(lifted) + z
 
     y_here = min_imag_eig(zs)
     alive = np.ones(len(zs), dtype=bool)  # no failure yet
@@ -367,7 +372,7 @@ def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL) -> Sub
         while (on := alive & deep & (y > y_here * 2)).any():
             rows = np.flatnonzero(on)
             zz = herm[rows] + 1j * (im[rows] + (y - y_here[rows])[:, None, None] * np.eye(model.n))
-            w0[rows], _, rung_iters = _anderson_fixed_point(
+            w0[rows], _, rung_iters = _newton_fixed_point(
                 step, w0[rows], (zz, 0.25 * min_imag_eig(zz), rows), max(tol, 1e-10),
                 0.5 * (y_here[rows] + y), rows, failures)
             iters[rows] += rung_iters
@@ -378,7 +383,7 @@ def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL) -> Sub
     omega1 = np.full(zs.shape, np.nan, dtype=complex)
     step_res = np.full(len(zs), np.nan)
     if rows.size:
-        omega1[rows], step_res[rows], final_iters = _anderson_fixed_point(
+        omega1[rows], step_res[rows], final_iters = _newton_fixed_point(
             step, w0[rows], (zs[rows], 0.25 * y_here[rows], rows), tol, 0.5 * y_here[rows],
             rows, failures)
         iters[rows] += final_iters
@@ -387,7 +392,7 @@ def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL) -> Sub
         """The result for the first k points."""
         w1, zk = omega1[:k], zs[:k]
         g1 = matrix_cauchy(a1, model.mu1, w1)
-        f1 = inverse(g1)
+        f1 = matrix_f(a1, model.mu1, w1)  # not 1 / g1: a two-atom F has a closed form
         omega2, _ = _lift((f1 - w1) + zk, 0.25 * y_here[:k])
         return SubordinationResult(
             omega1=w1,

@@ -401,11 +401,12 @@ class TestStackedLadder:
         assert again.diagnostics["rung_residuals"] == pytest.approx(expected.tolist())
 
     def test_failing_deep_rungs_truncate_without_a_resolve(self, monkeypatch):
-        # cold rungs of the Bernoulli-semicircle sum at 0 need 15, 18, 20,
-        # 25, 27, 34, 41, 50, ... iterations: with a cap of 45 rungs 7 to
-        # 15 fail, and the ladder keeps the seven rungs above them
+        # cold rungs of the Bernoulli-semicircle sum at 0 converge at
+        # evaluation 7, 8, 9, 9, 10, 11, 11, then 12 to 17: with a cap of 10
+        # (eleven evaluations) rungs 7 to 15 fail, and the ladder keeps the
+        # seven rungs above them
         model, ys = scalar_model(BERN, SC2), A.default_ladder()
-        monkeypatch.setattr(subord, "MAX_ITER", 45)
+        monkeypatch.setattr(subord, "MAX_ITER", 10)
         with pytest.raises(ConvergenceError) as info:
             solve_subordination(model, 1j * ys[:, None, None] * np.eye(1))
         assert info.value.details["points"] == list(range(7, 16))
@@ -429,9 +430,19 @@ class TestStackedLadder:
         assert scan.solve.residual_fixed_point.tolist() == pytest.approx(
             alone.residual_fixed_point.tolist(), abs=1e-15)
 
+    def test_cold_bernoulli_semicircle_ladder_keeps_every_rung(self):
+        # the sum has no atom at 0; cold rungs used to stall on the deepest
+        # rung (y = 3.05e-6) and truncate the ladder there
+        scan = A.ladder_scan(scalar_model(M.bernoulli_symmetric(), M.semicircle_measure(0, 2)), [[0]])
+        assert len(scan.ys) == 16 and not scan.truncated
+        assert scan.diagnostics["floor_acceptances"] == 0
+        assert max(scan.diagnostics["rung_residuals"]) <= 1e-12
+        assert max(scan.diagnostics["iterations"]) <= 20
+        assert abs(scan.mass) <= 1e-9
+
     def test_failure_above_six_rungs_names_its_y(self, monkeypatch):
-        # a cap of 30 fails rung 5 first, one rung short of an extrapolation
-        monkeypatch.setattr(subord, "MAX_ITER", 30)
+        # a cap of 9 fails rung 5 first, one rung short of an extrapolation
+        monkeypatch.setattr(subord, "MAX_ITER", 9)
         y = float(A.default_ladder()[5])
         with pytest.raises(ConvergenceError, match=f"at y={y:.3e}") as info:
             A.ladder_scan(scalar_model(BERN, SC2), b_scalar(0.0))

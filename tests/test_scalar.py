@@ -1,8 +1,8 @@
 """The n = 1 solve: exact scalar arithmetic in place of the LAPACK calls.
 
-At n = 1 the transforms, the half-plane test, the norms and the
-Anderson least squares are scalar formulas.  These tests check each
-formula against the LAPACK value it replaces, the whole solve against
+At n = 1 the transforms and their derivatives, the half-plane test,
+the norms and the Newton step are scalar formulas.  These tests check
+each formula against the LAPACK value it replaces, the whole solve against
 the (0, 0) block of an n = 2 solve (which still runs LAPACK), and that
 bad 1 x 1 inputs fail as they always did.
 """
@@ -59,8 +59,9 @@ class TestBlockEmbedding:
     @pytest.mark.parametrize("law1, law2", PAIRS)
     @pytest.mark.parametrize("y", [0.5, 0.1, 1e-2])
     def test_block_matches_scalar_solve(self, law1, law2, c1, c2, y):
-        # Anderson mixing couples the blocks, so the two solves take
-        # different paths to the same fixed point; a tight tol makes them meet
+        # the two solves round differently (the n = 2 transforms run LAPACK),
+        # so they take different paths to the same fixed point; a tight tol
+        # makes them meet
         mu1, mu2 = LAWS[law1], LAWS[law2]
         one = solve_subordination(FreeSumModel([[c1]], [[c2]], mu1, mu2), scalar_points(XS, y),
                                   tol=1e-14)
@@ -74,7 +75,7 @@ class TestBlockEmbedding:
     @pytest.mark.parametrize("law1, law2", PAIRS)
     @pytest.mark.parametrize("y", [0.1, 1e-2])
     def test_duplicated_block_follows_the_scalar_iteration(self, law1, law2, c1, c2, y):
-        # with the block repeated the n = 2 Anderson step is the n = 1 step,
+        # with the block repeated the n = 2 Newton step is the n = 1 step,
         # so the iterations match point for point (deeper, next to an atom,
         # the two roundings part at the eps / y level of the map itself)
         mu1, mu2 = LAWS[law1], LAWS[law2]
@@ -86,6 +87,21 @@ class TestBlockEmbedding:
             assert np.max(np.abs(mine[:, 0, 0] - theirs[:, 0, 0])) <= 1e-12
         assert one.point_iterations.tolist() == two.point_iterations.tolist()
         assert one.floor_acceptances == two.floor_acceptances
+
+
+def two_atom_reciprocal(c, mu, z):
+    """F = A B / (m0 B + m1 A) in plain complex arithmetic, A = z - t0 c and B = z - t1 c."""
+    (t0, m0), (t1, m1) = mu.atoms
+    a, b = z - t0 * c, z - t1 * c
+    return a * (b / (m0 * b + m1 * a))
+
+
+def reciprocal_reference(c, mu, z, g):
+    """The value of the n = 1 reciprocal transform: its closed form for two atoms, else inv(G).
+
+    The n = 2 route of the same test runs LAPACK on the two-atom form as well.
+    """
+    return two_atom_reciprocal(c, mu, z) if O._two_atom_law(mu) else np.linalg.inv(g)
 
 
 def upper_points(rng, k):
@@ -124,7 +140,7 @@ class TestPrimitives:
         g2 = O.matrix_cauchy(c * np.eye(2), mu, z * np.eye(2))
         np.testing.assert_allclose(g1[:, 0, 0], g2[:, 0, 0], rtol=1e-13, atol=0)
         f1 = O.matrix_f(np.array([[c]]), mu, z)
-        np.testing.assert_allclose(f1, np.linalg.inv(g1), rtol=4e-16, atol=0)
+        np.testing.assert_allclose(f1, reciprocal_reference(c, mu, z, g1), rtol=4e-16, atol=0)
         np.testing.assert_allclose(f1[:, 0, 0], O.matrix_f(c * np.eye(2), mu, z * np.eye(2))[:, 0, 0],
                                    rtol=1e-13, atol=0)
 
@@ -139,7 +155,7 @@ class TestPrimitives:
         # point; hand it over, so that every LAPACK call left would be per point
         monkeypatch.setattr(O.Coefficient, "split", property(
             lambda self: (np.eye(1), np.eye(1), self.a[0].real[self.a[0].real != 0])))
-        for name in ("eig", "eigh", "eigvalsh", "inv", "svd", "lstsq"):
+        for name in ("eig", "eigh", "eigvalsh", "inv", "solve", "svd", "lstsq"):
             monkeypatch.setattr(np.linalg, name, refuse)
         again = solve_subordination(model, z)
         for mine, theirs in [(again.omega1, reference.omega1), (again.cauchy, reference.cauchy)]:
@@ -152,24 +168,6 @@ class TestPrimitives:
         m[3] = 0.0
         np.testing.assert_allclose(subord._norms(m), np.linalg.svd(m, compute_uv=False)[:, 0],
                                    rtol=4e-16, atol=0)
-
-    def test_least_squares_is_the_minimum_norm_solution(self):
-        rng = np.random.default_rng(8)
-        k, m = 20, 6
-        a = rng.standard_normal((k, 1, m)) + 1j * rng.standard_normal((k, 1, m))
-        a[2] = 0.0  # a zero row: rank 0, solution 0
-        a[5, 0, 3:] = 0.0
-        b = rng.standard_normal((k, 1)) + 1j * rng.standard_normal((k, 1))
-        x = subord._least_squares(a, b)
-        assert x.shape == (k, m)
-        for j in range(k):
-            reference = np.linalg.lstsq(a[j], b[j], rcond=None)[0]
-            np.testing.assert_allclose(x[j], reference, rtol=1e-14, atol=1e-15)
-        assert np.all(x[2] == 0)
-        # one history column: the scalar ratio b / a
-        x1 = subord._least_squares(a[:, :, :1], b)
-        live = a[:, 0, 0] != 0
-        np.testing.assert_allclose(x1[live, 0], b[live, 0] / a[live, 0, 0], rtol=1e-15)
 
 
 finite = st.floats(-4.0, 4.0)
@@ -188,9 +186,13 @@ class TestScalarTransformProperties:
         g = O.matrix_cauchy(np.array([[c]]), mu, z)[0, 0]
         f = O.matrix_f(np.array([[c]]), mu, z)[0, 0]
         # G maps into the lower half-plane with |G| <= 1 / y, and F = 1 / G
-        # is a self-map with Im F >= Im z (c X has a probability law)
+        # is a self-map with Im F >= Im z (c X has a probability law); a
+        # two-atom law takes F in closed form, not as 1 / G
         assert g.imag < 0 and abs(g) <= (1.0 + 1e-12) / y
-        assert f == 1.0 / g
+        if O._two_atom_law(mu):
+            assert f == pytest.approx(two_atom_reciprocal(c, mu, z)[0, 0], rel=4e-16, abs=0)
+        else:
+            assert f == 1.0 / g
         assert f.imag >= y * (1.0 - 1e-9)
         # int (z - c t)^-1 dmu(t) = G_mu(z / c) / c, conjugated below the axis
         if c == 0.0:
