@@ -18,8 +18,11 @@ is a complex-linear n^2 x n^2 matrix in closed form (``opval``: dF[H]
 = -F dG[H] F, and dG[H] = -int R H R dmu for the resolvents R).  The
 candidate w + delta with (I - J) delta = Phi(w) - w is kept where it
 lies in the half-plane and discarded for the plain (damped) step
-elsewhere, which preserves the map's guarantees.  Residuals of the
-defining identities are reported, never assumed.
+elsewhere, which preserves the map's guarantees.  A Newton iterate at
+the map's noise floor measures a residual that is the difference of
+two noise terms, so every exit bound must hold at three consecutive
+evaluations.  Residuals of the defining identities are reported, never
+assumed.
 """
 
 from __future__ import annotations
@@ -132,22 +135,60 @@ def _lift(w, floor):
     return w, low
 
 
+# the Newton systems of a stack are built and solved a few points at a
+# time, as many as fit in this many entries of J and at least one: J
+# holds n^4 numbers per point, 600 kB at n = 14
+_SYSTEM_CHUNK = 4096
+
+
 def _newton_step(jac, r):
     """The Newton correction delta with (I - J) delta = r for each slice of a stack.
 
-    ``jac`` (K, n^2, n^2) is the derivative of the map on row-major
-    vec, ``r`` (K, n, n) the plain step minus the iterate.  At n = 1 it
-    is r / (1 - J).  A batch with an exactly singular I - J returns NaN,
-    which the candidate test rejects, so every point takes its plain step.
+    ``jac(part)`` returns a new array of the derivative J (k, n^2, n^2)
+    of the map on row-major vec at the slices ``part`` (a slice) of the
+    stack, which is overwritten with I - J; ``r`` (K, n, n) is the plain
+    step minus the iterate.  At n = 1, delta = r / (1 - J).  A chunk
+    whose I - J is exactly singular returns NaN, which the candidate
+    test rejects, so its points take their plain step.
     """
-    if r.shape[-1] == 1:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return r / (1.0 - jac)
-    try:
-        delta = np.linalg.solve(np.eye(jac.shape[-1]) - jac, r.reshape(len(r), -1, 1))
-    except np.linalg.LinAlgError:
-        return np.full(r.shape, np.nan, dtype=complex)
-    return delta.reshape(r.shape)
+    k, n = r.shape[0], r.shape[-1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if n == 1:
+            return r / (1.0 - jac(slice(None)))
+        delta = np.empty_like(r)
+        per = max(1, _SYSTEM_CHUNK // n ** 4)
+        for lo in range(0, k, per):
+            part = slice(lo, lo + per)
+            system = jac(part)
+            np.negative(system, out=system)
+            system.reshape(len(system), -1)[:, ::n * n + 1] += 1.0
+            try:
+                delta[part] = np.linalg.solve(system, r[part].reshape(-1, n * n, 1)).reshape(
+                    r[part].shape)
+            except np.linalg.LinAlgError:
+                delta[part] = np.nan
+    return delta
+
+
+def _chain_jacobian(d1, d2):
+    """J = (J_F2 - I)(J_F1 - I) on row-major vec from two :class:`Derivative` stacks.
+
+    Returns the function of a slice of the stack that builds J there.
+    """
+    first = (d1.pairs + d1.hadamards)[0][0]  # A or P: (K, n, .)
+    eye = np.eye(first.shape[-2] ** 2)
+
+    def jac(part):
+        # products of resolvents of order 1/y overflow at extreme heights;
+        # the non-finite candidate is then rejected
+        with np.errstate(over="ignore", invalid="ignore"):
+            jh1 = d1.map(lambda f: f[part]).matrix()
+            jh1 -= eye
+            jh2 = d2.map(lambda f: f[part]).matrix()
+            jh2 -= eye
+            return jh2 @ jh1
+
+    return jac
 
 
 _STALL_WINDOW = 60
@@ -160,6 +201,12 @@ _FLOOR_FACTOR = 4.0
 # a point whose best residual, still above the stall floor, has not
 # improved for this many iterations fails instead of running to MAX_ITER
 _FAIL_WINDOW = 1000
+# every exit bound must hold at this many consecutive evaluations (at all
+# of them while a point has had fewer): at a noise floor a Newton iterate
+# is the fixed point plus the amplified noise of the evaluation before,
+# so its measured residual is the difference of two noise terms, which
+# dips under any bound by chance
+_CONFIRM = 3
 
 
 def _damp(fw, w, low, im_floor):
@@ -195,33 +242,37 @@ def _failure(failures, result=None):
 def _newton_fixed_point(step, w0, args, tol, im_floor, points, failures):
     """Newton iteration for a fixed point of a stack of maps of H+_n.
 
-    ``step(w, *args)`` returns (Phi(w), jac): the map, which must send
-    each slice of w into the upper half-plane, and a function that
-    returns its derivative J (k, n^2, n^2) on row-major vec at the
-    slices ``keep`` (a mask or a slice) of w; ``args`` and ``im_floor`` hold one
+    ``step(w, *args)`` returns (Phi(w), J): the map, which must send
+    each slice of w into the upper half-plane, and its derivative, as
+    :func:`_newton_step` takes it; ``args`` and ``im_floor`` hold one
     entry per point and travel with it, and ``points`` numbers the
     points in errors.  Every point follows the rules of a lone
     iteration.  The Newton candidate w + delta, (I - J) delta =
     Phi(w) - w, is taken where its imaginary part clears ``im_floor``;
-    elsewhere the point takes the plain step Phi(w).  A plain step
-    that loses positivity by roundoff is averaged with the previous
-    iterate (factor 1/2, up to 8 times) before the point fails.  Very
-    close to the real axis the map evaluation itself carries an eps/y
-    conditioning floor, y = 2 ``im_floor`` the point's height.  So a
-    point whose best residual has not halved for ``_PLATEAU_WINDOW``
-    iterations and lies below max(tol, ``_FLOOR_FACTOR`` eps / y) is
-    accepted at that floor, and so is one idle for ``_STALL_WINDOW``
-    iterations below ``_STALL_FLOOR``; an accepted point leaves with its
-    best iterate, a converged one with its own, and the residual reports
-    it honestly.  A point idle above these floors for ``_FAIL_WINDOW``
-    iterations fails, and so does every point still there at the
-    evaluation after ``MAX_ITER`` steps.  One batched linear solve serves
-    the stack; a point leaves the stack when it converges, is accepted
-    or fails.
-    A failure stops no other point: each failed point's number goes into
-    the dict ``failures`` with its message and details, for the caller
-    to raise (:func:`_failure`).  Returns the solutions, residuals and
-    iteration counts in point order; a failed point reads NaN with 0.
+    elsewhere the point takes the plain step Phi(w).  A plain step that
+    loses positivity by roundoff is averaged with the previous iterate
+    (factor 1/2, up to 8 times) before the point fails.
+
+    Every exit bound is a bound on a point's level, the largest residual
+    of its last ``_CONFIRM`` evaluations (of all, while it has had
+    fewer), so that no residual that dips by chance ends a point.  A
+    point converges once its level is within tol.  Very close to the
+    real axis the map evaluation itself carries an eps/y conditioning
+    floor, y = 2 ``im_floor`` the point's height.  So a point whose best
+    residual has not halved for ``_PLATEAU_WINDOW`` iterations is
+    accepted once its best level lies below max(tol, ``_FLOOR_FACTOR``
+    eps / y), and one whose best residual is idle for ``_STALL_WINDOW``
+    iterations once its best level lies below ``_STALL_FLOOR``; an
+    accepted point leaves with its best iterate, a converged one with
+    its own, each with that iterate's residual.  A point idle for
+    ``_FAIL_WINDOW`` iterations fails with its best level, and so does
+    every point still there at the evaluation after ``MAX_ITER`` steps.
+    Batched linear solves serve the stack; a point leaves the stack when
+    it converges, is accepted or fails.  A failure stops no other point:
+    each failed point's number goes into the dict ``failures`` with its
+    message and details, for the caller to raise (:func:`_failure`).
+    Returns the solutions, residuals and iteration counts in point
+    order; a failed point reads NaN with 0.
     """
     k_all = w0.shape[0]
     live = np.arange(k_all)  # rows of w0 still iterating
@@ -232,9 +283,10 @@ def _newton_fixed_point(step, w0, args, tol, im_floor, points, failures):
     # the best residual at its last halving, that iteration, and the floor
     mark, half_it = np.full(k_all, np.inf), np.zeros(k_all, dtype=int)
     res_floor = np.maximum(tol, _FLOOR_FACTOR * np.finfo(float).eps / (2.0 * im_floor))
+    # the last _CONFIRM residuals of each point, and its best level
+    recent, best_level = np.zeros((k_all, _CONFIRM)), np.full(k_all, np.inf)
     for it in range(1, MAX_ITER + 2):
         fw, jac = step(w, *args)
-        keep = slice(None)  # the points that stay, for their derivative
         high = min_imag_eig(fw) > im_floor
         lost = np.zeros(len(w), dtype=bool)
         if not high.all():
@@ -246,6 +298,9 @@ def _newton_fixed_point(step, w0, args, tol, im_floor, points, failures):
                     "iterate left the upper half-plane and damping failed", {"iterations": it})
         r = fw - w
         res = _norms(r)
+        recent[:, it % _CONFIRM] = res
+        level = recent.max(axis=1)
+        best_level = np.minimum(best_level, level)
         better = res < best_res
         if better.all():
             best_w, best_res = w, res
@@ -257,47 +312,49 @@ def _newton_fixed_point(step, w0, args, tol, im_floor, points, failures):
         mark[halved] = best_res[halved]
         half_it[halved] = it
         # every exit: converged, accepted (plateau, stall) or failed
-        converged = res <= tol
-        done = converged | ((it - half_it >= _PLATEAU_WINDOW) & (best_res <= res_floor))
+        converged = level <= tol
+        done = converged | ((it - half_it >= _PLATEAU_WINDOW) & (best_level <= res_floor))
         if it >= _STALL_WINDOW:
             idle = it - best_it
-            done |= (idle >= _STALL_WINDOW) & (best_res <= _STALL_FLOOR)
+            done |= (idle >= _STALL_WINDOW) & (best_level <= _STALL_FLOOR)
             # idle that long above the floor, a point was never stall-accepted
-            stuck = idle >= _FAIL_WINDOW
+            stuck = (idle >= _FAIL_WINDOW) & ~done
             for k in np.flatnonzero(stuck):
                 failures[int(points[live[k]])] = (
-                    f"subordination iteration stuck at residual {best_res[k]:.3e} "
+                    f"subordination iteration stuck at residual {best_level[k]:.3e} "
                     f"for {_FAIL_WINDOW} iterations",
-                    {"residual": float(best_res[k]), "iterations": it})
+                    {"residual": float(best_level[k]), "iterations": it})
             lost |= stuck
         if it > MAX_ITER:  # the last evaluation: every point not done fails
             for k in np.flatnonzero(~(done | lost)):
                 failures[int(points[live[k]])] = (
                     f"subordination iteration did not reach tol={tol:g} "
-                    f"within {MAX_ITER} iterations (residual {res[k]:.3e})",
-                    {"residual": float(res[k]), "iterations": MAX_ITER})
+                    f"within {MAX_ITER} iterations (residual {level[k]:.3e})",
+                    {"residual": float(level[k]), "iterations": MAX_ITER})
             lost |= ~done
         done &= ~lost
         leave = done | lost
+        if done.any():
+            # a converged point keeps its iterate, an accepted one its best
+            w_out, res_out = w, res
+            if not converged.all():
+                w_out = np.where(converged[:, None, None], w, best_w)
+                res_out = np.where(converged, res, best_res)
+            rows = live[done]
+            sol[rows], sol_res[rows] = w_out[done], res_out[done]
+            sol_it[rows] = min(it, MAX_ITER)
+        if leave.all():
+            return sol, sol_res, sol_it
+        delta = _newton_step(jac, r)
         if leave.any():
-            if done.any():
-                # a converged point keeps its iterate, an accepted one its best
-                w_out, res_out = w, res
-                if not converged.all():
-                    w_out = np.where(converged[:, None, None], w, best_w)
-                    res_out = np.where(converged, res, best_res)
-                rows = live[done]
-                sol[rows], sol_res[rows] = w_out[done], res_out[done]
-                sol_it[rows] = min(it, MAX_ITER)
-            if leave.all():
-                return sol, sol_res, sol_it
             keep = ~leave
-            live, w, fw, r = live[keep], w[keep], fw[keep], r[keep]
+            live, w, fw, delta = live[keep], w[keep], fw[keep], delta[keep]
             best_w, best_res, best_it = best_w[keep], best_res[keep], best_it[keep]
             mark, half_it, res_floor = mark[keep], half_it[keep], res_floor[keep]
+            recent, best_level = recent[keep], best_level[keep]
             args = tuple(a[keep] for a in args)
             im_floor = im_floor[keep]
-        cand = w + _newton_step(jac(keep), r)
+        cand = w + delta
         ok = np.isfinite(cand).all(axis=(1, 2))  # eigvalsh fails on non-finite entries
         ok[ok] = min_imag_eig(cand[ok]) > im_floor[ok]
         w = cand if ok.all() else np.where(ok[:, None, None], cand, fw)
@@ -330,15 +387,12 @@ def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL) -> Sub
     iters = np.zeros(len(zs), dtype=int)  # iterations per point, continuation included
     failures = {}  # point number -> (message, details)
 
-    eye = np.eye(model.n ** 2)
-
     # Phi(w) = h2(h1(w) + z) + z with h_j = F_j - id, and its derivative
-    # (J_F2(u) - I)(J_F1(w) - I) at the lifted point u, built only for the
-    # points that stay.  Every iterate passed the iteration's floor check
-    # (a NaN fails it) and every lifted point sits on its floor, so the
-    # transforms skip their check
+    # (J_F2(u) - I)(J_F1(w) - I) at the lifted point u.  Every iterate
+    # passed the iteration's floor check (a NaN fails it) and every lifted
+    # point sits on its floor, so the transforms skip their check
     def step(w, zz, y_floor, rows):
-        f1, j1 = matrix_f(a1, model.mu1, w, check_upper=False, derivative=True)
+        f1, d1 = matrix_f(a1, model.mu1, w, check_upper=False, derivative=True)
         u = f1 - w + zz  # h1(w) + z
         # exact arithmetic guarantees Im u >= Im zz; near the real axis
         # the inversion error can break that by O(eps/y), so lift the
@@ -346,19 +400,8 @@ def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL) -> Sub
         lifted, low = _lift(u, y_floor)
         if low.any():
             lifts[rows[low]] += 1
-        f2, j2 = matrix_f(a2, model.mu2, lifted, check_upper=False, derivative=True)
-
-        def jac(keep):
-            # products of resolvents of order 1/y overflow at extreme
-            # heights; the non-finite candidate is then rejected
-            with np.errstate(over="ignore", invalid="ignore"):
-                jh1 = j1.map(lambda f: f[keep]).matrix()
-                jh1 -= eye
-                jh2 = j2.map(lambda f: f[keep]).matrix()
-                jh2 -= eye
-                return jh2 @ jh1
-
-        return f2 - lifted + zz, jac  # h2(lifted) + z
+        f2, d2 = matrix_f(a2, model.mu2, lifted, check_upper=False, derivative=True)
+        return f2 - lifted + zz, _chain_jacobian(d1, d2)  # h2(lifted) + z
 
     y_here = min_imag_eig(zs)
     alive = np.ones(len(zs), dtype=bool)  # no failure yet

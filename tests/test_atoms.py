@@ -402,11 +402,11 @@ class TestStackedLadder:
 
     def test_failing_deep_rungs_truncate_without_a_resolve(self, monkeypatch):
         # cold rungs of the Bernoulli-semicircle sum at 0 converge at
-        # evaluation 7, 8, 9, 9, 10, 11, 11, then 12 to 17: with a cap of 10
-        # (eleven evaluations) rungs 7 to 15 fail, and the ladder keeps the
-        # seven rungs above them
+        # evaluation 9, 10, 11, 11, 12, 13, 13, then 14 to 17: with a cap of
+        # 12 (thirteen evaluations) rungs 7 to 15 fail, and the ladder keeps
+        # the seven rungs above them
         model, ys = scalar_model(BERN, SC2), A.default_ladder()
-        monkeypatch.setattr(subord, "MAX_ITER", 10)
+        monkeypatch.setattr(subord, "MAX_ITER", 12)
         with pytest.raises(ConvergenceError) as info:
             solve_subordination(model, 1j * ys[:, None, None] * np.eye(1))
         assert info.value.details["points"] == list(range(7, 16))
@@ -441,8 +441,8 @@ class TestStackedLadder:
         assert abs(scan.mass) <= 1e-9
 
     def test_failure_above_six_rungs_names_its_y(self, monkeypatch):
-        # a cap of 9 fails rung 5 first, one rung short of an extrapolation
-        monkeypatch.setattr(subord, "MAX_ITER", 9)
+        # a cap of 11 fails rung 5 first, one rung short of an extrapolation
+        monkeypatch.setattr(subord, "MAX_ITER", 11)
         y = float(A.default_ladder()[5])
         with pytest.raises(ConvergenceError, match=f"at y={y:.3e}") as info:
             A.ladder_scan(scalar_model(BERN, SC2), b_scalar(0.0))

@@ -189,9 +189,8 @@ class TestStepJacobian:
         phi, jac = step(w, *args)
         central = central_jacobian(lambda v: step(v, *args)[0], w)
         assert np.max(np.abs(jac(slice(None)) - central)) <= 1e-6 * max(1.0, np.max(np.abs(central)))
-        # the derivative of the points kept is the derivative at those points
-        keep = np.array([False, True])
-        np.testing.assert_array_equal(jac(keep), jac(slice(None))[keep])
+        # the derivative at a slice of the stack is the derivative at those points
+        np.testing.assert_array_equal(jac(slice(1, 2)), jac(slice(None))[1:2])
 
 
 class TestQuadratureFallback:
@@ -224,16 +223,32 @@ class TestNewtonStep:
         rng = np.random.default_rng(10)
         jac = 0.3 * (rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4)))
         r = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
-        delta = subord._newton_step(jac, r)
+        delta = subord._newton_step(lambda part: jac[part].copy(), r)
         residual = delta.reshape(3, 4) - (jac @ delta.reshape(3, 4, 1))[..., 0] - r.reshape(3, 4)
         assert np.max(np.abs(residual)) <= 1e-14
-        np.testing.assert_array_equal(subord._newton_step(jac[:, :1, :1], r[:, :1, :1]),
+        np.testing.assert_array_equal(subord._newton_step(lambda part: jac[part, :1, :1], r[:, :1, :1]),
                                       r[:, :1, :1] / (1.0 - jac[:, :1, :1]))
 
     def test_singular_system_gives_no_candidate(self):
         # I - J exactly singular: no finite candidate, so the points take their plain step
         r = np.ones((2, 2, 2), dtype=complex)
         jac = np.stack([np.eye(4), np.zeros((4, 4))]).astype(complex)
-        assert np.all(np.isnan(subord._newton_step(jac, r)))
-        scalar = subord._newton_step(np.array([[[1.0]], [[0.5]]], dtype=complex), r[:, :1, :1])
+        assert np.all(np.isnan(subord._newton_step(lambda part: jac[part].copy(), r)))
+        slopes = np.array([[[1.0]], [[0.5]]], dtype=complex)
+        scalar = subord._newton_step(lambda part: slopes[part], r[:, :1, :1])
         assert not np.isfinite(scalar[0, 0, 0]) and scalar[1, 0, 0] == 2.0
+
+    def test_chunks_solve_apart(self, monkeypatch):
+        # one point per chunk: a singular system takes away its own candidate only
+        monkeypatch.setattr(subord, "_SYSTEM_CHUNK", 16)
+        r = np.ones((2, 2, 2), dtype=complex)
+        jac = np.stack([np.eye(4), np.zeros((4, 4))]).astype(complex)
+        parts = []
+
+        def logged(part):
+            parts.append((part.start, part.stop))
+            return jac[part].copy()
+
+        delta = subord._newton_step(logged, r)
+        assert parts == [(0, 1), (1, 2)]
+        assert np.all(np.isnan(delta[0])) and np.array_equal(delta[1], r[1])
