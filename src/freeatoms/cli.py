@@ -157,7 +157,7 @@ def _emit(cfg, payload, csv_rows=None, csv_header=None):
         writer.writerows(csv_rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload, sort_keys=True) + "\n"
     if cfg.out:
         try:
             Path(cfg.out).write_text(text)

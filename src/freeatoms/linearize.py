@@ -3,19 +3,23 @@
 A polynomial p with p* = p and degree >= 1 is rewritten as the Schur
 complement of a Hermitian linear pencil
 
-    L = a0 (x) 1 + a1 (x) Z1 + a2 (x) Z2 = [[0, B], [C, D]],
+    L = a0 (x) 1 + a1 (x) Z1 + a2 (x) Z2 = [[-p_aff, B], [C, D]],
 
-where B is a 1 x m row, C = B* is an m x 1 column, D = D* is m x m, all
-with entries of degree <= 1, and a polynomial inverse D' of D exists
-with B D' C = p.  Both defining identities are exact coefficient
-identities, verified symbolically by :func:`verify_certificate`.
+where p_aff is the affine part of p, B is a 1 x m row, C = B* is an
+m x 1 column, D = D* is m x m, all with entries of degree <= 1, and a
+polynomial inverse D' of D exists with B D' C = p - p_aff.  The corner
+Schur complement is then -p_aff - B D' C = -p (Helton, Mai & Speicher,
+J. Funct. Anal. 274, 2018).  The defining identities are exact
+coefficient identities, verified symbolically by
+:func:`verify_certificate`.
 
 Construction: each adjoint-pair of monomials {w, w*} of degree d >= 2
 contributes a 2(d-1) block coupling a bidiagonal unit chain for w with
 its adjoint chain; palindromic monomials are split as (c/2) w + (c/2) w*
-(exact in binary floating point); the affine part occupies one final
-2 x 2 block.  For the anticommutator Z1 Z2 + Z2 Z1 this reproduces the
-classical 3 x 3 pencil with B = [Z1, Z2] and D = [[0, 1], [1, 0]].
+(exact in binary floating point).  So n = 1 + m, and a linear p has the
+1 x 1 pencil (-c0, -c1, -c2).  For the anticommutator Z1 Z2 + Z2 Z1
+this reproduces the classical 3 x 3 pencil with B = [Z1, Z2] and
+D = [[0, 1], [1, 0]].
 """
 
 from __future__ import annotations
@@ -76,8 +80,13 @@ class LinearPencil:
 
 @dataclass(frozen=True)
 class LinearizationCertificate:
-    """Symbolic witness (B, C, D, D') for a pencil linearizing p."""
+    """Symbolic witness (corner, B, C, D, D') for a pencil linearizing p.
 
+    ``corner`` is the pencil's (0, 0) entry -p_aff; with m = 0 it is the
+    whole pencil.
+    """
+
+    corner: NCPoly
     B: tuple  # 1 x m of NCPoly
     C: tuple  # m x 1 of NCPoly
     D: tuple  # m x m rows of tuples of NCPoly
@@ -89,6 +98,7 @@ class LinearizationCertificate:
 
     def to_json_dict(self):
         return {
+            "corner": format_poly(self.corner),
             "B": [format_poly(p) for p in self.B],
             "C": [format_poly(p) for p in self.C],
             "D": [[format_poly(p) for p in row] for row in self.D],
@@ -102,17 +112,10 @@ class LinearizationCertificate:
 
 
 def _poly_matmul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0])
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = NCPoly.zero()
-            for k in range(inner):
-                acc = acc + A[i][k] * B[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    """Product of two m x m matrices of polynomials."""
+    m = len(A)
+    return [[sum((A[i][k] * B[k][j] for k in range(m)), NCPoly.zero()) for j in range(m)]
+            for i in range(m)]
 
 
 def _poly_eye(m):
@@ -183,14 +186,6 @@ def _pair_block(word, coeff):
     return B, D, Dprime
 
 
-def _affine_block(p_aff):
-    """2-slot block realizing a selfadjoint affine part."""
-    half = p_aff * 0.5
-    B = [half, NCPoly.one()]
-    D = [[NCPoly.zero(), NCPoly.one()], [NCPoly.one(), NCPoly.zero()]]
-    return B, D, D
-
-
 def linearize(p: NCPoly):
     """Build a selfadjoint linearization of a selfadjoint polynomial.
 
@@ -202,10 +197,6 @@ def linearize(p: NCPoly):
         raise PreconditionError("linearize requires a selfadjoint polynomial")
     if p.degree < 1:
         raise PreconditionError("linearize requires degree >= 1")
-    # palindromic words, the affine part among them, are realized as two equal halves
-    for word, coeff in p.terms:
-        if word == word[::-1] and coeff / 2.0 + coeff / 2.0 != coeff:
-            raise PreconditionError(f"coefficient {coeff!r} of Z-word {word} has no exact half")
 
     blocks = []
     seen = set()
@@ -214,6 +205,9 @@ def linearize(p: NCPoly):
             continue
         rev = word[::-1]
         if rev == word:
+            # a palindrome is realized as two equal halves
+            if coeff / 2.0 + coeff / 2.0 != coeff:
+                raise PreconditionError(f"coefficient {coeff!r} of Z-word {word} has no exact half")
             blocks.append(_pair_block(word, coeff / 2.0))
             seen.add(word)
         else:
@@ -221,9 +215,6 @@ def linearize(p: NCPoly):
             blocks.append(_pair_block(word, coeff))
             seen.add(word)
             seen.add(rev)
-    p_aff = p.affine_part()
-    if not p_aff.is_zero:
-        blocks.append(_affine_block(p_aff))
 
     B = []
     for Bb, _, _ in blocks:
@@ -240,7 +231,9 @@ def linearize(p: NCPoly):
                 Dprime[off + i][off + j] = Dpb[i][j]
         off += k
     C = [adjoint(q) for q in B]
-    cert = LinearizationCertificate(B=tuple(B), C=tuple(C), D=tuple(tuple(r) for r in D),
+    corner = -p.affine_part()
+    cert = LinearizationCertificate(corner=corner, B=tuple(B), C=tuple(C),
+                                    D=tuple(tuple(r) for r in D),
                                     Dprime=tuple(tuple(r) for r in Dprime))
 
     n = 1 + m
@@ -255,6 +248,7 @@ def linearize(p: NCPoly):
         a1[i, j] = poly.coeff((1,))
         a2[i, j] = poly.coeff((2,))
 
+    put(0, 0, corner)
     for j, poly in enumerate(B):
         put(0, 1 + j, poly)
     for i, poly in enumerate(C):
@@ -266,23 +260,27 @@ def linearize(p: NCPoly):
 
 
 def verify_certificate(p: NCPoly, cert: LinearizationCertificate) -> bool:
-    """Check C = B*, D = D*, D D' = D' D = 1 and B D' C = p, all exactly."""
+    """Check the certificate's identities exactly.
+
+    corner = corner*, C = B*, D = D*, D D' = D' D = 1 and
+    B D' C - corner = p; with m = 0 the last one reads -corner = p.
+    """
     m = cert.m
+    if cert.corner != adjoint(cert.corner):
+        return False
     if any(cert.C[i] != adjoint(cert.B[i]) for i in range(m)):
         return False
     for i in range(m):
         for j in range(m):
             if cert.D[i][j] != adjoint(cert.D[j][i]):
                 return False
-    D = [list(r) for r in cert.D]
-    Dp = [list(r) for r in cert.Dprime]
-    if not _is_poly_identity(_poly_matmul(D, Dp)):
+    if not _is_poly_identity(_poly_matmul(cert.D, cert.Dprime)):
         return False
-    if not _is_poly_identity(_poly_matmul(Dp, D)):
+    if not _is_poly_identity(_poly_matmul(cert.Dprime, cert.D)):
         return False
-    BDp = _poly_matmul([list(cert.B)], Dp)
-    prod = _poly_matmul(BDp, [[c] for c in cert.C])
-    return prod[0][0] == p
+    schur = sum((cert.B[i] * cert.Dprime[i][j] * cert.C[j] for i in range(m) for j in range(m)),
+                NCPoly.zero())
+    return schur - cert.corner == p
 
 
 def corner_shift(L: LinearPencil, lam: float) -> LinearPencil:

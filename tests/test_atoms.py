@@ -3,10 +3,13 @@ import pytest
 
 from freeatoms import atoms as A
 from freeatoms import measure as M
+from freeatoms import opval as O
 from freeatoms import subord
 from freeatoms.errors import ConvergenceError, PreconditionError
 from freeatoms.ncpoly import NCPoly
 from freeatoms.subord import FreeSumModel, scalar_model, solve_subordination, sum_density
+
+from block_pencil import SUM_BLOCK_PENCIL
 
 Z1, Z2 = NCPoly.z1(), NCPoly.z2()
 
@@ -182,11 +185,9 @@ class TestSupportRegularize:
         assert result.offset_distance < 1e-4
 
     def test_rank_one_kernel_expectation(self):
-        # pipeline location for Z1 + Z2 at 0: E_3 has rank 1, compression
+        # the 3 x 3 block pencil of Z1 + Z2 at 0: E_3 has rank 1, compression
         # must reach an invertible doubled expectation with integer offset
-        from freeatoms.linearize import linearize
-
-        L, _ = linearize(Z1 + Z2)
+        L = SUM_BLOCK_PENCIL
         model = FreeSumModel(L.a1, L.a2, MU1, MU2)
         b = -L.a0
         result = A.support_regularize(A.ladder_scan(model, b))
@@ -229,6 +230,28 @@ class TestEigenvalueTest:
     def test_sum_at_two(self):
         rep = A.eigenvalue_test(Z1 + Z2, 2.0, MU1, MU2)
         assert rep.diagnostics["poly_kernel_trace"] == pytest.approx(0.1, abs=1e-6)
+
+    @pytest.mark.parametrize("c0, c1, c2, lam", [(0.5, 2.0, -1.0, 0.5), (-1.0, 1.0, 1.0, 1.0)])
+    def test_linear_polynomial_runs_the_scalar_model(self, c0, c1, c2, lam):
+        # the 1 x 1 pencil (-c0, -c1, -c2) shifted by lam is the model
+        # -c1 X1 - c2 X2 at b = c0 - lam, whose kernel is that of lam - p
+        rep = A.eigenvalue_test(c0 + c1 * Z1 + c2 * Z2, lam, MU1, MU2)
+        assert rep.n == 1 and not rep.regularized
+        model = FreeSumModel(np.array([[-c1]]), np.array([[-c2]]), MU1, MU2)
+        direct = A.decompose_atom(A.ladder_scan(model, np.array([[c0 - lam]])))
+        assert rep.diagnostics["poly_kernel_trace"] == direct.mass
+        for name in ("b1", "b2", "beta1", "beta2"):
+            np.testing.assert_array_equal(getattr(rep, name), getattr(direct, name))
+
+    def test_palindrome_kernel_limit_beside_a_projection(self):
+        # Z1 Z2 Z1 at 0 on its 5 x 5 pencil: ker X1 has trace 0.7 and the
+        # compression of X2 to ran X1 is atomless; the doubled pencil's
+        # eps-ladder carries a mode growing like 1/eps
+        rep = A.eigenvalue_test(Z1 * Z2 * Z1, 0.0, MU1, SC2)
+        assert rep.n == 5 and rep.regularized
+        assert rep.diagnostics["poly_kernel_trace"] == pytest.approx(0.7, abs=1e-6)
+        err = rep.regularization.report.diagnostics["iv_extrapolation_error"]
+        assert 0.0 < err <= O.KERNEL_LIMIT_TOL
 
     def test_anticommutator_free_projections(self):
         rep = A.eigenvalue_test(Z1 * Z2 + Z2 * Z1, 0.0, PROJ, PROJ)
@@ -463,19 +486,22 @@ class TestFloorAcceptances:
     """Deep rungs stop at their evaluation floor; smooth solves report no acceptance."""
 
     def test_atom_beside_semicircles_stops_at_the_floor(self):
-        # the sum atom at 0 of mass 0.3 (n = 3 linearization): the deep rungs
-        # reach about 1e-11 within 10-30 iterations and then only wander at
-        # eps / y, where waiting for a dip below tol costs 74 to 178 a rung
-        rep = A.eigenvalue_test(Z1 + Z2, 0.0, atom_plus_semicircle(0.7, 1.5),
-                                atom_plus_semicircle(0.6, -1.5))
-        diag = rep.diagnostics
+        # the sum atom at 0 of mass 0.3 on the 3 x 3 block pencil of Z1 + Z2:
+        # the deep rungs reach about 1e-11 within 10-30 iterations and then
+        # only wander at eps / y, where waiting for a dip below tol costs 74
+        # to 178 a rung
+        L = SUM_BLOCK_PENCIL
+        model = FreeSumModel(L.a1, L.a2, atom_plus_semicircle(0.7, 1.5),
+                             atom_plus_semicircle(0.6, -1.5))
+        scan = A.ladder_scan(model, -L.a0)
+        diag = scan.diagnostics
         assert len(diag["iterations"]) == 16 and max(diag["iterations"]) <= 40
         assert diag["floor_acceptances"] > 0
         # an accepted rung reports its residual above tol, under its floor 4 eps / y
         ys = A.default_ladder()
         floors = 4 * np.finfo(float).eps / ys
         assert all(r <= max(1e-12, f) for r, f in zip(diag["rung_residuals"], floors))
-        assert abs(diag["poly_kernel_trace"] - 0.3) <= 1e-9
+        assert abs(L.n * scan.mass - 0.3) <= 1e-9
 
     @pytest.mark.parametrize("b", [0.0, 2.0])
     def test_two_atom_ladder_counts_none(self, b):

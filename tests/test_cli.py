@@ -103,8 +103,10 @@ class TestLinearizeCommand:
 
     def test_anticommutator_pencil_json(self, files, capsys):
         code = run_cli(["linearize", "--poly", "Z1*Z2+Z2*Z1"])
-        out = json.loads(capsys.readouterr().out)
+        raw = capsys.readouterr().out
+        out = json.loads(raw)
         assert code == 0
+        assert raw == json.dumps(out, sort_keys=True) + "\n"  # compact, one line
         assert out["n"] == 3
         assert out["verified"] is True
         pencil = LinearPencil.from_json_dict(out)
@@ -121,6 +123,8 @@ class TestLinearizeCommand:
         pencil = LinearPencil.from_json_dict(data)
         again = LinearPencil.from_json_dict(pencil.to_json_dict())
         np.testing.assert_array_equal(pencil.a0, again.a0)
+        # the affine part sits in the corner: -(-0.5) at (0, 0)
+        assert data["certificate"]["corner"] == "0.5" and pencil.a0[0, 0] == 0.5
 
     def test_rejects_bad_poly(self, capsys):
         code = run_cli(["linearize", "--poly", "Z3 + 1"])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,14 +8,13 @@ from hypothesis import strategies as st
 from freeatoms.errors import PreconditionError
 from freeatoms.linearize import (
     LinearPencil,
-    LinearizationCertificate,
     corner_shift,
     invertibility_equivalence_check,
     linearize,
     numerical_kernel_dim,
     verify_certificate,
 )
-from freeatoms.ncpoly import NCPoly, adjoint, eval_matrices, is_selfadjoint, star_square
+from freeatoms.ncpoly import NCPoly, adjoint, eval_matrices, format_poly, is_selfadjoint, star_square
 
 Z1, Z2 = NCPoly.z1(), NCPoly.z2()
 ANTICOMM = Z1 * Z2 + Z2 * Z1
@@ -68,9 +69,21 @@ class TestLinearize:
             linearize(Z1 * Z2)
 
     def test_rejects_coefficient_without_exact_half(self):
-        # 5e-324 / 2 rounds to 0, so B D' C = p could not hold exactly
+        # a palindrome is split in halves and 5e-324 / 2 rounds to 0, so
+        # B D' C = p could not hold exactly
         with pytest.raises(PreconditionError, match="no exact half"):
-            linearize(Z1 + 5e-324)
+            linearize(5e-324 * Z1 * Z1)
+
+    # the corner takes the affine part whole: 5e-324 needs no exact half
+    @pytest.mark.parametrize("c0, c1, c2", [(0.0, 1.0, 1.0), (0.5, 2.0, -1.0), (-3.0, 0.0, 1.5),
+                                            (5e-324, 1.0, 0.0)])
+    def test_linear_polynomial_is_its_own_corner(self, c0, c1, c2):
+        p = c0 + c1 * Z1 + c2 * Z2
+        L, cert = linearize(p)
+        assert (L.a0[0, 0], L.a1[0, 0], L.a2[0, 0]) == (-c0, -c1, -c2)
+        assert L.n == 1 and cert.m == 0
+        assert cert.corner == -p and cert.to_json_dict()["corner"] == format_poly(-p)
+        assert verify_certificate(p, cert)
 
     def test_rejects_constant(self):
         with pytest.raises(PreconditionError):
@@ -86,7 +99,8 @@ class TestLinearize:
         def entry(i, j):  # the affine polynomial a0 + a1 Z1 + a2 Z2 of entry (i, j)
             return NCPoly([((), L.a0[i, j]), ((1,), L.a1[i, j]), ((2,), L.a2[i, j])])
 
-        assert entry(0, 0) == NCPoly.zero()
+        assert not p.affine_part().is_zero
+        assert entry(0, 0) == cert.corner == -p.affine_part()
         for j in range(m):
             assert entry(0, 1 + j) == cert.B[j]
             assert entry(1 + j, 0) == cert.C[j]
@@ -123,9 +137,9 @@ class TestCertificateProperty:
         p = q + adjoint(q) + constant
         assume(p.degree >= 1)
         assert is_selfadjoint(p) and p.degree <= 4
-        # the certificate splits palindromic terms in halves; a coefficient
-        # without an exact half (tiny subnormals) is refused, never rounded
-        if all(c / 2.0 + c / 2.0 == c for w, c in p.terms if w == w[::-1]):
+        # the certificate splits palindromic terms of degree >= 2 in halves; a
+        # coefficient without an exact half (tiny subnormals) is refused, never rounded
+        if all(c / 2.0 + c / 2.0 == c for w, c in p.higher_part().terms if w == w[::-1]):
             _pencil, cert = linearize(p)
             assert verify_certificate(p, cert)
         else:
@@ -136,13 +150,21 @@ class TestCertificateProperty:
 class TestVerifyCertificate:
     def test_tampered_dprime_fails(self):
         L, cert = linearize(ANTICOMM)
-        bad = LinearizationCertificate(
-            B=cert.B,
-            C=cert.C,
-            D=cert.D,
-            Dprime=tuple(tuple(-q for q in row) for row in cert.Dprime),
-        )
+        bad = replace(cert, Dprime=tuple(tuple(-q for q in row) for row in cert.Dprime))
         assert not verify_certificate(ANTICOMM, bad)
+
+    @pytest.mark.parametrize("corner", [NCPoly.zero(), -Z1 - 1.0], ids=["dropped", "negated"])
+    def test_tampered_corner_fails(self, corner):
+        p = ANTICOMM - Z1 - 1.0
+        _, cert = linearize(p)
+        assert cert.corner == Z1 + 1.0 and verify_certificate(p, cert)
+        assert not verify_certificate(p, replace(cert, corner=corner))
+
+    def test_non_selfadjoint_corner_fails(self):
+        # B D' C - corner = q holds, but the pencil would not be Hermitian
+        _, cert = linearize(ANTICOMM - Z1)
+        assert not verify_certificate(ANTICOMM - Z1 - 1j * Z2,
+                                      replace(cert, corner=cert.corner + 1j * Z2))
 
     def test_wrong_polynomial_fails(self):
         _, cert = linearize(ANTICOMM)

@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from freeatoms import cli
+from freeatoms import atoms, cli
 from freeatoms import measure as M
 from freeatoms import opval as O
 from freeatoms.atoms import AtomReport, RegularizationResult, _matrix_sqrt
 from freeatoms.errors import HalfPlaneError
 from freeatoms.linearize import LinearPencil
 from freeatoms.subord import FreeSumModel
+
+from block_pencil import SUM_BLOCK_PENCIL
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -682,8 +684,10 @@ class TestKernelProjectionLimit:
             assert err <= O.KERNEL_LIMIT_TOL
 
     def test_unsettled_limit_exits_3(self, monkeypatch, tmp_path, capsys):
-        # the sum's atom at 0 on two atom + semicircle laws: identity (iv)
-        # reads the kernel projections of singular pencils
+        # the sum's atom at 0 on two atom + semicircle laws, run on the 3 x 3
+        # block pencil of Z1 + Z2: identity (iv) reads the kernel projections
+        # of singular pencils
+        monkeypatch.setattr(atoms, "linearize", lambda p: (SUM_BLOCK_PENCIL, None))
         laws = []
         for name, mass, center in (("a", 0.7, 1.5), ("b", 0.6, -1.5)):
             path = tmp_path / f"{name}.json"

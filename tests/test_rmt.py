@@ -8,6 +8,8 @@ from freeatoms.ncpoly import NCPoly, eval_matrices
 from freeatoms.opval import herm_part
 from freeatoms.subord import FreeSumModel, scalar_model
 
+from block_pencil import SUM_BLOCK_PENCIL
+
 Z1, Z2 = NCPoly.z1(), NCPoly.z2()
 MU1 = M.atomic_measure([(0.0, 0.7), (1.0, 0.3)])
 MU2 = M.atomic_measure([(0.0, 0.6), (2.0, 0.4)])
@@ -175,12 +177,10 @@ class TestEnsembleSpec:
 
 class TestDensePencilPath:
     def test_matrix_pencil_kernel_mass_matches_pipeline_value(self):
-        # pencil of Z1 + Z2 at 0: tau_3 of the kernel is 0.3 / 3 = 0.1,
-        # realized exactly by generic subspace intersections at finite N
-        from freeatoms.linearize import linearize
-        from freeatoms.ncpoly import NCPoly
-
-        L, _ = linearize(NCPoly.z1() + NCPoly.z2())
+        # the 3 x 3 block pencil of Z1 + Z2 at 0: tau_3 of the kernel is
+        # 0.3 / 3 = 0.1, realized exactly by generic subspace intersections
+        # at finite N
+        L = SUM_BLOCK_PENCIL
         model = FreeSumModel(L.a1, L.a2, MU1, MU2)
         spec = rmt.EnsembleSpec(N=300, trials=2, seed=42, mu1=MU1, mu2=MU2)
         rep = rmt.oracle_report(spec, model=model, b=-L.a0, epsilon=1e-7)
