@@ -149,7 +149,11 @@ def _build_model(cfg):
 
 
 def _emit(cfg, payload, csv_rows=None, csv_header=None):
-    """Write the artifact to --out or stdout in the configured format."""
+    """Write the artifact to --out or stdout in the configured format.
+
+    ``csv_rows`` is iterated for ``--format csv`` alone, so a lazy
+    iterable formats no row for a JSON artifact.
+    """
     if cfg.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -200,7 +204,7 @@ def _cmd_convolve(cfg):
     model = _build_model(cfg)
     xs = _grid_points(cfg)
     data, solve = sum_density(model, xs, y_eval=cfg.y_eval, tol=cfg.tol)
-    rows = [(f"{x:.12g}", f"{d:.12g}") for x, d in data]
+    rows = ((f"{x:.12g}", f"{d:.12g}") for x, d in data)
     payload = {"grid": [float(x) for x in data[:, 0]],
                "density": [float(d) for d in data[:, 1]],
                "y_eval": cfg.y_eval,
@@ -288,11 +292,11 @@ def _cmd_oracle(cfg):
         locations = [float(x) for x in cfg.candidates] or None
         rep = rmt.oracle_report(spec, model=model, b=b, locations=locations,
                                 bins=cfg.bins, epsilon=cfg.epsilon)
-    rows = [
+    rows = (
         (f"{lo:.12g}", f"{hi:.12g}", f"{cm:.12g}", f"{cs:.12g}")
         for lo, hi, cm, cs in zip(rep.bin_edges[:-1], rep.bin_edges[1:],
                                   rep.counts_mean, rep.counts_std)
-    ]
+    )
     _emit(cfg, rep.to_json_dict(), csv_rows=rows,
           csv_header=("bin_left", "bin_right", "count_mean", "count_std"))
     return EXIT_OK

@@ -566,21 +566,30 @@ def quantiles(mu: SpectralMeasure, N: int) -> np.ndarray:
     """Deterministic quantile discretization: value i is the ((i - 1/2)/N)-quantile.
 
     The output is nondecreasing and an atom of mass m receives floor(mN)
-    or ceil(mN) copies.  One bisection runs over all N levels at once.
+    or ceil(mN) copies.  A law with a continuous part takes one bisection
+    over all N levels at once.  A purely atomic law needs none: its
+    quantile is the first location, in increasing order, whose cdf
+    reaches q, which is where the bisection ends (or hi + 1, where the
+    bisection stays when roundoff keeps every cdf value below q).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     lo, hi = mu.support
     span = max(hi - lo, 1.0)
     qs = (np.arange(N) + 0.5) / N
-    a = np.full(N, lo - 1.0)
-    b = np.full(N, hi + 1.0)
-    # inf{x : F(x) >= q} by bisection on the right-continuous cdf
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        right = mu.cdf(mid) >= qs
-        b = np.where(right, mid, b)
-        a = np.where(right, a, mid)
+    if not mu.continuous:
+        # the float cdf is nondecreasing in x (rounding is monotone)
+        locs = np.sort([loc for loc, _m in mu.atoms])
+        b = np.append(locs, hi + 1.0)[np.searchsorted(mu.cdf(locs), qs, side="left")]
+    else:
+        a = np.full(N, lo - 1.0)
+        b = np.full(N, hi + 1.0)
+        # inf{x : F(x) >= q} by bisection on the right-continuous cdf
+        for _ in range(80):
+            mid = 0.5 * (a + b)
+            right = mu.cdf(mid) >= qs
+            b = np.where(right, mid, b)
+            a = np.where(right, a, mid)
     # snap to an atom within roundoff; the first atom listed wins
     out = b
     for loc, _m in reversed(mu.atoms):

@@ -15,7 +15,12 @@ and :func:`_trial_eigs` alone takes it; reports carry the name:
   two-subspace form, 2 x 2 blocks whose principal-angle cosines come
   from the beta = 2 Jacobi bidiagonal model, with no N x N or N x k
   draw;
-- "dense", any other pair: a dense N x N Haar draw and eigensolve.
+- "dense", any other pair: a dense Haar draw and an N x N (pencil:
+  nN x nN) eigensolve.  The draw is N x N, or an N x |S| frame when
+  mu2 has atoms (see :func:`_realize_reduced`).
+
+The quantile grids of purely atomic laws take no bisection, and a
+pencil is written block by block into one array.
 """
 
 from __future__ import annotations
@@ -52,9 +57,14 @@ class EnsembleSpec:
         return [np.random.default_rng(s) for s in seq.spawn(self.trials)]
 
 
-def haar_unitary(N, rng):
-    """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    g = (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))) / np.sqrt(2)
+def haar_unitary(N, rng, columns=None):
+    """The first ``columns`` columns (all N by default) of a Haar-distributed
+    N x N unitary: the Q factor of an N x columns complex Ginibre matrix,
+    each column's phase fixed by the diagonal of R (Mezzadri, Notices AMS
+    54, 2007).  The first k columns of Q depend on the first k of the
+    Ginibre matrix alone, so a frame costs O(N columns^2), not O(N^3)."""
+    k = N if columns is None else columns
+    g = (rng.standard_normal((N, k)) + 1j * rng.standard_normal((N, k))) / np.sqrt(2)
     q, r = np.linalg.qr(g)
     d = np.diag(r)
     return q * (d / np.abs(d))
@@ -76,11 +86,22 @@ def _realize_reduced(spec, rng):
     """Pair (D1, U D2 U*) with one Haar unitary: equal in joint law to
     :func:`realize_pair` conjugated by U1*, so every polynomial or pencil
     spectrum is distributed identically while saving one QR and keeping
-    the first matrix diagonal."""
+    the first matrix diagonal.
+
+    When mu2 has atoms, U D2 U* = c + U_S (D2_S - c) U_S* for its
+    heaviest atom c, where S holds the entries of D2 other than c and
+    U_S the columns of U on S.  Any |S| columns of a Haar unitary are
+    distributed as its first |S|, so only those are drawn.
+    """
     d1 = quantiles(spec.mu1, spec.N)
     d2 = quantiles(spec.mu2, spec.N)
-    u = haar_unitary(spec.N, rng)
-    return d1, herm_part((u * d2) @ u.conj().T)
+    if not spec.mu2.atoms:
+        u = haar_unitary(spec.N, rng)
+        return d1, herm_part((u * d2) @ u.conj().T)
+    c = max(spec.mu2.atoms, key=lambda atom: atom[1])[0]
+    rest = d2[d2 != c] - c
+    u = haar_unitary(spec.N, rng, rest.size)
+    return d1, herm_part(c * np.eye(spec.N) + (u * rest) @ u.conj().T)
 
 
 def empirical_kernel_mass(matrix, lam, epsilon):
@@ -229,9 +250,20 @@ def _pencil_eigs(spec, model, b, rng):
     spec = _pencil_laws(spec, model)
 
     def pencil_spectrum(x1, x2):
-        # np.kron of a matrix with a stack of blocks acts block by block
+        # b (x) 1 - a1 (x) X1 - a2 (x) X2 for a stack of k x k blocks (or
+        # one pair of k x k matrices), written block by block with
+        # np.kron's per-entry arithmetic; eigvalsh reads the lower
+        # triangle alone, so the blocks above the diagonal stay unwritten
         k = x1.shape[-1]
-        big = np.kron(b_mat, np.eye(k)) - np.kron(model.a1, x1) - np.kron(model.a2, x2)
+        eye = np.eye(k)
+        big = np.empty(x1.shape[:-2] + (n * k, n * k), dtype=complex)
+        term = np.empty(x1.shape, dtype=complex)
+        for i in range(n):
+            for j in range(i + 1):
+                block = big[..., i * k:(i + 1) * k, j * k:(j + 1) * k]
+                np.multiply(b_mat[i, j], eye, out=block)
+                block -= np.multiply(model.a1[i, j], x1, out=term)
+                block -= np.multiply(model.a2[i, j], x2, out=term)
         return sign * np.linalg.eigvalsh(big)
 
     return _trial_eigs(spec, rng, pencil_spectrum,

@@ -287,13 +287,22 @@ class TestVectorizedQuantiles:
 
 
 @st.composite
-def atomic_or_mixed_laws(draw):
-    """Atoms on a 1/8 grid with integer weights, optionally plus a uniform piece."""
+def atomic_or_mixed_laws(draw, piece=True, near_pair=False):
+    """Atoms on a 1/8 grid with integer weights, optionally plus a uniform piece.
+
+    With ``near_pair`` one more atom sits within 3e-12 of a grid atom,
+    inside the 4e-12 * span window where quantiles snap to the atom
+    listed first, and either of the two may be listed first.
+    """
     locs = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=5, unique=True))
-    weights = draw(st.lists(st.integers(1, 20), min_size=len(locs), max_size=len(locs)))
-    cont = draw(st.integers(0, 20))
+    xs = [k / 8.0 for k in locs]
+    if near_pair:
+        near = xs[0] + draw(st.sampled_from([-3e-12, -1e-13, 1e-13, 3e-12]))
+        xs.insert(draw(st.integers(0, len(xs))), near)
+    weights = draw(st.lists(st.integers(1, 20), min_size=len(xs), max_size=len(xs)))
+    cont = draw(st.integers(0, 20)) if piece else 0
     total = sum(weights) + cont
-    atoms = tuple((k / 8.0, w / total) for k, w in zip(locs, weights))
+    atoms = tuple((x, w / total) for x, w in zip(xs, weights))
     pieces = (M.UniformPiece(-1.0, 1.0, 1.0 - sum(m for _, m in atoms)),) if cont else ()
     points = [x for x, _ in atoms] + ([-1.0, 1.0] if cont else [])
     return M.SpectralMeasure(atoms=atoms, continuous=pieces, support=(min(points), max(points)))
@@ -311,6 +320,11 @@ class TestQuantileProperties:
         assert np.all(mu.cdf(xs) >= qs)
         for loc, m in mu.atoms:
             assert int(np.sum(xs == loc)) in (int(np.floor(m * N)), int(np.ceil(m * N)))
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(mu=atomic_or_mixed_laws(piece=False, near_pair=True), N=st.integers(1, 801))
+    def test_atomic_grid_is_the_scalar_bisection(self, mu, N):
+        assert np.array_equal(M.quantiles(mu, N), scalar_quantiles(mu, N))
 
 
 class TestAtomBoundaryExtraction:

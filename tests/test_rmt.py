@@ -35,6 +35,15 @@ class TestHaarUnitary:
         vals = [abs(np.trace(rmt.haar_unitary(25, rng))) ** 2 for _ in range(400)]
         assert np.mean(vals) == pytest.approx(1.0, abs=0.25)
 
+    def test_frame_is_the_unitary_of_its_columns(self):
+        # a frame is an isometry, and all N columns are the full unitary's bits
+        rng = np.random.default_rng(31)
+        v = rmt.haar_unitary(30, rng, 7)
+        assert v.shape == (30, 7)
+        np.testing.assert_allclose(v.conj().T @ v, np.eye(7), atol=1e-12)
+        assert np.array_equal(rmt.haar_unitary(30, np.random.default_rng(32), 30),
+                              rmt.haar_unitary(30, np.random.default_rng(32)))
+
     def test_left_invariance_moment(self):
         # tr(V U) has the same first moment as tr(U): zero
         rng = np.random.default_rng(4)
@@ -79,6 +88,37 @@ class TestRealizePair:
         v1 = rmt._eval_poly_diag_first(Z1 * Z2 + Z2 * Z1, d1, A2)
         v2 = eval_matrices(Z1 * Z2 + Z2 * Z1, np.diag(d1).astype(complex), A2)
         np.testing.assert_allclose(v1, v2, atol=1e-12)
+
+    def test_frame_draw_matches_the_full_draw_in_law(self):
+        # an atomic mu2 draws only the N x |S| Gaussian of the frame off its
+        # heaviest atom (0.5 N entries); pooled trials at N = 100: the first
+        # four spectral moments agree with realize_pair's full draw within 3 SE
+        three_atoms = M.atomic_measure([(0.0, 0.5), (1.0, 0.3), (2.5, 0.2)])
+        spec = rmt.EnsembleSpec(N=100, trials=40, seed=29, mu1=MIXED, mu2=three_atoms)
+        rng = _RecordingRng(30)
+        _d1, A2 = rmt._realize_reduced(spec, rng)
+        assert [np.shape(v) for _name, v in rng.draws] == [(100, 50)] * 2
+        np.testing.assert_allclose(np.linalg.eigvalsh(A2), M.quantiles(three_atoms, 100),
+                                   atol=1e-12)
+        poly = Z1 * Z2 + Z2 * Z1 + Z1
+
+        def frame(r):
+            return np.linalg.eigvalsh(herm_part(
+                rmt._eval_poly_diag_first(poly, *rmt._realize_reduced(spec, r))))
+
+        def full(r):
+            return np.linalg.eigvalsh(herm_part(eval_matrices(poly, *rmt.realize_pair(spec, r))))
+
+        rngs = spec.trial_rngs()
+        half = spec.trials // 2
+        moments = {
+            "frame": np.array([[np.mean(frame(r) ** j) for j in range(1, 5)] for r in rngs[:half]]),
+            "full": np.array([[np.mean(full(r) ** j) for j in range(1, 5)] for r in rngs[half:]]),
+        }
+        mean = {k: m.mean(axis=0) for k, m in moments.items()}
+        se = {k: m.std(axis=0, ddof=1) / np.sqrt(len(m)) for k, m in moments.items()}
+        gap = np.abs(mean["frame"] - mean["full"])
+        assert np.all(gap <= 3 * np.hypot(se["frame"], se["full"])), (gap, se)
 
 
 class TestEmpiricalKernelMass:
@@ -215,6 +255,45 @@ def frame_cosines(v, k1):
     return np.linalg.svd(v[N - k1:], compute_uv=False)[max(0, k1 + k2 - N):]
 
 
+class TestPencilAssembly:
+    """The pencil is written block by block; its spectrum must keep the bits
+    of eigvalsh at np.kron(b, 1) - np.kron(a1, X1) - np.kron(a2, X2)."""
+
+    LAWS = {"1x1 stacks": (M.point_mass(0.5), MIXED),
+            "halmos stacks": (MU1, MU2),
+            "dense": (M.atomic_measure([(0.0, 0.5), (1.0, 0.3), (2.5, 0.2)]), MIXED)}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("laws", list(LAWS))
+    def test_spectrum_is_that_of_the_kron_pencil(self, n, laws, monkeypatch):
+        calls = []
+        trial_eigs = rmt._trial_eigs
+
+        def spy(spec, rng, block_eigs, dense_eigs):
+            def blocks(x1, x2):
+                calls.append((x1, x2, block_eigs(x1, x2)))
+                return calls[-1][2]
+
+            def dense(d1, A2):
+                calls.append((np.diag(d1).astype(complex), A2, dense_eigs(d1, A2)))
+                return calls[-1][2]
+
+            return trial_eigs(spec, rng, blocks, dense)
+
+        monkeypatch.setattr(rmt, "_trial_eigs", spy)
+        mu1, mu2 = self.LAWS[laws]
+        spec = rmt.EnsembleSpec(N=40, trials=1, seed=0, mu1=mu1, mu2=mu2)
+        rng = np.random.default_rng(n)
+        a1, a2, b = (_random_hermitian(rng, n) for _ in range(3))
+        rmt._pencil_eigs(spec, FreeSumModel(a1, a2, mu1, mu2), b, np.random.default_rng(28))
+        shapes = {x1.shape[-1] for x1, _x2, _e in calls}
+        assert shapes == {"1x1 stacks": {1}, "halmos stacks": {1, 2}, "dense": {40}}[laws]
+        for x1, x2, eigs in calls:
+            k = x1.shape[-1]
+            big = np.kron(b, np.eye(k)) - np.kron(a1, x1) - np.kron(a2, x2)
+            assert np.array_equal(eigs, np.linalg.eigvalsh(big))
+
+
 class TestTwoSubspaceOracle:
     """Two laws with at most two atoms: the exact block form of the pair.
 
@@ -303,7 +382,8 @@ class TestTwoSubspaceOracle:
     def test_path_follows_the_laws(self, target, monkeypatch):
         calls = []
         haar = rmt.haar_unitary
-        monkeypatch.setattr(rmt, "haar_unitary", lambda N, rng: calls.append(N) or haar(N, rng))
+        monkeypatch.setattr(rmt, "haar_unitary", lambda N, rng, columns=None: calls.append(
+            (N, columns)) or haar(N, rng, columns))
         three_atoms = M.atomic_measure([(0.0, 0.5), (1.0, 0.3), (2.5, 0.2)])
         kwargs = ({"poly": Z1 * Z2 + Z2 * Z1} if target == "poly"
                   else {"model": scalar_model(MU1, MU2), "b": np.array([[0.0]])})
@@ -316,7 +396,8 @@ class TestTwoSubspaceOracle:
             if target == "pencil":
                 kwargs["model"] = scalar_model(mu1, mu2)
             rep = rmt.oracle_report(spec, **kwargs)
-            assert calls == [150] * dense_trials
+            # MU2 is atomic: a frame of its 60 entries off the heavier atom 0
+            assert calls == [(150, 60)] * dense_trials
             assert rep.path == path == rmt._trial_path(spec)
             assert rep.counts_mean.sum() == pytest.approx(150)
 
@@ -419,7 +500,8 @@ class TestJacobiCosines:
             assert rmt._poly_eigs(spec, poly, rng).shape == (400,)
             gaussians = [np.shape(v) for name, v in rng.draws if name == "standard_normal"]
             if path == "dense":  # the counters do see the dense draw
-                assert qr_calls and gaussians == [(400, 400)] * 2
+                # a frame of MU2's 160 entries off its heavier atom
+                assert qr_calls and gaussians == [(400, 160)] * 2
             else:
                 assert qr_calls == [] and gaussians == []
                 assert [name for name, _ in rng.draws] == ["standard_gamma"] * 2
