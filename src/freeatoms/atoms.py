@@ -19,9 +19,10 @@ which satisfy, whenever E(p) is invertible (p the kernel projection),
 
 All residuals are measured and reported; nothing is assumed.  When E(p)
 is singular, :func:`support_regularize` compresses by the support
-projections q1, q2 and retries on the selfadjoint doubled pencil
-[[0, q1 X q2], [q2 X q1, 0]], whose kernel expectation is invertible
-and whose kernel trace differs from the original by an integer.
+projections q1 = v1 v1*, q2 = v2 v2* of ranks r1, r2 and retries on the
+selfadjoint doubled pencil Y = [[0, v1* X v2], [v2* X v1, 0]] of size
+r1 + r2, whose kernel expectation is invertible; (2n - r1 - r2) +
+(r1 + r2) tau(ker Y) differs from 2n tau_n(ker(b - X)) by an integer.
 """
 
 from __future__ import annotations
@@ -197,9 +198,16 @@ class RegularizationResult:
     doubled_pencil: LinearPencil
     report: "AtomReport"
     integer_offset: float
-    offset_distance: float
     ambiguous: bool = False
-    notes: str = ""
+
+    @property
+    def offset_distance(self):
+        return abs(self.integer_offset - round(self.integer_offset))
+
+    @property
+    def notes(self):
+        return ("support projection eigenvalue within a factor 10 of the null threshold"
+                if self.ambiguous else "")
 
 
 @dataclass
@@ -277,9 +285,7 @@ class AtomReport:
                 doubled_pencil=LinearPencil.from_json_dict(r["doubled_pencil"]),
                 report=sub,
                 integer_offset=r["integer_offset"],
-                offset_distance=r["offset_distance"],
                 ambiguous=r.get("ambiguous", False),
-                notes=r.get("notes", ""),
             )
         model = None
         if d.get("model") is not None:
@@ -448,31 +454,27 @@ def decompose_atom(scan: LadderScan) -> AtomReport:
 # ---------------------------------------------------------------------------
 
 
-def _support_projection(E, floor=0.0):
-    """Projection onto eigenvectors above the null threshold, with ambiguity flag."""
+def _support_basis(E, floor=0.0):
+    """Orthonormal basis of the eigenvectors above the null threshold, with ambiguity flag."""
     w, v = np.linalg.eigh(herm_part(E))
     thr = null_threshold(E, floor)
-    keep = w > thr
     # an eigenvalue within a factor 10 of the threshold cannot be classified
     # reliably; it is reported, never silently resolved
     ambiguous = bool(np.any((w > thr / 10.0) & (w < thr * 10.0)))
-    cols = v[:, keep]
-    return cols @ cols.conj().T, ambiguous
+    return v[:, w > thr], ambiguous
 
 
-def _doubled_model(model, b, q_left, q_right):
-    """Pencil of [[0, qL X qR], [qR X qL, 0]] for X = b - a1 Z1 - a2 Z2."""
-    n = model.n
-    zero = np.zeros((n, n), dtype=complex)
+def _doubled_model(model, b, v_left, v_right):
+    """Pencil of [[0, vL* X vR], [vR* X vL, 0]], X = b - a1 Z1 - a2 Z2, of size r_L + r_R."""
+    r_left = v_left.shape[1]
 
     def double(mat):
-        top = np.hstack([zero, q_left @ mat @ q_right])
-        bot = np.hstack([q_right @ mat @ q_left, zero])
-        return np.vstack([top, bot])
+        out = np.zeros((r_left + v_right.shape[1],) * 2, dtype=complex)
+        out[:r_left, r_left:] = v_left.conj().T @ mat @ v_right
+        out[r_left:, :r_left] = v_right.conj().T @ mat @ v_left
+        return out
 
-    b2 = double(b)
-    a1_2 = double(model.a1)
-    a2_2 = double(model.a2)
+    b2, a1_2, a2_2 = double(b), double(model.a1), double(model.a2)
     doubled = FreeSumModel(a1_2, a2_2, model.mu1, model.mu2)
     pencil = LinearPencil(b2, -a1_2, -a2_2)
     return doubled, b2, pencil
@@ -481,36 +483,33 @@ def _doubled_model(model, b, q_left, q_right):
 def support_regularize(scan: LadderScan):
     """Compress a singular kernel expectation to an invertible doubled one.
 
-    q1 is the support projection of the scan's E(ker(b - X)); q2 the
-    support of E(ker(q1 (b - X))), obtained from the row-compressed
-    doubled pencil.  Both doubled pencils are scanned down the scan's
-    ladder at its tolerance.  Returns a :class:`RegularizationResult`:
-    q1, q2, the doubled pencil Y, the AtomReport on Y and the integer
-    offset 2n tau_2n(ker Y) - 2n tau_n(ker(b - X)), which the report's
-    diagnostics carry as well.
+    q1 = v1 v1* is the support projection of the scan's E(ker(b - X));
+    q2 = v2 v2* the support of E(ker(q1 (b - X))), obtained from the
+    row-compressed pencil [[0, v1* X], [X v1, 0]].  The doubled pencil Y
+    is [[0, v1* X v2], [v2* X v1, 0]] of size r1 + r2; its dilation to
+    2n adds exactly 2n - r1 - r2 to the kernel.  Both pencils are
+    scanned down the scan's ladder at its tolerance.  Returns a
+    :class:`RegularizationResult`: q1, q2, Y, the AtomReport on Y and the
+    integer offset (2n - r1 - r2) + (r1 + r2) tau(ker Y) - 2n tau_n(ker(b - X)).
     """
     model, b = scan.model, scan.b
     n = model.n
-    q1, amb1 = _support_projection(scan.E_p, floor=scan.null_floor)
+    v1, amb1 = _support_basis(scan.E_p, floor=scan.null_floor)
+    r1 = v1.shape[1]
 
-    # row compression only (q2 = identity) to expose E(ker(q1 X))
-    row_model, row_b, _ = _doubled_model(model, b, q1, np.eye(n))
+    # row compression only (v2 = identity) to expose E(ker(q1 X))
+    row_model, row_b, _ = _doubled_model(model, b, v1, np.eye(n))
     row = ladder_scan(row_model, row_b, scan.y_ladder, scan.tol)
-    q2, amb2 = _support_projection(row.E_p[n:, n:], floor=row.null_floor)
+    v2, amb2 = _support_basis(row.E_p[r1:, r1:], floor=row.null_floor)
 
-    doubled, b_d, pencil = _doubled_model(model, b, q1, q2)
+    doubled, b_d, pencil = _doubled_model(model, b, v1, v2)
     report = decompose_atom(ladder_scan(doubled, b_d, scan.y_ladder, scan.tol))
-    offset = 2 * n * report.mass - 2 * n * scan.mass
-    distance = abs(offset - round(offset))
     report.regularized = True
-    report.diagnostics.update(integer_offset=offset, offset_distance=distance,
-                              original_mass=scan.mass)
-    ambiguous = bool(amb1 or amb2)
-    notes = ("support projection eigenvalue within a factor 10 of the null threshold"
-             if ambiguous else "")
-    return RegularizationResult(q1=q1, q2=q2, doubled_pencil=pencil, report=report,
-                                integer_offset=offset, offset_distance=distance,
-                                ambiguous=ambiguous, notes=notes)
+    r = doubled.n
+    offset = (2 * n - r) + r * report.mass - 2 * n * scan.mass
+    return RegularizationResult(q1=v1 @ v1.conj().T, q2=v2 @ v2.conj().T, doubled_pencil=pencil,
+                                report=report, integer_offset=offset,
+                                ambiguous=bool(amb1 or amb2))
 
 
 # ---------------------------------------------------------------------------

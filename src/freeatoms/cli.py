@@ -30,6 +30,7 @@ from .errors import ConvergenceError, PreconditionError, SchemaError
 from .linearize import linearize, verify_certificate
 from .measure import SpectralMeasure
 from .ncpoly import parse_poly
+from .opval import check_hermitian
 from .subord import DEFAULT_TOL, DEFAULT_Y_EVAL, FreeSumModel, sum_density
 
 EXIT_OK = 0
@@ -79,6 +80,8 @@ class RunConfig:
                 raise SchemaError(f"{flag} must be positive and finite, got {value!r}")
         if not math.isfinite(self.lam):
             raise SchemaError(f"--lambda must be finite, got {self.lam!r}")
+        if not all(math.isfinite(x) for x in self.candidates):
+            raise SchemaError(f"--candidates must be finite, got {self.candidates!r}")
         if not (4 <= self.ladder_depth <= 40):
             raise SchemaError("--ladder-depth must lie in [4, 40]")
         lo, hi, points = self.grid
@@ -146,6 +149,14 @@ def _build_model(cfg):
     a1 = _parse_matrix(cfg.a1_spec, np.eye(1))
     a2 = _parse_matrix(cfg.a2_spec, np.eye(a1.shape[0]))
     return FreeSumModel(a1, a2, mu1, mu2)
+
+
+def _parse_b(cfg, n, default):
+    """The --b matrix, checked to be Hermitian and n x n like the model."""
+    b = _parse_matrix(cfg.b_spec, default)
+    if b is not None and check_hermitian(b, "--b").shape != (n, n):
+        raise SchemaError(f"--b must be {n} x {n} like the coefficients, got {len(b)} x {len(b)}")
+    return b
 
 
 def _emit(cfg, payload, csv_rows=None, csv_header=None):
@@ -221,7 +232,7 @@ def _cmd_convolve(cfg):
 
 def _cmd_decompose(cfg):
     model = _build_model(cfg)
-    b = _parse_matrix(cfg.b_spec, np.zeros((model.n, model.n)))
+    b = _parse_b(cfg, model.n, np.zeros((model.n, model.n)))
     report = atoms_mod.decompose_atom(atoms_mod.ladder_scan(model, b, _ladder(cfg), cfg.tol))
     _emit(cfg, report.to_json_dict())
     if cfg.strict and _strict_residual_failures(report):
@@ -288,7 +299,7 @@ def _cmd_oracle(cfg):
                                 locations=[cfg.lam] + [float(x) for x in cfg.candidates],
                                 bins=cfg.bins, epsilon=cfg.epsilon)
     else:
-        b = _parse_matrix(cfg.b_spec, None)
+        b = _parse_b(cfg, model.n, None)
         locations = [float(x) for x in cfg.candidates] or None
         rep = rmt.oracle_report(spec, model=model, b=b, locations=locations,
                                 bins=cfg.bins, epsilon=cfg.epsilon)

@@ -13,13 +13,17 @@ J. Funct. Anal. 274, 2018).  The defining identities are exact
 coefficient identities, verified symbolically by
 :func:`verify_certificate`.
 
-Construction: each adjoint-pair of monomials {w, w*} of degree d >= 2
-contributes a 2(d-1) block coupling a bidiagonal unit chain for w with
-its adjoint chain; palindromic monomials are split as (c/2) w + (c/2) w*
-(exact in binary floating point).  So n = 1 + m, and a linear p has the
-1 x 1 pencil (-c0, -c1, -c2).  For the anticommutator Z1 Z2 + Z2 Z1
-this reproduces the classical 3 x 3 pencil with B = [Z1, Z2] and
-D = [[0, 1], [1, 0]].
+Construction: every monomial w of degree d >= 2 gets one block
+D = [[0, N*], [N, M]] with D' = [[-N' M N'*, N'], [N'*, 0]], where N is a
+bidiagonal unit chain and N' = N^{-1} is polynomial.  A word w that is
+not a palindrome is paired with w* in a block of size 2(d-1) with M = 0;
+a palindrome u x u* is realized once, N chaining u and -c x (-c at even
+degree) on M's diagonal, in a block of size 2 floor(d/2).  Coefficients
+enter as given, so every selfadjoint p has an exact certificate.  The
+pencil has n = 1 + m; a linear p has the 1 x 1 pencil (-c0, -c1, -c2).  For the
+anticommutator Z1 Z2 + Z2 Z1 this reproduces the classical 3 x 3 pencil
+with B = [Z1, Z2] and D = [[0, 1], [1, 0]]; Z1 Z2 Z1 has the 3 x 3 pencil
+with B = [Z1, 0] and D = [[0, 1], [1, -Z2]].
 """
 
 from __future__ import annotations
@@ -118,6 +122,10 @@ def _poly_matmul(A, B):
             for i in range(m)]
 
 
+def _poly_zeros(m):
+    return [[NCPoly.zero()] * m for _ in range(m)]
+
+
 def _poly_eye(m):
     return [[NCPoly.one() if i == j else NCPoly.zero() for j in range(m)] for i in range(m)]
 
@@ -164,25 +172,32 @@ def _adjoint_poly_matrix(M):
     return [[adjoint(M[i][j]) for i in range(rows)] for j in range(cols)]
 
 
-def _pair_block(word, coeff):
-    """Symmetric block contributing coeff*word + conj(coeff)*word*.
+def _word_block(word, coeff):
+    """Block (B, D, D') with D = [[0, N*], [N, M]] and D' = [[-N' M N'*, N'], [N'*, 0]].
 
-    Couples the chain for ``word`` with its adjoint chain through an
-    antidiagonal D; for degree 2 this is B = [c Z_i, Z_j] with
-    D = [[0, 1], [1, 0]].
+    N is a unit chain of :func:`_chain_block` and N' = N^{-1}, so D D' = 1
+    for every M.  A word that is not a palindrome contributes
+    coeff*word + conj(coeff)*word* through the chain of ``word`` and
+    M = 0; for degree 2 this is B = [c Z_i, Z_j] with D = [[0, 1], [1, 0]].
+    A palindrome u x u* of degree d contributes coeff*word once: N chains
+    u, B = [u_1, 0, ...] and M is zero but for -coeff x (-coeff at even
+    degree) in its last diagonal entry, a block of size 2 floor(d/2).
     """
-    Bw, Cw, Dw, Dwinv = _chain_block(word, coeff)
-    mw = len(Bw)
-    Dw_star = _adjoint_poly_matrix(Dw)
-    Dwinv_star = _adjoint_poly_matrix(Dwinv)
-    zero = [[NCPoly.zero()] * mw for _ in range(mw)]
-    B = Bw + [adjoint(c) for c in Cw]
-    D = [row_a + row_b for row_a, row_b in zip(zero, Dw_star)] + [
-        row_a + row_b for row_a, row_b in zip(Dw, zero)
-    ]
-    Dprime = [row_a + row_b for row_a, row_b in zip(zero, Dwinv)] + [
-        row_a + row_b for row_a, row_b in zip(Dwinv_star, zero)
-    ]
+    if word == word[::-1]:
+        half = len(word) // 2
+        B, _, N, Ninv = _chain_block(word[: half + 1], 1.0)
+        B = B + [NCPoly.zero()] * half
+        M = _poly_zeros(half)
+        M[-1][-1] = NCPoly.monomial(word[half : len(word) - half], -coeff)
+    else:
+        B, C, N, Ninv = _chain_block(word, coeff)
+        B = B + [adjoint(c) for c in C]
+        M = _poly_zeros(len(N))
+    Ninv_star = _adjoint_poly_matrix(Ninv)
+    top = [[-q for q in row] for row in _poly_matmul(_poly_matmul(Ninv, M), Ninv_star)]
+    zero = _poly_zeros(len(N))
+    D = [a + b for a, b in zip(zero, _adjoint_poly_matrix(N))] + [a + b for a, b in zip(N, M)]
+    Dprime = [a + b for a, b in zip(top, Ninv)] + [a + b for a, b in zip(Ninv_star, zero)]
     return B, D, Dprime
 
 
@@ -201,62 +216,32 @@ def linearize(p: NCPoly):
     blocks = []
     seen = set()
     for word, coeff in p.higher_part().terms:
-        if word in seen:
-            continue
-        rev = word[::-1]
-        if rev == word:
-            # a palindrome is realized as two equal halves
-            if coeff / 2.0 + coeff / 2.0 != coeff:
-                raise PreconditionError(f"coefficient {coeff!r} of Z-word {word} has no exact half")
-            blocks.append(_pair_block(word, coeff / 2.0))
-            seen.add(word)
-        else:
-            # selfadjointness pairs word with its reversal, conjugated
-            blocks.append(_pair_block(word, coeff))
-            seen.add(word)
-            seen.add(rev)
+        if word not in seen:
+            # selfadjointness pairs each word with its reversal, conjugated
+            seen.update((word, word[::-1]))
+            blocks.append(_word_block(word, coeff))
 
-    B = []
-    for Bb, _, _ in blocks:
-        B.extend(Bb)
-    m = len(B)
-    D = [[NCPoly.zero()] * m for _ in range(m)]
-    Dprime = [[NCPoly.zero()] * m for _ in range(m)]
+    B = [q for Bb, _, _ in blocks for q in Bb]
+    C = [adjoint(q) for q in B]
+    D, Dprime = _poly_zeros(len(B)), _poly_zeros(len(B))
     off = 0
     for Bb, Db, Dpb in blocks:
-        k = len(Bb)
-        for i in range(k):
-            for j in range(k):
-                D[off + i][off + j] = Db[i][j]
-                Dprime[off + i][off + j] = Dpb[i][j]
-        off += k
-    C = [adjoint(q) for q in B]
+        for i in range(len(Bb)):
+            D[off + i][off : off + len(Bb)] = Db[i]
+            Dprime[off + i][off : off + len(Bb)] = Dpb[i]
+        off += len(Bb)
     corner = -p.affine_part()
     cert = LinearizationCertificate(corner=corner, B=tuple(B), C=tuple(C),
                                     D=tuple(tuple(r) for r in D),
                                     Dprime=tuple(tuple(r) for r in Dprime))
 
-    n = 1 + m
-    a0 = np.zeros((n, n), dtype=complex)
-    a1 = np.zeros((n, n), dtype=complex)
-    a2 = np.zeros((n, n), dtype=complex)
-
-    def put(i, j, poly):
-        if poly.degree > 1:
-            raise AssertionError("pencil entries must have degree <= 1")
-        a0[i, j] = poly.coeff(())
-        a1[i, j] = poly.coeff((1,))
-        a2[i, j] = poly.coeff((2,))
-
-    put(0, 0, corner)
-    for j, poly in enumerate(B):
-        put(0, 1 + j, poly)
-    for i, poly in enumerate(C):
-        put(1 + i, 0, poly)
-    for i in range(m):
-        for j in range(m):
-            put(1 + i, 1 + j, D[i][j])
-    return LinearPencil(a0, a1, a2), cert
+    # the pencil [[corner, B], [C, D]], read off entry by entry
+    entries = [[corner, *B]] + [[c, *row] for c, row in zip(C, D)]
+    if any(q.degree > 1 for row in entries for q in row):
+        raise AssertionError("pencil entries must have degree <= 1")
+    coeffs = (np.array([[q.coeff(word) for q in row] for row in entries], dtype=complex)
+              for word in ((), (1,), (2,)))
+    return LinearPencil(*coeffs), cert
 
 
 def verify_certificate(p: NCPoly, cert: LinearizationCertificate) -> bool:

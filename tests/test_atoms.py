@@ -9,7 +9,7 @@ from freeatoms.errors import ConvergenceError, PreconditionError
 from freeatoms.ncpoly import NCPoly
 from freeatoms.subord import FreeSumModel, scalar_model, solve_subordination, sum_density
 
-from block_pencil import SUM_BLOCK_PENCIL
+from block_pencil import HALVES_PENCIL, SUM_BLOCK_PENCIL
 
 Z1, Z2 = NCPoly.z1(), NCPoly.z2()
 
@@ -243,15 +243,28 @@ class TestEigenvalueTest:
         for name in ("b1", "b2", "beta1", "beta2"):
             np.testing.assert_array_equal(getattr(rep, name), getattr(direct, name))
 
-    def test_palindrome_kernel_limit_beside_a_projection(self):
-        # Z1 Z2 Z1 at 0 on its 5 x 5 pencil: ker X1 has trace 0.7 and the
-        # compression of X2 to ran X1 is atomless; the doubled pencil's
-        # eps-ladder carries a mode growing like 1/eps
+    def test_palindrome_kernel_limit_beside_a_projection(self, monkeypatch):
+        # Z1 Z2 Z1 at 0 on the 5 x 5 pencil of its two halves: ker X1 has
+        # trace 0.7 and the compression of X2 to ran X1 is atomless; the
+        # doubled pencil's eps-ladder carries a mode growing like 1/eps
+        monkeypatch.setattr(A, "linearize", lambda p: (HALVES_PENCIL, None))
         rep = A.eigenvalue_test(Z1 * Z2 * Z1, 0.0, MU1, SC2)
         assert rep.n == 5 and rep.regularized
         assert rep.diagnostics["poly_kernel_trace"] == pytest.approx(0.7, abs=1e-6)
-        err = rep.regularization.report.diagnostics["iv_extrapolation_error"]
+        reg = rep.regularization
+        err = reg.report.diagnostics["iv_extrapolation_error"]
         assert 0.0 < err <= O.KERNEL_LIMIT_TOL
+        assert reg.integer_offset == pytest.approx(8.0, abs=1e-2)
+
+    def test_palindrome_on_its_smallest_pencil(self):
+        # the 3 x 3 pencil with B = [Z1, 0], D = [[0, 1], [1, -Z2]] gives
+        # the same kernel trace through a doubled pencil of size r1 + r2
+        rep = A.eigenvalue_test(Z1 * Z2 * Z1, 0.0, MU1, SC2)
+        assert rep.n == 3 and rep.regularized
+        assert rep.diagnostics["poly_kernel_trace"] == pytest.approx(0.7, abs=1e-6)
+        reg = rep.regularization
+        assert reg.report.n < 2 * rep.n
+        assert reg.offset_distance < 1e-2
 
     def test_anticommutator_free_projections(self):
         rep = A.eigenvalue_test(Z1 * Z2 + Z2 * Z1, 0.0, PROJ, PROJ)

@@ -222,6 +222,21 @@ class TestDecomposeCommand:
         ])
         assert code == 0
 
+    # a --b that does not fit the model is refused, not broadcast or cut
+    @pytest.mark.parametrize("command, extra, message", [
+        ("decompose", ["--a1", "[[1,0],[0,2]]", "--b", "1"], "--b must be 2 x 2"),
+        ("oracle", ["--a1", "[[1,0],[0,2]]", "--b", "[[0,0,0],[0,0,0],[0,0,1]]", "--size", "8"],
+         "--b must be 2 x 2"),
+        ("decompose", ["--b", "[[0,0]]"], "--b must be square"),
+        ("decompose", ["--a1", "[[1,0],[0,2]]", "--b", "[[0,1],[0,0]]"], "--b must be Hermitian"),
+        ("oracle", ["--b", "[[NaN]]", "--size", "8"], "--b has non-finite entries"),
+    ], ids=["broadcast-scalar", "oracle-larger", "not-square", "not-hermitian", "nan"])
+    def test_b_is_checked_against_the_model(self, files, capsys, command, extra, message):
+        code = run_cli([command, "--mu1", files["mix1"], "--mu2", files["mix2"], *extra])
+        assert code == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:") and message in err
+
     def test_singular_expectation_maps_to_schema_exit(self, files, capsys):
         # no atom at b = 0.5: precondition violation, not a crash
         code = run_cli([
@@ -506,6 +521,11 @@ class TestExitCodes:
                      id="oracle-extra7-None---epsilon"),
         pytest.param("oracle", ["--bins", "0"], "--bins", id="oracle-extra8-None---bins"),
         pytest.param("oracle", ["--lambda", "nan"], "--lambda", id="oracle-extra9-None---lambda"),
+        pytest.param("atom-scan", ["--candidates", "0,nan"], "--candidates",
+                     id="atom-scan-candidates-nan"),
+        pytest.param("atom-scan", ["--candidates", "inf"], "--candidates",
+                     id="atom-scan-candidates-inf"),
+        pytest.param("oracle", ["--candidates", "nan"], "--candidates", id="oracle-candidates-nan"),
     ])
     def test_non_finite_or_out_of_range_numerics(self, files, capsys, command, extra, flag):
         code = run_cli([command, "--mu1", files["mix1"], "--mu2", files["mix2"], *extra])

@@ -68,11 +68,21 @@ class TestLinearize:
         with pytest.raises(PreconditionError):
             linearize(Z1 * Z2)
 
-    def test_rejects_coefficient_without_exact_half(self):
-        # a palindrome is split in halves and 5e-324 / 2 rounds to 0, so
-        # B D' C = p could not hold exactly
-        with pytest.raises(PreconditionError, match="no exact half"):
-            linearize(5e-324 * Z1 * Z1)
+    def test_subnormal_palindrome_coefficient_is_exact(self):
+        # a palindrome is realized once, its coefficient on D's diagonal as
+        # given: 5e-324, which has no exact half, needs none
+        p = 5e-324 * Z1 * Z1
+        L, cert = linearize(p)
+        assert L.n == 3 and L.a0[2, 2] == -5e-324
+        assert verify_certificate(p, cert)
+
+    @pytest.mark.parametrize("word", [(1, 1), (1, 2, 1), (2, 1, 1, 2), (1, 2, 1, 2, 1)],
+                             ids=["d2", "d3", "d4", "d5"])
+    def test_palindrome_block_size(self, word):
+        p = NCPoly.monomial(word, -1.5)
+        L, cert = linearize(p)
+        assert L.n == 1 + 2 * (len(word) // 2)
+        assert verify_certificate(p, cert)
 
     # the corner takes the affine part whole: 5e-324 needs no exact half
     @pytest.mark.parametrize("c0, c1, c2", [(0.0, 1.0, 1.0), (0.5, 2.0, -1.0), (-3.0, 0.0, 1.5),
@@ -137,14 +147,8 @@ class TestCertificateProperty:
         p = q + adjoint(q) + constant
         assume(p.degree >= 1)
         assert is_selfadjoint(p) and p.degree <= 4
-        # the certificate splits palindromic terms of degree >= 2 in halves; a
-        # coefficient without an exact half (tiny subnormals) is refused, never rounded
-        if all(c / 2.0 + c / 2.0 == c for w, c in p.higher_part().terms if w == w[::-1]):
-            _pencil, cert = linearize(p)
-            assert verify_certificate(p, cert)
-        else:
-            with pytest.raises(PreconditionError, match="no exact half"):
-                linearize(p)
+        _pencil, cert = linearize(p)
+        assert verify_certificate(p, cert)
 
 
 class TestVerifyCertificate:

@@ -768,7 +768,7 @@ class TestMatrixJson:
 
         inner = report(2 * n)
         reg = RegularizationResult(q1=draw(), q2=draw(), doubled_pencil=pencil, report=inner,
-                                   integer_offset=2.0, offset_distance=0.0)
+                                   integer_offset=2.0)
         outer = report(n, model=model, regularization=reg)
         outer.b1, outer.b2, outer.beta1, outer.beta2 = draw(), draw(), draw(), draw()
         again = AtomReport.from_json_dict(json_round_trip(outer.to_json_dict()))

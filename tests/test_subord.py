@@ -512,6 +512,19 @@ class TestSumDensity:
         d, _ = sum_density(model, np.linspace(-3.5, 3.5, 41), y_eval=1e-4)
         assert np.all(d[:, 1] >= -1e-10)
 
+    def test_continuation_ladder_reaches_the_axis(self):
+        # mix = 0.3 delta_0 + 0.7 semicircle: started cold at x = 0 without
+        # the continuation ladder, the point is floor-accepted far from its
+        # fixed point (residual 7.8e-8 < 4 eps / y at y = 1e-8) and reads 9.5e6
+        mix = M.SpectralMeasure(atoms=((0.0, 0.3),), support=(-2.0, 2.0),
+                                continuous=(M.SemicirclePiece(0.0, 2.0, 0.7),))
+        model = scalar_model(mix, mix)
+        xs = [-1.0, 0.0, 1.0]
+        ref, _ = sum_density(model, xs, y_eval=1e-6)
+        for y in (1e-8, 1e-10):
+            data, _ = sum_density(model, xs, y_eval=y)
+            np.testing.assert_allclose(data[:, 1], ref[:, 1], rtol=0, atol=1e-5)
+
     def test_rejects_empty_grid(self):
         with pytest.raises(PreconditionError, match="no points"):
             sum_density(scalar_model(BERN, BERN), [])
