@@ -36,7 +36,7 @@ from .linearize import LinearPencil, corner_shift, linearize
 from .measure import SpectralMeasure
 from .ncpoly import NCPoly, format_poly, is_selfadjoint, star_square
 from .opval import (expected_kernel_projection, herm_part, imag_part, kernel_profile, pack_matrix,
-                    richardson, unpack_matrix)
+                    richardson)
 from .subord import DEFAULT_TOL, FreeSumModel, SubordinationResult, solve_subordination
 
 DEFAULT_Y0 = 0.1
@@ -45,8 +45,9 @@ DEFAULT_DEPTH = 16
 CONV_TOL = 1e-4
 # candidate atom locations closer than this are one location
 _MERGE_TOL = 1e-6
-# largest distance from an integer that integer_test accepts
-_INTEGER_TOL = 1e-2
+# largest distance from an integer that integer_test, and the integer offset
+# of a strict eigtest, accept
+INTEGER_TOL = 1e-2
 # eigenvalues of E(p) below this are treated as null directions
 _NULL_ABS = 1e-8
 _NULL_REL = 1e-4
@@ -212,18 +213,19 @@ class RegularizationResult:
 
 @dataclass
 class AtomReport:
-    """Numerical atom certificate at location b (all data at operating level n)."""
+    """Numerical atom certificate at location b (all data at operating level n).
+
+    An output format: :meth:`to_json_dict` writes it, nothing reads it back.
+    """
 
     b: np.ndarray
     E_p: np.ndarray
-    mass: float
     b1: np.ndarray | None
     b2: np.ndarray | None
     beta1: np.ndarray | None
     beta2: np.ndarray | None
     residuals: dict
     regularized: bool
-    integer_test: tuple  # (n * mass, nearest integer, distance)
     model: FreeSumModel | None = None
     kernel_traces: tuple | None = None  # (tau(p1), tau(p2))
     diagnostics: dict = field(default_factory=dict)
@@ -234,10 +236,20 @@ class AtomReport:
     def n(self):
         return self.E_p.shape[0]
 
+    @property
+    def mass(self):
+        return float(np.trace(self.E_p).real) / self.n
+
+    @property
+    def integer_test(self):
+        """(n * mass, nearest integer, distance)."""
+        value = self.n * self.mass
+        nearest = int(round(value))
+        return (float(value), nearest, abs(value - nearest))
+
     def to_json_dict(self):
-        n = self.n
         out = {
-            "n": n,
+            "n": self.n,
             "b": pack_matrix(self.b),
             "E_p": pack_matrix(self.E_p),
             "mass": self.mass,
@@ -247,7 +259,7 @@ class AtomReport:
             "beta2": None if self.beta2 is None else pack_matrix(self.beta2),
             "residuals": {k: float(v) for k, v in self.residuals.items()},
             "regularized": self.regularized,
-            "integer_test": [self.integer_test[0], self.integer_test[1], self.integer_test[2]],
+            "integer_test": list(self.integer_test),
             "kernel_traces": None if self.kernel_traces is None else list(self.kernel_traces),
             "diagnostics": _jsonable(self.diagnostics),
             "conclusion": self.conclusion,
@@ -268,46 +280,6 @@ class AtomReport:
             }
         return out
 
-    @classmethod
-    def from_json_dict(cls, d):
-        n = int(d["n"])
-
-        def opt(key):
-            return None if d.get(key) is None else unpack_matrix(d[key], n)
-
-        reg = None
-        if d.get("regularization") is not None:
-            r = d["regularization"]
-            sub = AtomReport.from_json_dict(r["report"])
-            reg = RegularizationResult(
-                q1=unpack_matrix(r["q1"], n),
-                q2=unpack_matrix(r["q2"], n),
-                doubled_pencil=LinearPencil.from_json_dict(r["doubled_pencil"]),
-                report=sub,
-                integer_offset=r["integer_offset"],
-                ambiguous=r.get("ambiguous", False),
-            )
-        model = None
-        if d.get("model") is not None:
-            model = FreeSumModel.from_json_dict(d["model"])
-        return cls(
-            b=unpack_matrix(d["b"], n),
-            E_p=unpack_matrix(d["E_p"], n),
-            mass=d["mass"],
-            b1=opt("b1"),
-            b2=opt("b2"),
-            beta1=opt("beta1"),
-            beta2=opt("beta2"),
-            residuals=dict(d["residuals"]),
-            regularized=d["regularized"],
-            integer_test=tuple(d["integer_test"]),
-            model=model,
-            kernel_traces=None if d.get("kernel_traces") is None else tuple(d["kernel_traces"]),
-            diagnostics=d.get("diagnostics", {}),
-            regularization=reg,
-            conclusion=d.get("conclusion", ""),
-        )
-
 
 def _jsonable(obj):
     if isinstance(obj, dict):
@@ -321,12 +293,6 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
     return obj
-
-
-def _integer_fields(n, mass):
-    value = n * mass
-    nearest = int(round(value))
-    return (float(value), nearest, abs(value - nearest))
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +355,6 @@ def decompose_atom(scan: LadderScan) -> AtomReport:
             f"(min eigenvalue {np.linalg.eigvalsh(E_p).min():.3e}, "
             f"threshold {null_threshold(E_p):.3e})"
         )
-    mass = scan.mass
-
     omega1, omega2 = scan.solve.omega1, scan.solve.omega2
     ys = scan.ys[:, None, None]
     b1, _d1, e1 = richardson(omega1)
@@ -430,19 +394,17 @@ def decompose_atom(scan: LadderScan) -> AtomReport:
         lhs_errors.append(lhs_err)
     residuals["iv"] = max(residuals["iv_1"], residuals["iv_2"])
     residuals["iii"] = float(min(tau_parts))
-    residuals["vii"] = float(abs(tau_parts[0] + tau_parts[1] - 1.0 - mass))
+    residuals["vii"] = float(abs(tau_parts[0] + tau_parts[1] - 1.0 - scan.mass))
 
     return AtomReport(
         b=b,
         E_p=E_p,
-        mass=mass,
         b1=b1,
         b2=b2,
         beta1=beta1,
         beta2=beta2,
         residuals=residuals,
         regularized=False,
-        integer_test=_integer_fields(n, mass),
         model=model,
         kernel_traces=(float(tau_parts[0]), float(tau_parts[1])),
         diagnostics={**scan.diagnostics, "iv_extrapolation_error": max(lhs_errors)},
@@ -551,7 +513,7 @@ def integer_test(report: AtomReport) -> IntegerTestResult:
     else:
         mode = "atomic"
         residual = abs(n * (report.mass + 1.0) - n * sum(report.kernel_traces))
-    passed = (distance if residual is None else residual) <= _INTEGER_TOL
+    passed = (distance if residual is None else residual) <= INTEGER_TOL
     return IntegerTestResult(value, nearest, distance, bool(passed), mode, residual)
 
 
@@ -588,7 +550,6 @@ def eigenvalue_test(p: NCPoly, lam: float, mu1: SpectralMeasure, mu2: SpectralMe
     b = -shifted.a0
     model = FreeSumModel(L.a1, L.a2, mu1, mu2)
     scan = ladder_scan(model, b, y_ladder, tol)
-    mass = scan.mass
     if scan.invertible:
         report = decompose_atom(scan)
     else:
@@ -596,20 +557,18 @@ def eigenvalue_test(p: NCPoly, lam: float, mu1: SpectralMeasure, mu2: SpectralMe
         report = AtomReport(
             b=b,
             E_p=scan.E_p,
-            mass=mass,
             b1=None,
             b2=None,
             beta1=None,
             beta2=None,
             residuals={},
             regularized=True,
-            integer_test=_integer_fields(n, mass),
             model=model,
             diagnostics=scan.diagnostics,
             regularization=support_regularize(scan),
         )
 
-    kernel_trace = n * mass
+    kernel_trace = n * scan.mass
     report.diagnostics["poly"] = format_poly(p)
     report.diagnostics["lambda"] = float(lam)
     report.diagnostics["poly_kernel_trace"] = kernel_trace

@@ -64,7 +64,7 @@ class RunConfig:
     mu1_path: str | None = None
     mu2_path: str | None = None
     poly: str | None = None
-    lam: float = 0.0
+    lam: float | None = None  # --lambda; None tells "not given" from 0.0
     b_spec: str | None = None
     a1_spec: str | None = None
     a2_spec: str | None = None
@@ -78,7 +78,7 @@ class RunConfig:
         for flag, value in positive:
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise SchemaError(f"{flag} must be positive and finite, got {value!r}")
-        if not math.isfinite(self.lam):
+        if self.lam is not None and not math.isfinite(self.lam):
             raise SchemaError(f"--lambda must be finite, got {self.lam!r}")
         if not all(math.isfinite(x) for x in self.candidates):
             raise SchemaError(f"--candidates must be finite, got {self.candidates!r}")
@@ -89,6 +89,11 @@ class RunConfig:
             raise SchemaError(f"--grid {lo!r}:{hi!r}:{points!r} needs finite min < max, points >= 1")
         if self.bins < 1:
             raise SchemaError(f"--bins must be at least 1, got {self.bins}")
+
+    @property
+    def shift(self):
+        """The --lambda shift, 0.0 when the flag is not given."""
+        return 0.0 if self.lam is None else self.lam
 
 
 def _load_measure(path):
@@ -182,13 +187,28 @@ def _emit(cfg, payload, csv_rows=None, csv_header=None):
         sys.stdout.write(text)
 
 
-def _strict_residual_failures(report):
-    bad = []
-    n = report.n
-    for key, limit in STRICT_LIMITS.items():
-        if key in report.residuals and report.residuals[key] > limit * n:
-            bad.append((key, report.residuals[key], limit * n))
-    return bad
+def _check_mode_flags(cfg):
+    """Reject, rather than ignore, a flag of the mode a run is not in:
+    the model flags --a1, --a2, --b with --poly, and --lambda without it."""
+    if cfg.poly:
+        given = [f for f in ("--a1", "--a2", "--b") if getattr(cfg, _FLAGS[f]["dest"]) is not None]
+        if given:
+            raise SchemaError(f"--poly conflicts with {', '.join(given)}")
+    elif cfg.lam is not None:
+        raise SchemaError("--lambda needs --poly")
+
+
+def _fails_strict(report):
+    """Whether a residual exceeds STRICT_LIMITS scaled by its report's n.
+
+    A regularized report fails also on its doubled pencil's report, and
+    on an integer offset farther than atoms.INTEGER_TOL from an integer.
+    """
+    reg = report.regularization
+    reports = (report,) if reg is None else (report, reg.report)
+    return (any(rep.residuals.get(key, 0.0) > limit * rep.n
+                for rep in reports for key, limit in STRICT_LIMITS.items())
+            or (reg is not None and reg.offset_distance > atoms_mod.INTEGER_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +255,7 @@ def _cmd_decompose(cfg):
     b = _parse_b(cfg, model.n, np.zeros((model.n, model.n)))
     report = atoms_mod.decompose_atom(atoms_mod.ladder_scan(model, b, _ladder(cfg), cfg.tol))
     _emit(cfg, report.to_json_dict())
-    if cfg.strict and _strict_residual_failures(report):
+    if cfg.strict and _fails_strict(report):
         return EXIT_STRICT
     return EXIT_OK
 
@@ -257,7 +277,7 @@ def _cmd_atom_scan(cfg):
             reports.append(rep)
         results.append(entry)
     _emit(cfg, {"candidates": results, "locations_probed": probes})
-    if cfg.strict and any(_strict_residual_failures(rep) for rep in reports):
+    if cfg.strict and any(_fails_strict(rep) for rep in reports):
         return EXIT_STRICT
     return EXIT_OK
 
@@ -269,7 +289,7 @@ def _eigenvalue_test(cfg):
     p = parse_poly(cfg.poly)
     mu1 = _load_measure(cfg.mu1_path)
     mu2 = _load_measure(cfg.mu2_path)
-    report = atoms_mod.eigenvalue_test(p, cfg.lam, mu1, mu2,
+    report = atoms_mod.eigenvalue_test(p, cfg.shift, mu1, mu2,
                                        y_ladder=_ladder(cfg), tol=cfg.tol)
     return p, mu1, mu2, report
 
@@ -277,12 +297,8 @@ def _eigenvalue_test(cfg):
 def _cmd_eigtest(cfg):
     *_, report = _eigenvalue_test(cfg)
     _emit(cfg, report.to_json_dict())
-    if cfg.strict:
-        if _strict_residual_failures(report):
-            return EXIT_STRICT
-        reg = report.regularization
-        if reg is not None and reg.offset_distance > 1e-2:
-            return EXIT_STRICT
+    if cfg.strict and _fails_strict(report):
+        return EXIT_STRICT
     return EXIT_OK
 
 
@@ -291,12 +307,13 @@ def _oracle_spec(cfg, mu1, mu2):
 
 
 def _cmd_oracle(cfg):
+    _check_mode_flags(cfg)
     model = _build_model(cfg)
     spec = _oracle_spec(cfg, model.mu1, model.mu2)
     if cfg.poly:
         p = parse_poly(cfg.poly)
-        rep = rmt.oracle_report(spec, poly=p, lam=cfg.lam,
-                                locations=[cfg.lam] + [float(x) for x in cfg.candidates],
+        rep = rmt.oracle_report(spec, poly=p, lam=cfg.shift,
+                                locations=[cfg.shift] + [float(x) for x in cfg.candidates],
                                 bins=cfg.bins, epsilon=cfg.epsilon)
     else:
         b = _parse_b(cfg, model.n, None)
@@ -315,16 +332,17 @@ def _cmd_oracle(cfg):
 
 def _cmd_compare(cfg):
     p, mu1, mu2, report = _eigenvalue_test(cfg)
+    lam = cfg.shift
     pipeline_mass = report.diagnostics["poly_kernel_trace"]
     spec = _oracle_spec(cfg, mu1, mu2)
     eps = cfg.epsilon if cfg.epsilon is not None else 1e-7
-    orep = rmt.oracle_report(spec, poly=p, lam=cfg.lam, locations=[cfg.lam],
+    orep = rmt.oracle_report(spec, poly=p, lam=lam, locations=[lam],
                              bins=cfg.bins, epsilon=eps)
-    oracle_mass, se = orep.masses[float(cfg.lam)]
+    oracle_mass, se = orep.masses[float(lam)]
     tolerance = 2.0 / cfg.N + 3.0 * se
     agree = abs(pipeline_mass - oracle_mass) <= tolerance
     payload = {
-        "lambda": cfg.lam,
+        "lambda": lam,
         "pipeline_mass": pipeline_mass,
         "oracle_mass": oracle_mass,
         "oracle_stderr": se,

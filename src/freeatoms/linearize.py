@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .ncpoly import NCPoly, adjoint, eval_matrices, format_poly, is_selfadjoint
-from .opval import check_hermitian, herm_part, numerical_kernel_dim, pack_matrix, unpack_matrix
+from .opval import check_hermitian, herm_part, numerical_kernel_dim, pack_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -75,11 +75,6 @@ class LinearPencil:
     def to_json_dict(self):
         return {"n": self.n, "a0": pack_matrix(self.a0), "a1": pack_matrix(self.a1),
                 "a2": pack_matrix(self.a2)}
-
-    @classmethod
-    def from_json_dict(cls, d):
-        n = int(d["n"])
-        return cls(*(unpack_matrix(d[name], n) for name in ("a0", "a1", "a2")))
 
 
 @dataclass(frozen=True)

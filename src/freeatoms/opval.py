@@ -122,11 +122,6 @@ def pack_matrix(m):
     return [[float(v.real), float(v.imag)] for v in m.reshape(-1)]
 
 
-def unpack_matrix(flat, n):
-    """Inverse of :func:`pack_matrix` for an n x n matrix."""
-    return np.array([complex(re, im) for re, im in flat]).reshape(n, n)
-
-
 # ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------

@@ -137,10 +137,10 @@ def _trial_eigs(spec, rng, block_eigs, dense_eigs):
 
     ``block_eigs(X1, X2)`` maps stacks of k x k blocks to the target's
     eigenvalues, shape (stack, rows * k); ``dense_eigs(d1, A2)`` gives
-    those of the N x N target at (diag(d1), A2).  A point-mass law c
-    commutes with the other variable, so the spectrum is that of the N
-    1 x 1 blocks (d1_i, d2_i), the constant side ``np.full(N, c)`` (the
-    bits of its quantile grid).  Two laws with at most two atoms take
+    those of the N x N target at (diag(d1), A2).  Both grids are the
+    laws' :func:`quantiles`; a point-mass law c, whose grid is N copies
+    of c, commutes with the other variable, so the spectrum is that of
+    the N 1 x 1 blocks (d1_i, d2_i).  Two laws with at most two atoms take
     :func:`_halmos_eigs` at cosines from :func:`_two_subspace_cosines`;
     any other pair the dense draw of :func:`_realize_reduced`.
     """
@@ -148,9 +148,7 @@ def _trial_eigs(spec, rng, block_eigs, dense_eigs):
     path = _trial_path(spec)
     if path == "dense":
         return np.sort(dense_eigs(*_realize_reduced(spec, rng)))
-    laws = (spec.mu1, spec.mu2)
-    consts = [_point_mass_at(mu) for mu in laws]
-    d1, d2 = (quantiles(mu, N) if c is None else np.full(N, c) for mu, c in zip(laws, consts))
+    d1, d2 = (quantiles(mu, N) for mu in (spec.mu1, spec.mu2))
     if path == "two-subspace":
         k1, k2 = (int(np.count_nonzero(d > d[0])) for d in (d1, d2))
         cosines = _two_subspace_cosines(N, k1, k2, rng)

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ConvergenceError, PreconditionError
 from .measure import SpectralMeasure
 from .opval import (Coefficient, check_hermitian, herm_part, imag_part, matrix_cauchy,
-                    matrix_f, min_imag_eig, pack_matrix, unpack_matrix, validate_upper)
+                    matrix_f, min_imag_eig, pack_matrix, validate_upper)
 
 DEFAULT_TOL = 1e-12
 DEFAULT_Y_EVAL = 1e-4  # height of sum_density's evaluation points
@@ -72,14 +72,6 @@ class FreeSumModel:
             "mu1": self.mu1.to_json_dict(),
             "mu2": self.mu2.to_json_dict(),
         }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        n = int(d.get("n", 1))
-        a1 = unpack_matrix(d["a1"], n) if "a1" in d else np.eye(n)
-        a2 = unpack_matrix(d["a2"], n) if "a2" in d else np.eye(n)
-        return cls(a1, a2, SpectralMeasure.from_json_dict(d["mu1"]),
-                   SpectralMeasure.from_json_dict(d["mu2"]))
 
 
 def scalar_model(mu1, mu2):

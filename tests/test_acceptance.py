@@ -222,10 +222,8 @@ def test_criterion_7_atomless_trichotomy():
             E, _diag = A.boundary_emass(A.ladder_scan(model, b))
             mass = float(np.trace(E).real) / 2
             report = A.AtomReport(
-                b=b, E_p=E, mass=mass, b1=None, b2=None, beta1=None, beta2=None,
-                residuals={}, regularized=False,
-                integer_test=(2 * mass, int(round(2 * mass)), abs(2 * mass - round(2 * mass))),
-                model=model,
+                b=b, E_p=E, b1=None, b2=None, beta1=None, beta2=None,
+                residuals={}, regularized=False, model=model,
             )
             res = A.integer_test(report)
             assert res.mode == "atomless"

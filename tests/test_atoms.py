@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -157,14 +159,15 @@ class TestDecomposeAtom:
         with pytest.raises(PreconditionError):
             A.decompose_atom(A.ladder_scan(model, b_scalar(0.0)))
 
-    def test_report_round_trip(self):
+    def test_report_json(self):
         model = scalar_model(MU1, MU2)
         rep = A.decompose_atom(A.ladder_scan(model, b_scalar(0.0)))
-        again = A.AtomReport.from_json_dict(rep.to_json_dict())
-        assert again.mass == pytest.approx(rep.mass)
-        np.testing.assert_allclose(again.beta1, rep.beta1)
-        assert again.residuals == pytest.approx(rep.residuals)
-        assert again.model.mu1 == model.mu1
+        d = json.loads(json.dumps(rep.to_json_dict()))
+        assert d["mass"] == rep.mass
+        assert d["integer_test"] == list(rep.integer_test)
+        assert d["beta1"] == [[rep.beta1[0, 0].real, rep.beta1[0, 0].imag]]
+        assert d["residuals"] == rep.residuals
+        assert d["model"]["mu1"] == model.mu1.to_json_dict()
 
 
 class TestSupportRegularize:
@@ -433,8 +436,8 @@ class TestStackedLadder:
         assert rep.diagnostics["rung_residuals"] == expected.tolist()
         assert max(rep.diagnostics["rung_residuals"]) <= 1e-12
         # the report carries them as plain JSON numbers
-        again = A.AtomReport.from_json_dict(rep.to_json_dict())
-        assert again.diagnostics["rung_residuals"] == pytest.approx(expected.tolist())
+        written = json.loads(json.dumps(rep.to_json_dict()))["diagnostics"]
+        assert written["rung_residuals"] == expected.tolist()
 
     def test_failing_deep_rungs_truncate_without_a_resolve(self, monkeypatch):
         # cold rungs of the Bernoulli-semicircle sum at 0 converge at
@@ -520,7 +523,7 @@ class TestFloorAcceptances:
     def test_two_atom_ladder_counts_none(self, b):
         rep = A.decompose_atom(A.ladder_scan(scalar_model(MU1, MU2), b_scalar(b)))
         assert rep.diagnostics["floor_acceptances"] == 0
-        again = A.AtomReport.from_json_dict(rep.to_json_dict()).diagnostics
+        again = json.loads(json.dumps(rep.to_json_dict()))["diagnostics"]
         assert again["floor_acceptances"] == 0
         assert rep.diagnostics["lifted_evaluations"] == again["lifted_evaluations"] == 0
 

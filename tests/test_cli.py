@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeatoms import cli, rmt, subord
-from freeatoms.atoms import AtomReport
-from freeatoms.linearize import LinearPencil
+from freeatoms import atoms, cli, rmt, subord
 from freeatoms.measure import SpectralMeasure
+
+from matrix_json import decode
 
 
 BERN_PM1 = {
@@ -109,22 +109,20 @@ class TestLinearizeCommand:
         assert raw == json.dumps(out, sort_keys=True) + "\n"  # compact, one line
         assert out["n"] == 3
         assert out["verified"] is True
-        pencil = LinearPencil.from_json_dict(out)
-        np.testing.assert_array_equal(pencil.a0, [[0, 0, 0], [0, 0, 1], [0, 1, 0]])
-        np.testing.assert_array_equal(pencil.a1, [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-        np.testing.assert_array_equal(pencil.a2, [[0, 0, 1], [0, 0, 0], [1, 0, 0]])
+        a0, a1, a2 = (decode(out[name], 3) for name in ("a0", "a1", "a2"))
+        np.testing.assert_array_equal(a0, [[0, 0, 0], [0, 0, 1], [0, 1, 0]])
+        np.testing.assert_array_equal(a1, [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+        np.testing.assert_array_equal(a2, [[0, 0, 1], [0, 0, 0], [1, 0, 0]])
         assert out["certificate"]["B"] == ["Z1", "Z2"]
 
-    def test_round_trip_json(self, files, tmp_path, capsys):
+    def test_out_file_json(self, files, tmp_path, capsys):
         out_file = tmp_path / "pencil.json"
         code = run_cli(["linearize", "--poly", "Z1^2 - 0.5", "--out", str(out_file)])
         assert code == 0
         data = json.loads(out_file.read_text())
-        pencil = LinearPencil.from_json_dict(data)
-        again = LinearPencil.from_json_dict(pencil.to_json_dict())
-        np.testing.assert_array_equal(pencil.a0, again.a0)
+        a0 = decode(data["a0"], data["n"])
         # the affine part sits in the corner: -(-0.5) at (0, 0)
-        assert data["certificate"]["corner"] == "0.5" and pencil.a0[0, 0] == 0.5
+        assert data["certificate"]["corner"] == "0.5" and a0[0, 0] == 0.5
 
     def test_rejects_bad_poly(self, capsys):
         code = run_cli(["linearize", "--poly", "Z3 + 1"])
@@ -210,10 +208,9 @@ class TestDecomposeCommand:
         ])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
-        report = AtomReport.from_json_dict(out)
-        assert report.mass == pytest.approx(0.3, abs=1e-6)
-        assert report.beta1[0, 0].real == pytest.approx(7 / 3, abs=1e-6)
-        assert report.residuals["v"] < 1e-6
+        assert out["mass"] == pytest.approx(0.3, abs=1e-6)
+        assert decode(out["beta1"], 1)[0, 0].real == pytest.approx(7 / 3, abs=1e-6)
+        assert out["residuals"]["v"] < 1e-6
 
     def test_strict_mode_passes_clean_case(self, files, capsys):
         code = run_cli([
@@ -291,9 +288,7 @@ class TestEigtestCommand:
         assert code == 0
         assert out["regularized"] is True
         assert abs(out["diagnostics"]["poly_kernel_trace"]) < 1e-5
-        report = AtomReport.from_json_dict(out)
-        assert report.regularization is not None
-        assert report.regularization.offset_distance < 1e-2
+        assert out["regularization"]["offset_distance"] < 1e-2
 
     def test_sum_with_atoms(self, files, capsys):
         code = run_cli([
@@ -303,6 +298,25 @@ class TestEigtestCommand:
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["diagnostics"]["poly_kernel_trace"] == pytest.approx(0.1, abs=1e-5)
+
+    def test_strict_checks_the_regularized_report(self, files, capsys, monkeypatch):
+        # E(p) of Z1 Z2 Z1 at 0 is singular on these laws, so the identities are
+        # measured on the doubled pencil's report alone, to about 1e-11
+        argv = ["eigtest", "--poly", "Z1*Z2*Z1", "--lambda", "0", "--mu1", files["mix1"],
+                "--mu2", str(Path(__file__).parent / "data" / "semicircle.json"), "--strict"]
+        assert run_cli(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["residuals"] == {}
+        inner = out["regularization"]["report"]["residuals"]
+        assert 0.0 < max(inner[key] for key in cli.STRICT_LIMITS) < 1e-9
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "STRICT_LIMITS", dict.fromkeys(cli.STRICT_LIMITS, 1e-30))
+            assert run_cli(argv) == cli.EXIT_STRICT
+            assert run_cli(argv[:-1]) == 0
+        # the integer offset is held to the integer test's tolerance
+        assert 0.0 < out["regularization"]["offset_distance"] < 1e-9
+        monkeypatch.setattr(atoms, "INTEGER_TOL", 1e-30)
+        assert run_cli(argv) == cli.EXIT_STRICT
 
 
 class TestOracleCommand:
@@ -339,6 +353,19 @@ class TestOracleCommand:
         assert code == 0
         assert out["masses"]["0.0"][0] <= 2 / 200
         assert out["path"] == "two-subspace"
+
+    @pytest.mark.parametrize("extra, named", [
+        (["--poly", "Z1*Z2+Z2*Z1", "--a1", "[[1,0],[0,2]]", "--b", "[[5]]"], "--a1, --b"),
+        (["--poly", "Z1+Z2", "--a2", "0"], "--a2"),
+        (["--lambda", "0"], "--lambda"),
+    ], ids=["poly-a1-b", "poly-a2", "lambda-without-poly"])
+    def test_flags_of_the_other_mode_are_schema_errors(self, files, capsys, extra, named):
+        code = run_cli(["oracle", "--mu1", files["proj"], "--mu2", files["proj"], *extra,
+                        "--size", "20", "--trials", "1"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_SCHEMA
+        assert captured.out == ""
+        assert named in captured.err and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("laws, coefficients, path", [
         (("mix1", "mix2"), [], "two-subspace"),

@@ -16,6 +16,7 @@ from freeatoms.linearize import LinearPencil
 from freeatoms.subord import FreeSumModel
 
 from block_pencil import SUM_BLOCK_PENCIL
+from matrix_json import decode
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -700,13 +701,15 @@ class TestKernelProjectionLimit:
         assert cli.main(argv + ["--out", str(tmp_path / "ok.json")]) == cli.EXIT_OK
         # E(p) is singular there, so the identities are checked on the doubled
         # pencil, whose report carries the larger of its two pencils' estimates
-        report = AtomReport.from_json_dict(
-            json.loads((tmp_path / "ok.json").read_text())["regularization"]["report"])
-        model = report.model
-        errors = [O.expected_kernel_projection(a, b, mu, transform=_matrix_sqrt(beta))[1]
-                  for a, b, mu, beta in ((model.a1, report.b1, model.mu1, report.beta1),
-                                         (model.a2, report.b2, model.mu2, report.beta2))]
-        assert report.diagnostics["iv_extrapolation_error"] == max(errors)
+        report = json.loads((tmp_path / "ok.json").read_text())["regularization"]["report"]
+        n, model = report["n"], report["model"]
+        errors = []
+        for j in (1, 2):
+            a, b, beta = (decode(d[key], n) for d, key in
+                          ((model, f"a{j}"), (report, f"b{j}"), (report, f"beta{j}")))
+            mu = M.SpectralMeasure.from_json_dict(model[f"mu{j}"])
+            errors.append(O.expected_kernel_projection(a, b, mu, transform=_matrix_sqrt(beta))[1])
+        assert report["diagnostics"]["iv_extrapolation_error"] == max(errors)
         assert 0.0 < max(errors) <= O.KERNEL_LIMIT_TOL
 
         monkeypatch.setattr(O, "KERNEL_LIMIT_TOL", 1e-300)
@@ -716,8 +719,9 @@ class TestKernelProjectionLimit:
         assert diag["details"]["error_estimate"] > 0.0
 
 
-def complex_matrices(n):
-    finite = st.floats(allow_nan=False, allow_infinity=False)
+def complex_matrices(n, bound=None):
+    finite = (st.floats(allow_nan=False, allow_infinity=False) if bound is None
+              else st.floats(-bound, bound))
     return hnp.arrays(np.complex128, (n, n),
                       elements=st.builds(complex, finite, finite))
 
@@ -740,7 +744,7 @@ def same_bits(x, y):
 
 
 class TestMatrixJson:
-    """pack_matrix / unpack_matrix carry every complex matrix exactly, in every report."""
+    """Every complex matrix a report writes decodes bit for bit after JSON."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), n=st.integers(1, 4))
@@ -748,34 +752,37 @@ class TestMatrixJson:
         def draw(size=n):
             return data.draw(complex_matrices(size))
 
+        def check_written(obj, d, names, size=n):
+            for name in names:
+                assert same_bits(decode(d[name], size), getattr(obj, name)), name
+
         m = draw()
-        assert same_bits(O.unpack_matrix(json_round_trip(O.pack_matrix(m)), n), m)
+        assert same_bits(decode(json_round_trip(O.pack_matrix(m)), n), m)
 
         mu = M.point_mass(0.5)
         model = FreeSumModel(hermitian_from(draw()), hermitian_from(draw()), mu, mu)
-        again = FreeSumModel.from_json_dict(json_round_trip(model.to_json_dict()))
-        assert same_bits(again.a1, model.a1) and same_bits(again.a2, model.a2)
+        check_written(model, json_round_trip(model.to_json_dict()), ("a1", "a2"))
 
         pencil = LinearPencil(*(hermitian_from(draw(2 * n)) for _ in range(3)))
-        again = LinearPencil.from_json_dict(json_round_trip(pencil.to_json_dict()))
-        for name in ("a0", "a1", "a2"):
-            assert same_bits(getattr(again, name), getattr(pencil, name))
+        check_written(pencil, json_round_trip(pencil.to_json_dict()), ("a0", "a1", "a2"), 2 * n)
 
         def report(size, **extra):
-            return AtomReport(b=draw(size), E_p=draw(size), mass=0.25, b1=None, b2=None,
+            # a kernel expectation 0 <= E_p <= 1 has entries of modulus at most 1,
+            # so the trace the report reads its mass from is finite
+            E_p = data.draw(complex_matrices(size, bound=1.0))
+            return AtomReport(b=draw(size), E_p=E_p, b1=None, b2=None,
                               beta1=None, beta2=None, residuals={"v": 1e-9},
-                              regularized=False, integer_test=(0.25, 0, 0.25), **extra)
+                              regularized=False, **extra)
 
         inner = report(2 * n)
         reg = RegularizationResult(q1=draw(), q2=draw(), doubled_pencil=pencil, report=inner,
                                    integer_offset=2.0)
         outer = report(n, model=model, regularization=reg)
         outer.b1, outer.b2, outer.beta1, outer.beta2 = draw(), draw(), draw(), draw()
-        again = AtomReport.from_json_dict(json_round_trip(outer.to_json_dict()))
-        for name in ("b", "E_p", "b1", "b2", "beta1", "beta2"):
-            assert same_bits(getattr(again, name), getattr(outer, name))
-        assert same_bits(again.model.a1, model.a1) and same_bits(again.model.a2, model.a2)
-        for name in ("q1", "q2"):
-            assert same_bits(getattr(again.regularization, name), getattr(reg, name))
-        assert same_bits(again.regularization.doubled_pencil.a2, pencil.a2)
-        assert same_bits(again.regularization.report.E_p, inner.E_p)
+        d = json_round_trip(outer.to_json_dict())
+        check_written(outer, d, ("b", "E_p", "b1", "b2", "beta1", "beta2"))
+        check_written(model, d["model"], ("a1", "a2"))
+        r = d["regularization"]
+        check_written(reg, r, ("q1", "q2"))
+        check_written(pencil, r["doubled_pencil"], ("a0", "a1", "a2"), 2 * n)
+        check_written(inner, r["report"], ("b", "E_p"), 2 * n)

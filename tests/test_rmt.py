@@ -528,3 +528,15 @@ class TestCommutingOracle:
             return rmt._pencil_eigs(spec, model, None, np.random.default_rng(26))
 
         np.testing.assert_allclose(eigs(1e-9), 1e-9 * eigs(1.0), rtol=1e-6)
+
+    @pytest.mark.parametrize("N", [2, 7, 600, 2001])
+    def test_point_mass_grid_is_constant_to_the_bit(self, N):
+        # the commuting path reads a point-mass law's grid from quantiles;
+        # it is N copies of the location, the sign of zero included
+        for c in (0.0, -0.0, 1.3, -2.7e-5, 1e300):
+            assert M.quantiles(M.point_mass(c), N).tobytes() == np.full(N, c).tobytes()
+        # as is the law that stands in for an exactly zero coefficient
+        model = FreeSumModel(np.eye(2), np.zeros((2, 2)), MIXED, MIXED)
+        spec = rmt.EnsembleSpec(N=N, trials=1, seed=0, mu1=MIXED, mu2=MIXED)
+        zero_law = rmt._pencil_laws(spec, model).mu2
+        assert M.quantiles(zero_law, N).tobytes() == np.zeros(N).tobytes()
