@@ -17,7 +17,12 @@ and :func:`_trial_eigs` alone takes it; reports carry the name:
   draw;
 - "dense", any other pair: a dense Haar draw and an N x N (pencil:
   nN x nN) eigensolve.  The draw is N x N, or an N x |S| frame when
-  mu2 has atoms (see :func:`_realize_reduced`).
+  mu2 has atoms (see :func:`_realize_reduced`).  When both laws have
+  atoms, c1 and c2 their heaviest and S1, S2 the grid entries off them,
+  with s1 + s2 < N, the pair is the scalars (c1, c2) on the N - s1 - s2
+  dimensions where S1-perp and S2-perp meet: the draw and the eigensolve
+  work on S1 + S2 alone, and the 1 x 1 (pencil: n x n) block (c1, c2)
+  is repeated N - s1 - s2 times.
 
 The quantile grids of purely atomic laws take no bisection, and a
 pencil is written block by block into one array.
@@ -82,6 +87,10 @@ def realize_pair(spec: EnsembleSpec, rng=None):
     return out[0], out[1]
 
 
+def _heaviest_atom(mu):
+    return max(mu.atoms, key=lambda atom: atom[1])[0]
+
+
 def _realize_reduced(spec, rng):
     """Pair (D1, U D2 U*) with one Haar unitary: equal in joint law to
     :func:`realize_pair` conjugated by U1*, so every polynomial or pencil
@@ -92,16 +101,57 @@ def _realize_reduced(spec, rng):
     heaviest atom c, where S holds the entries of D2 other than c and
     U_S the columns of U on S.  Any |S| columns of a Haar unitary are
     distributed as its first |S|, so only those are drawn.
+
+    When mu1 has atoms too and the two light ranges S1, S2 (the grid
+    entries off each law's heaviest atom) fit, s1 + s2 < N, the pair is
+    returned on S1 + S2 alone (see :func:`_light_ranges`): a grid of
+    s1 + s2 entries, off which the pair is the scalars (c1, c2).
     """
-    d1 = quantiles(spec.mu1, spec.N)
-    d2 = quantiles(spec.mu2, spec.N)
+    N = spec.N
+    d1 = quantiles(spec.mu1, N)
+    d2 = quantiles(spec.mu2, N)
     if not spec.mu2.atoms:
-        u = haar_unitary(spec.N, rng)
+        u = haar_unitary(N, rng)
         return d1, herm_part((u * d2) @ u.conj().T)
-    c = max(spec.mu2.atoms, key=lambda atom: atom[1])[0]
-    rest = d2[d2 != c] - c
-    u = haar_unitary(spec.N, rng, rest.size)
-    return d1, herm_part(c * np.eye(spec.N) + (u * rest) @ u.conj().T)
+    c2 = _heaviest_atom(spec.mu2)
+    r2 = d2[d2 != c2] - c2
+    if spec.mu1.atoms:
+        c1 = _heaviest_atom(spec.mu1)
+        r1 = d1[d1 != c1]
+        if r1.size + r2.size < N:
+            return _light_ranges(N, r1, c1, r2, c2, rng)
+    u = haar_unitary(N, rng, r2.size)
+    return d1, herm_part(c2 * np.eye(N) + (u * r2) @ u.conj().T)
+
+
+def _light_ranges(N, r1, c1, r2, c2, rng):
+    """The pair (D1, c2 + U_S R2 U_S*) of :func:`_realize_reduced` on
+    S1 + ran U_S, of dimension m = s1 + s2 < N, in the basis [E_S1, Z]
+    with Z an orthonormal basis of ran U_S projected on S1-perp; r1 holds
+    D1's entries on S1 and r2 those of R2.  Both operators leave that
+    space invariant, and off it they are c1 and c2.
+
+    By the CS decomposition U_S = [W1 C; Z S] Y* with C the p = min(s1,
+    s2) principal-angle cosines against S1 (padded by zero columns), S
+    = sqrt(1 - C*C), W1 an s1 x p frame and Y in U(s2).  For Haar U_S the
+    cosines follow :func:`_two_subspace_cosines` and W1 and Y are Haar
+    and independent of them (Edelman & Sutton, Found. Comput. Math. 8,
+    2008), so the pair is (diag(r1, c1 1_s2), c2 + T Y* R2 Y T*) with T
+    = [W1 C; S].  W1 is drawn only where r1 varies and Y only where r2
+    varies: a constant block absorbs any fixed isometry.
+    """
+    s1, s2 = r1.size, r2.size
+    p = min(s1, s2)
+    cos = _two_subspace_cosines(N, s1, s2, rng)
+    varies1, varies2 = (np.any(r[1:] != r[:-1]) for r in (r1, r2))
+    w1 = haar_unitary(s1, rng, p) if p and varies1 else np.eye(s1, p)
+    y = haar_unitary(s2, rng) if varies2 else np.eye(s2)
+    sin = np.ones(s2)
+    sin[:p] = np.sqrt(np.maximum(1.0 - cos * cos, 0.0))
+    # T Y*, whose columns carry R2
+    t = np.concatenate([(w1 * cos) @ y[:p], sin[:, None] * y])
+    a1 = np.concatenate([r1, np.full(s2, c1)])
+    return a1, herm_part(c2 * np.eye(s1 + s2) + (t * r2) @ t.conj().T)
 
 
 def empirical_kernel_mass(matrix, lam, epsilon):
@@ -142,12 +192,21 @@ def _trial_eigs(spec, rng, block_eigs, dense_eigs):
     of c, commutes with the other variable, so the spectrum is that of
     the N 1 x 1 blocks (d1_i, d2_i).  Two laws with at most two atoms take
     :func:`_halmos_eigs` at cosines from :func:`_two_subspace_cosines`;
-    any other pair the dense draw of :func:`_realize_reduced`.
+    any other pair the dense draw of :func:`_realize_reduced`, whose grid
+    falls short of N by the multiplicity of the block (c1, c2) of the
+    heaviest atoms.
     """
     N = spec.N
     path = _trial_path(spec)
     if path == "dense":
-        return np.sort(dense_eigs(*_realize_reduced(spec, rng)))
+        d1, A2 = _realize_reduced(spec, rng)
+        eigs = dense_eigs(d1, A2)
+        rest = N - d1.size
+        if rest:  # off the light ranges the pair is the heaviest atoms
+            x1, x2 = (np.full((1, 1, 1), _heaviest_atom(mu), dtype=complex)
+                      for mu in (spec.mu1, spec.mu2))
+            eigs = np.concatenate([eigs, np.repeat(block_eigs(x1, x2), rest, axis=0).reshape(-1)])
+        return np.sort(eigs)
     d1, d2 = (quantiles(mu, N) for mu in (spec.mu1, spec.mu2))
     if path == "two-subspace":
         k1, k2 = (int(np.count_nonzero(d > d[0])) for d in (d1, d2))

@@ -261,7 +261,8 @@ class TestPencilAssembly:
 
     LAWS = {"1x1 stacks": (M.point_mass(0.5), MIXED),
             "halmos stacks": (MU1, MU2),
-            "dense": (M.atomic_measure([(0.0, 0.5), (1.0, 0.3), (2.5, 0.2)]), MIXED)}
+            "dense": (M.atomic_measure([(0.0, 0.5), (1.0, 0.3), (2.5, 0.2)]), MIXED),
+            "light ranges": (M.atomic_measure([(0.0, 0.5), (1.0, 0.3), (2.5, 0.2)]), MU2)}
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("laws", list(LAWS))
@@ -287,7 +288,8 @@ class TestPencilAssembly:
         a1, a2, b = (_random_hermitian(rng, n) for _ in range(3))
         rmt._pencil_eigs(spec, FreeSumModel(a1, a2, mu1, mu2), b, np.random.default_rng(28))
         shapes = {x1.shape[-1] for x1, _x2, _e in calls}
-        assert shapes == {"1x1 stacks": {1}, "halmos stacks": {1, 2}, "dense": {40}}[laws]
+        assert shapes == {"1x1 stacks": {1}, "halmos stacks": {1, 2}, "dense": {40},
+                          "light ranges": {1, 36}}[laws]
         for x1, x2, eigs in calls:
             k = x1.shape[-1]
             big = np.kron(b, np.eye(k)) - np.kron(a1, x1) - np.kron(a2, x2)
@@ -357,12 +359,12 @@ class TestTwoSubspaceOracle:
 
     def test_moments_agree_with_dense_path_in_law(self):
         # pooled trials at N = 400: the first four spectral moments of the
-        # block form and of the dense Haar draw agree within 3 SE
+        # block form and of the dense Haar frame draw agree within 3 SE
         spec = rmt.EnsembleSpec(N=400, trials=12, seed=24, mu1=MU1, mu2=MU2)
         poly = Z1 * Z2 + Z2 * Z1 + Z1
 
         def dense(rng):
-            d1, A2 = rmt._realize_reduced(spec, rng)
+            d1, A2 = frame_draw(spec, rng)
             return np.linalg.eigvalsh(herm_part(rmt._eval_poly_diag_first(poly, d1, A2)))
 
         rngs = spec.trial_rngs()
@@ -387,19 +389,184 @@ class TestTwoSubspaceOracle:
         three_atoms = M.atomic_measure([(0.0, 0.5), (1.0, 0.3), (2.5, 0.2)])
         kwargs = ({"poly": Z1 * Z2 + Z2 * Z1} if target == "poly"
                   else {"model": scalar_model(MU1, MU2), "b": np.array([[0.0]])})
-        for mu1, mu2, dense_trials, path in ((MU1, MU2, 0, "two-subspace"),
-                                             (three_atoms, MU2, 3, "dense"),
-                                             (MIXED, MU2, 3, "dense"),
-                                             (M.point_mass(0.5), MIXED, 0, "commuting")):
+        # MU2 is atomic, with 60 entries off its heavier atom 0: MIXED's 90
+        # light entries leave no room, so the dense draw is the N x 60 frame;
+        # three_atoms' 75 do, so it is the 75 x 60 frame W1 on the light
+        # ranges (MU2's light grid is constant, so no 60 x 60 unitary)
+        for mu1, mu2, frame, path in ((MU1, MU2, [], "two-subspace"),
+                                      (three_atoms, MU2, [(75, 60)], "dense"),
+                                      (MIXED, MU2, [(150, 60)], "dense"),
+                                      (M.point_mass(0.5), MIXED, [], "commuting")):
             calls.clear()
             spec = rmt.EnsembleSpec(N=150, trials=3, seed=25, mu1=mu1, mu2=mu2)
             if target == "pencil":
                 kwargs["model"] = scalar_model(mu1, mu2)
             rep = rmt.oracle_report(spec, **kwargs)
-            # MU2 is atomic: a frame of its 60 entries off the heavier atom 0
-            assert calls == [(150, 60)] * dense_trials
+            assert calls == frame * 3
             assert rep.path == path == rmt._trial_path(spec)
             assert rep.counts_mean.sum() == pytest.approx(150)
+
+
+def heaviest_atom(mu):
+    return max(mu.atoms, key=lambda atom: atom[1])[0]
+
+
+def frame_draw(spec, rng):
+    """The dense draw that atomless laws and light ranges with s1 + s2 >= N
+    keep: the full N x N draw for an atomless mu2, otherwise (D1, c + U_S
+    (D2_S - c) U_S*) with the N x |S| frame off mu2's heaviest atom c."""
+    d1, d2 = M.quantiles(spec.mu1, spec.N), M.quantiles(spec.mu2, spec.N)
+    if not spec.mu2.atoms:
+        u = rmt.haar_unitary(spec.N, rng)
+        return d1, herm_part((u * d2) @ u.conj().T)
+    c = heaviest_atom(spec.mu2)
+    rest = d2[d2 != c] - c
+    u = rmt.haar_unitary(spec.N, rng, rest.size)
+    return d1, herm_part(c * np.eye(spec.N) + (u * rest) @ u.conj().T)
+
+
+THREE_ATOMS = M.atomic_measure([(0.0, 0.5), (1.0, 0.3), (2.5, 0.2)])
+
+
+class TestLightRanges:
+    """Both laws atomic with s1 + s2 < N light entries: the dense path works
+    on S1 + S2 and repeats the block (c1, c2) of the heaviest atoms."""
+
+    # N, mu1, mu2, the light counts (s1, s2) and the Haar draws taken: the
+    # s1 x p frame W1 where mu1's light grid varies, the s2 x s2 unitary Y
+    # where mu2's does
+    CASES = {
+        "s1<s2": (40, M.atomic_measure([(0.0, 0.8), (1.0, 0.1), (2.5, 0.1)]),
+                  M.atomic_measure([(0.2, 0.5), (-1.0, 0.3), (1.7, 0.2)]), (8, 20), ["W1", "Y"]),
+        "s1>s2": (40, M.atomic_measure([(0.3, 0.45), (-0.8, 0.35), (1.4, 0.2)]),
+                  M.atomic_measure([(-0.5, 0.7), (1.0, 0.2), (2.0, 0.1)]), (22, 12), ["W1", "Y"]),
+        "s1+s2=N-1": (40, M.atomic_measure([(0.0, 0.525), (1.0, 0.3), (2.5, 0.175)]),
+                      M.atomic_measure([(0.5, 0.5), (-1.0, 0.25), (2.0, 0.25)]), (19, 20),
+                      ["W1", "Y"]),
+        "mu1-light-constant": (40, M.atomic_measure([(0.0, 0.7), (1.5, 0.3)]), THREE_ATOMS,
+                               (12, 20), ["Y"]),
+        "mu2-light-constant": (40, THREE_ATOMS, M.atomic_measure([(0.4, 0.65), (-1.3, 0.35)]),
+                               (20, 14), ["W1"]),
+        "mu1-mixed": (40, MIXED, M.atomic_measure([(0.0, 0.7), (1.0, 0.2), (2.0, 0.1)]),
+                      (24, 12), ["W1", "Y"]),
+        "s1=0": (50, M.atomic_measure([(0.0, 0.999), (1.0, 0.001)]), THREE_ATOMS, (0, 25), ["Y"]),
+        "s2=0": (50, THREE_ATOMS, M.atomic_measure([(0.3, 0.999), (1.0, 0.001)]), (25, 0), []),
+    }
+
+    def spec(self, case):
+        N, mu1, mu2, _s, _drawn = self.CASES[case]
+        return rmt.EnsembleSpec(N=N, trials=1, seed=0, mu1=mu1, mu2=mu2)
+
+    def known_frame(self, spec, monkeypatch, seed):
+        """Patch the light-range draws to the CS decomposition, against the
+        light coordinates of D1, of the frame U_S that :func:`haar_frame`
+        draws with ``seed``: its rows on S1 are W1 diag(cos) Y*.
+        Returns (D1, c2 + U_S R2 U_S*), the light counts and the draws taken."""
+        N = spec.N
+        c1, c2 = heaviest_atom(spec.mu1), heaviest_atom(spec.mu2)
+        d1, d2 = M.quantiles(spec.mu1, N), M.quantiles(spec.mu2, N)
+        light1, r2 = d1 != c1, d2[d2 != c2] - c2
+        u = haar_frame(N, r2.size, np.random.default_rng(seed))
+        w, cos, yh = np.linalg.svd(u[light1])
+        s = (int(np.count_nonzero(light1)), r2.size)
+        drawn = []
+
+        def cosines(N_, k1, k2, rng):
+            assert (N_, k1, k2) == (N, *s)
+            return cos
+
+        def haar(N_, rng, columns=None):
+            if columns is None:
+                assert N_ == s[1]
+                drawn.append("Y")
+                return yh
+            assert (N_, columns) == (s[0], min(s))
+            drawn.append("W1")
+            return w[:, :columns]
+
+        monkeypatch.setattr(rmt, "_two_subspace_cosines", cosines)
+        monkeypatch.setattr(rmt, "haar_unitary", haar)
+        A2 = c2 * np.eye(N) + (u * r2) @ u.conj().T
+        return np.diag(d1).astype(complex), A2, s, drawn
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_polynomial_equals_dense_spectrum(self, case, monkeypatch):
+        spec = self.spec(case)
+        assert rmt._trial_path(spec) == "dense"
+        poly = Z1 * Z2 + Z2 * Z1 + Z1
+        D1, A2, s, drawn = self.known_frame(spec, monkeypatch, seed=41)
+        light = rmt._poly_eigs(spec, poly, np.random.default_rng(41))
+        dense = np.linalg.eigvalsh(eval_matrices(poly, D1, A2))
+        assert (s, drawn) == self.CASES[case][3:]
+        assert light.shape == (spec.N,)
+        np.testing.assert_allclose(light, dense, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_pencil_equals_dense_spectrum(self, case, monkeypatch):
+        spec = self.spec(case)
+        rng = np.random.default_rng(42)
+        a1, a2, b = (_random_hermitian(rng, 2) for _ in range(3))
+        D1, A2, _s, drawn = self.known_frame(spec, monkeypatch, seed=43)
+        light = rmt._pencil_eigs(spec, FreeSumModel(a1, a2, spec.mu1, spec.mu2), b,
+                                 np.random.default_rng(43))
+        dense = np.linalg.eigvalsh(np.kron(b, np.eye(spec.N)) - np.kron(a1, D1)
+                                   - np.kron(a2, A2))
+        assert drawn == self.CASES[case][4]
+        assert light.shape == (2 * spec.N,)
+        np.testing.assert_allclose(light, dense, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_marginals_are_the_quantile_grids(self, case):
+        # with the complement's c1 and c2 the pair has the laws' grids:
+        # A1 a permutation of mu1's, A2 its spectrum to roundoff
+        spec = self.spec(case)
+        c1, c2 = heaviest_atom(spec.mu1), heaviest_atom(spec.mu2)
+        a1, A2 = rmt._realize_reduced(spec, np.random.default_rng(44))
+        rest = spec.N - a1.size
+        assert rest == spec.N - sum(self.CASES[case][3]) > 0
+        assert np.array_equal(np.sort(np.append(a1, np.full(rest, c1))),
+                              M.quantiles(spec.mu1, spec.N))
+        spectrum = np.sort(np.append(np.linalg.eigvalsh(A2), np.full(rest, c2)))
+        np.testing.assert_allclose(spectrum, M.quantiles(spec.mu2, spec.N), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mu1, mu2, N", [
+        (M.semicircle_measure(0.0, 2.0), THREE_ATOMS, 60),  # atomless mu1: frame
+        (THREE_ATOMS, M.semicircle_measure(0.0, 2.0), 60),  # atomless mu2: full draw
+        (MIXED, THREE_ATOMS, 100),  # s1 + s2 = 60 + 50 > N
+        (MIXED, M.atomic_measure([(0.0, 0.6), (1.0, 0.2), (2.0, 0.2)]), 100),  # = N
+    ])
+    def test_other_pairs_keep_the_frame_draw(self, mu1, mu2, N):
+        spec = rmt.EnsembleSpec(N=N, trials=1, seed=0, mu1=mu1, mu2=mu2)
+        assert rmt._trial_path(spec) == "dense"
+        ours, theirs = (draw(spec, np.random.default_rng(45))
+                        for draw in (rmt._realize_reduced, frame_draw))
+        assert ours[1].shape == (N, N)
+        for a, b in zip(ours, theirs):
+            assert a.tobytes() == b.tobytes()
+
+    def test_matches_the_full_draw_in_law(self):
+        # three atoms a side, so that W1 and Y are both drawn: 200 trials a
+        # side at N = 60, the first four spectral moments of Z1 Z2 + Z2 Z1 + Z1
+        # agree with realize_pair's within 3 SE
+        mu1 = M.atomic_measure([(0.0, 0.6), (1.0, 0.25), (2.5, 0.15)])
+        mu2 = M.atomic_measure([(0.5, 0.55), (-1.0, 0.3), (2.0, 0.15)])
+        spec = rmt.EnsembleSpec(N=60, trials=400, seed=46, mu1=mu1, mu2=mu2)
+        poly = Z1 * Z2 + Z2 * Z1 + Z1
+
+        def full(r):
+            return np.linalg.eigvalsh(herm_part(eval_matrices(poly, *rmt.realize_pair(spec, r))))
+
+        rngs = spec.trial_rngs()
+        half = spec.trials // 2
+        moments = {
+            "light": np.array([[np.mean(rmt._poly_eigs(spec, poly, r) ** j) for j in range(1, 5)]
+                               for r in rngs[:half]]),
+            "full": np.array([[np.mean(full(r) ** j) for j in range(1, 5)] for r in rngs[half:]]),
+        }
+        mean = {k: m.mean(axis=0) for k, m in moments.items()}
+        se = {k: m.std(axis=0, ddof=1) / np.sqrt(len(m)) for k, m in moments.items()}
+        gap = np.abs(mean["light"] - mean["full"])
+        assert np.all(gap <= 3 * np.hypot(se["light"], se["full"])), (gap, se)
 
 
 class _RecordingRng:
@@ -500,8 +667,9 @@ class TestJacobiCosines:
             assert rmt._poly_eigs(spec, poly, rng).shape == (400,)
             gaussians = [np.shape(v) for name, v in rng.draws if name == "standard_normal"]
             if path == "dense":  # the counters do see the dense draw
-                # a frame of MU2's 160 entries off its heavier atom
-                assert qr_calls and gaussians == [(400, 160)] * 2
+                # the frame W1 of three_atoms' 200 light entries against
+                # MU2's 160 (MU2's light grid is constant, so no Y)
+                assert qr_calls and gaussians == [(200, 160)] * 2
             else:
                 assert qr_calls == [] and gaussians == []
                 assert [name for name, _ in rng.draws] == ["standard_gamma"] * 2
