@@ -492,13 +492,18 @@ class SpectralMeasure:
 
     @classmethod
     def from_json_dict(cls, d):
+        if not isinstance(d, dict):
+            raise SchemaError(f"a measure must be a JSON object, got {type(d).__name__}")
+        support = d.get("support")
+        if not (isinstance(support, list) and len(support) == 2):
+            raise SchemaError(f"measure support must be a [min, max] pair, got {support!r}")
         try:
             atoms = tuple((float(a["x"]), float(a["m"])) for a in d.get("atoms", []))
             pieces = tuple(piece_from_json_dict(p) for p in d.get("continuous", []))
-            support = d["support"]
+            support = (float(support[0]), float(support[1]))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad measure specification: {exc}") from exc
-        return cls(atoms=atoms, continuous=pieces, support=(support[0], support[1]))
+        return cls(atoms=atoms, continuous=pieces, support=support)
 
 
 # ---------------------------------------------------------------------------

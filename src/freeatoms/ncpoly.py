@@ -195,6 +195,14 @@ _TOKEN = re.compile(
 )
 
 
+def _finite(text, what):
+    """The float a number token spells, which must be finite."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{what} {text} is not finite")
+    return value
+
+
 def _parse_complex_group(tokens, i):
     """Parse '( a [+-] b i )' starting after the '(' token; return (value, next)."""
     value = 0j
@@ -211,7 +219,7 @@ def _parse_complex_group(tokens, i):
             value += sign * 1j
             i += 1
             continue
-        mag = float(tokens[i][1])
+        mag = _finite(tokens[i][1], "coefficient")
         i += 1
         if i < n and tokens[i][0] == "imag":
             value += sign * mag * 1j
@@ -274,7 +282,7 @@ def parse_poly(text: str) -> NCPoly:
                 saw_factor = True
                 continue
             if kind == "num":
-                coeff *= float(val)
+                coeff *= _finite(val, "coefficient")
                 i += 1
                 if i < n and tokens[i][0] == "imag":
                     coeff *= 1j
@@ -294,8 +302,9 @@ def parse_poly(text: str) -> NCPoly:
                     i += 1
                     if i >= n or tokens[i][0] != "num":
                         raise ValueError("exponent must be an integer")
-                    power = int(float(tokens[i][1]))
-                    if power < 0 or power != float(tokens[i][1]):
+                    exponent = _finite(tokens[i][1], "exponent")
+                    power = int(exponent)
+                    if power < 0 or power != exponent:
                         raise ValueError("exponent must be a nonnegative integer")
                     i += 1
                 word.extend([letter] * power)
@@ -306,6 +315,8 @@ def parse_poly(text: str) -> NCPoly:
             raise ValueError("dangling '*' in polynomial")
         if not saw_factor:
             raise ValueError("empty term in polynomial")
+        if not np.isfinite(coeff):
+            raise ValueError(f"the coefficient of a term overflows to {coeff}")
         result = result + NCPoly.monomial(tuple(word), coeff)
         first_term = False
     return result

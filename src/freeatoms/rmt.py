@@ -5,38 +5,43 @@ spectra and Haar-random relative position is asymptotically free, so
 eigenvalue statistics of polynomials or pencils in (A1, A2) estimate
 the corresponding spectral quantities with O(1/N) bias.  Spectra are
 deterministic quantile grids, which removes marginal sampling noise.
-One rule (:func:`_trial_path`) names each trial's path from the laws,
-and :func:`_trial_eigs` alone takes it; reports carry the name:
 
-- "commuting", a point mass on either side: N 1 x 1 blocks and no Haar
-  draw (a pencil coefficient that is exactly zero counts as the point
-  mass at 0);
-- "two-subspace", both laws with at most two atoms: Halmos's
-  two-subspace form, 2 x 2 blocks whose principal-angle cosines come
-  from the beta = 2 Jacobi bidiagonal model, with no N x N or N x k
-  draw;
-- "dense", any other pair: a dense Haar draw and an N x N (pencil:
-  nN x nN) eigensolve.  The draw is N x N, or an N x |S| frame when
-  mu2 has atoms (see :func:`_realize_reduced`).  When both laws have
-  atoms, c1 and c2 their heaviest and S1, S2 the grid entries off them,
-  with s1 + s2 < N, the pair is the scalars (c1, c2) on the N - s1 - s2
-  dimensions where S1-perp and S2-perp meet: the draw and the eigensolve
-  work on S1 + S2 alone, and the 1 x 1 (pencil: n x n) block (c1, c2)
-  is repeated N - s1 - s2 times.
+The oracle is a function of its two sorted grids d1, d2: a report
+computes them once (a pencil coefficient that is exactly zero makes its
+grid N zeros) and every trial reads its path from them with one rule,
+:func:`_trial_path`; reports carry the name:
 
-The quantile grids of purely atomic laws take no bisection, and a
-pencil is written block by block into one array.
+- "commuting", either grid constant: the pair commutes, N 1 x 1 blocks
+  (d1_i, d2_i) and no Haar draw;
+- "two-subspace", each grid with at most two values: Halmos's
+  two-subspace form, 1 x 1 blocks on the four intersections and 2 x 2
+  blocks whose principal-angle cosines come from the beta = 2 Jacobi
+  bidiagonal model, with no N x N or N x k draw;
+- "dense", any other pair: a dense Haar draw and an m x m (pencil:
+  nm x nm) eigensolve.  With c1, c2 the most frequent grid entries and
+  S1, S2 the entries off them, the draw is N x N when d2 repeats no
+  entry and an N x s2 frame otherwise; when s1 + s2 < N the pair is the
+  scalars (c1, c2) on the N - s1 - s2 dimensions where S1-perp and
+  S2-perp meet, so the draw works on S1 + S2 alone, m = s1 + s2, and
+  the 1 x 1 block (c1, c2) is repeated N - m times (see
+  :func:`_realize_reduced`).
+
+Every path gives its trial as stacks of k x k blocks in which X1 is
+diagonal, each repeated some number of times, and one spectrum function
+per target reads them all: :func:`_poly_eigs` through
+:func:`_eval_poly_diag_first`, :func:`_pencil_eigs` by writing the
+pencil block by block into one array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError
-from .measure import SpectralMeasure, point_mass, quantiles
-from .ncpoly import NCPoly, eval_matrices, is_selfadjoint
+from .measure import SpectralMeasure, quantiles
+from .ncpoly import NCPoly, is_selfadjoint
 from .opval import herm_part
 from .subord import FreeSumModel
 
@@ -87,39 +92,39 @@ def realize_pair(spec: EnsembleSpec, rng=None):
     return out[0], out[1]
 
 
-def _heaviest_atom(mu):
-    return max(mu.atoms, key=lambda atom: atom[1])[0]
+def _most_frequent(d):
+    """The most frequent entry of a sorted grid (the lowest on a tie),
+    read from the lengths of its runs."""
+    starts = np.append(0, np.flatnonzero(d[1:] != d[:-1]) + 1)
+    return d[starts[np.argmax(np.diff(starts, append=d.size))]]
 
 
-def _realize_reduced(spec, rng):
-    """Pair (D1, U D2 U*) with one Haar unitary: equal in joint law to
-    :func:`realize_pair` conjugated by U1*, so every polynomial or pencil
-    spectrum is distributed identically while saving one QR and keeping
-    the first matrix diagonal.
+def _realize_reduced(spec, d1, d2, rng):
+    """Pair (D1, U D2 U*) at the grids d1, d2 with one Haar unitary: equal
+    in joint law to :func:`realize_pair` conjugated by U1*, so every
+    polynomial or pencil spectrum is distributed identically while saving
+    one QR and keeping the first matrix diagonal.
 
-    When mu2 has atoms, U D2 U* = c + U_S (D2_S - c) U_S* for its
-    heaviest atom c, where S holds the entries of D2 other than c and
-    U_S the columns of U on S.  Any |S| columns of a Haar unitary are
+    When d2 repeats an entry, U D2 U* = c2 + U_S (D2_S - c2) U_S* for its
+    most frequent entry c2, where S holds the entries of D2 other than c2
+    and U_S the columns of U on S.  Any |S| columns of a Haar unitary are
     distributed as its first |S|, so only those are drawn.
 
-    When mu1 has atoms too and the two light ranges S1, S2 (the grid
-    entries off each law's heaviest atom) fit, s1 + s2 < N, the pair is
-    returned on S1 + S2 alone (see :func:`_light_ranges`): a grid of
-    s1 + s2 entries, off which the pair is the scalars (c1, c2).
+    When the two light ranges S1, S2 (the grid entries off each grid's
+    most frequent entry) fit, s1 + s2 < N, the pair is returned on
+    S1 + S2 alone (see :func:`_light_ranges`): a grid of s1 + s2 entries,
+    off which the pair is the scalars (c1, c2).
     """
     N = spec.N
-    d1 = quantiles(spec.mu1, N)
-    d2 = quantiles(spec.mu2, N)
-    if not spec.mu2.atoms:
+    c2 = _most_frequent(d2)
+    r2 = d2[d2 != c2] - c2
+    if r2.size == N - 1:  # d2 repeats no entry
         u = haar_unitary(N, rng)
         return d1, herm_part((u * d2) @ u.conj().T)
-    c2 = _heaviest_atom(spec.mu2)
-    r2 = d2[d2 != c2] - c2
-    if spec.mu1.atoms:
-        c1 = _heaviest_atom(spec.mu1)
-        r1 = d1[d1 != c1]
-        if r1.size + r2.size < N:
-            return _light_ranges(N, r1, c1, r2, c2, rng)
+    c1 = _most_frequent(d1)
+    r1 = d1[d1 != c1]
+    if r1.size + r2.size < N:
+        return _light_ranges(N, r1, c1, r2, c2, rng)
     u = haar_unitary(N, rng, r2.size)
     return d1, herm_part(c2 * np.eye(N) + (u * r2) @ u.conj().T)
 
@@ -144,7 +149,7 @@ def _light_ranges(N, r1, c1, r2, c2, rng):
     p = min(s1, s2)
     cos = _two_subspace_cosines(N, s1, s2, rng)
     varies1, varies2 = (np.any(r[1:] != r[:-1]) for r in (r1, r2))
-    w1 = haar_unitary(s1, rng, p) if p and varies1 else np.eye(s1, p)
+    w1 = haar_unitary(s1, rng, p) if varies1 else np.eye(s1, p)
     y = haar_unitary(s2, rng) if varies2 else np.eye(s2)
     sin = np.ones(s2)
     sin[:p] = np.sqrt(np.maximum(1.0 - cos * cos, 0.0))
@@ -167,53 +172,48 @@ def kernel_mass_from_eigs(eigs, lam, epsilon):
     return float(np.count_nonzero(np.abs(eigs - lam) <= epsilon)) / eigs.size
 
 
-def _point_mass_at(mu):
-    """Location of a point-mass law, None for any other law."""
-    return mu.atoms[0][0] if len(mu.atoms) == 1 and not mu.continuous else None
-
-
-def _trial_path(spec):
-    """The path every trial of ``spec`` takes (see the module docstring)."""
-    laws = (spec.mu1, spec.mu2)
-    if any(_point_mass_at(mu) is not None for mu in laws):
+def _trial_path(d1, d2):
+    """The path every trial at the sorted grids d1, d2 takes (see the
+    module docstring)."""
+    if d1[0] == d1[-1] or d2[0] == d2[-1]:
         return "commuting"
-    if all(not mu.continuous and len(mu.atoms) <= 2 for mu in laws):
+    if all(np.count_nonzero(d[1:] != d[:-1]) <= 1 for d in (d1, d2)):
         return "two-subspace"
     return "dense"
 
 
-def _trial_eigs(spec, rng, block_eigs, dense_eigs):
-    """Sorted spectrum of one trial, on the path :func:`_trial_path` names.
+def _trial_blocks(spec, d1, d2, rng):
+    """One trial at the grids d1, d2, on the path :func:`_trial_path`
+    names, as a list of stacks ``(copies, x1, x2)``: block i of a stack is
+    the pair (diag(x1[i]), x2[i]) of k x k matrices, x1 of shape (B, k)
+    and x2 of shape (B, k, k), and it stands for ``copies`` (an int, or
+    one count per block) orthogonal copies.  The copies add up to N.
 
-    ``block_eigs(X1, X2)`` maps stacks of k x k blocks to the target's
-    eigenvalues, shape (stack, rows * k); ``dense_eigs(d1, A2)`` gives
-    those of the N x N target at (diag(d1), A2).  Both grids are the
-    laws' :func:`quantiles`; a point-mass law c, whose grid is N copies
-    of c, commutes with the other variable, so the spectrum is that of
-    the N 1 x 1 blocks (d1_i, d2_i).  Two laws with at most two atoms take
-    :func:`_halmos_eigs` at cosines from :func:`_two_subspace_cosines`;
-    any other pair the dense draw of :func:`_realize_reduced`, whose grid
-    falls short of N by the multiplicity of the block (c1, c2) of the
-    heaviest atoms.
+    Commuting grids give the N 1 x 1 blocks (d1_i, d2_i); two-valued ones
+    the blocks of :func:`_halmos_blocks`; any other pair the m x m draw
+    of :func:`_realize_reduced` and, when m < N, the 1 x 1 block
+    (c1, c2) of the grids' most frequent entries N - m times.
     """
-    N = spec.N
-    path = _trial_path(spec)
-    if path == "dense":
-        d1, A2 = _realize_reduced(spec, rng)
-        eigs = dense_eigs(d1, A2)
-        rest = N - d1.size
-        if rest:  # off the light ranges the pair is the heaviest atoms
-            x1, x2 = (np.full((1, 1, 1), _heaviest_atom(mu), dtype=complex)
-                      for mu in (spec.mu1, spec.mu2))
-            eigs = np.concatenate([eigs, np.repeat(block_eigs(x1, x2), rest, axis=0).reshape(-1)])
-        return np.sort(eigs)
-    d1, d2 = (quantiles(mu, N) for mu in (spec.mu1, spec.mu2))
+    path = _trial_path(d1, d2)
+    if path == "commuting":
+        return [(1, d1[:, None], d2[:, None, None])]
     if path == "two-subspace":
-        k1, k2 = (int(np.count_nonzero(d > d[0])) for d in (d1, d2))
-        cosines = _two_subspace_cosines(N, k1, k2, rng)
-        return np.sort(_halmos_eigs(d1, d2, cosines, block_eigs))
-    x1, x2 = (d.astype(complex).reshape(N, 1, 1) for d in (d1, d2))
-    return np.sort(block_eigs(x1, x2).reshape(-1))
+        return _halmos_blocks(d1, d2, rng)
+    x1, x2 = _realize_reduced(spec, d1, d2, rng)
+    blocks = [(1, x1[None], x2[None])]
+    if x1.size < spec.N:
+        blocks.append((spec.N - x1.size, np.full((1, 1), _most_frequent(d1)),
+                       np.full((1, 1, 1), _most_frequent(d2))))
+    return blocks
+
+
+def _trial_eigs(spec, d1, d2, rng, spectrum):
+    """Sorted spectrum of one trial: ``spectrum(x1, x2)`` maps a stack of
+    :func:`_trial_blocks` to its eigenvalues, shape (B, rows * k), and
+    each block's are repeated its ``copies`` times."""
+    return np.sort(np.concatenate([
+        np.repeat(spectrum(x1, x2), copies, axis=0).reshape(-1)
+        for copies, x1, x2 in _trial_blocks(spec, d1, d2, rng)]))
 
 
 def _two_subspace_cosines(N, k1, k2, rng):
@@ -250,118 +250,98 @@ def _two_subspace_cosines(N, k1, k2, rng):
     return np.linalg.svd(bidiag, compute_uv=False)
 
 
-def _halmos_eigs(d1, d2, c, block_eigs):
-    """Unsorted spectrum of the pair at two-atom quantile grids d1, d2
-    whose principal-angle cosines strictly between 0 and 1 are ``c``.
+def _halmos_blocks(d1, d2, rng):
+    """The pair at grids d1, d2 of at most two values each, as blocks of
+    :func:`_trial_blocks`, at principal-angle cosines drawn by
+    :func:`_two_subspace_cosines`.
 
-    Each grid is lo + (hi - lo) * (its upper-atom indicator), so the pair
+    Each grid is lo + (hi - lo) * (its upper-value indicator), so the pair
     is (lo1 + (hi1 - lo1) P, lo2 + (hi2 - lo2) Q) with P the diagonal
-    projection on D1's k1 upper-atom entries and Q a projection of rank
-    k2 in generic position.  By Halmos's two-subspace theorem the pair
-    splits exactly into the four intersections of ran/ker P with
-    ran/ker Q, whose generic dimensions follow from (N, k1, k2), and
-    into 2 x 2 blocks P = [[1, 0], [0, 0]], Q = [[c^2, cs], [cs, s^2]],
-    one per cosine c.
+    projection on D1's k1 upper entries and Q a projection of rank k2 in
+    generic position.  By Halmos's two-subspace theorem the pair splits
+    exactly into the four intersections of ran/ker P with ran/ker Q,
+    whose generic dimensions follow from (N, k1, k2), and into 2 x 2
+    blocks P = [[1, 0], [0, 0]], Q = [[c^2, cs], [cs, s^2]], one per
+    cosine c strictly between 0 and 1.
     """
     N = d1.size
     (lo1, hi1), (lo2, hi2) = (d1[0], d1[-1]), (d2[0], d2[-1])
-    k1, k2 = int(np.count_nonzero(d1 > lo1)), int(np.count_nonzero(d2 > lo2))
+    k1, k2 = (int(np.count_nonzero(d > d[0])) for d in (d1, d2))
+    c = _two_subspace_cosines(N, k1, k2, rng)
     # intersections (P, Q) = (1, 1), (1, 0), (0, 1), (0, 0) as 1 x 1 blocks
-    x1 = np.array([hi1, hi1, lo1, lo1], dtype=complex).reshape(4, 1, 1)
-    x2 = np.array([hi2, lo2, hi2, lo2], dtype=complex).reshape(4, 1, 1)
     dims = [max(0, k1 + k2 - N), max(0, k1 - k2), max(0, k2 - k1), max(0, N - k1 - k2)]
-    parts = [np.repeat(block_eigs(x1, x2), dims, axis=0).reshape(-1)]
-    if c.size:
-        s = np.sqrt(np.maximum(1.0 - c * c, 0.0))
-        x1 = np.broadcast_to(np.diag([hi1, lo1]).astype(complex), (c.size, 2, 2))
-        x2 = np.empty((c.size, 2, 2), dtype=complex)
-        x2[:, 0, 0] = lo2 + (hi2 - lo2) * c * c
-        x2[:, 0, 1] = x2[:, 1, 0] = (hi2 - lo2) * c * s
-        x2[:, 1, 1] = lo2 + (hi2 - lo2) * s * s
-        parts.append(block_eigs(x1, x2).reshape(-1))
-    return np.concatenate(parts)
+    s = np.sqrt(np.maximum(1.0 - c * c, 0.0))
+    x2 = np.empty((c.size, 2, 2))
+    x2[:, 0, 0] = lo2 + (hi2 - lo2) * c * c
+    x2[:, 0, 1] = x2[:, 1, 0] = (hi2 - lo2) * c * s
+    x2[:, 1, 1] = lo2 + (hi2 - lo2) * s * s
+    return [(dims, np.array([[hi1], [hi1], [lo1], [lo1]]),
+             np.array([hi2, lo2, hi2, lo2]).reshape(4, 1, 1)),
+            (1, np.broadcast_to([hi1, lo1], (c.size, 2)), x2)]
 
 
-def _pencil_laws(spec, model):
-    """``spec`` with the law of each variable whose coefficient is exactly
-    zero replaced by the point mass at 0."""
-    if not np.any(model.a1):
-        spec = replace(spec, mu1=point_mass(0.0))
-    if not np.any(model.a2):
-        spec = replace(spec, mu2=point_mass(0.0))
-    return spec
+def _pencil_eigs(model, b, x1, x2):
+    """Eigenvalues of the pencil at a stack of blocks (diag(x1), x2).
 
-
-def _pencil_eigs(spec, model, b, rng):
-    """Eigenvalues of one pencil draw.
-
-    With ``b`` given this is b (x) 1 - a1 (x) A1 - a2 (x) A2 (kernel
-    mass lives at 0); with ``b = None`` it is the sum a1 (x) A1 +
-    a2 (x) A2 itself, whose spectral axis carries the atoms directly.
-    A coefficient that is exactly zero makes its variable's law the
-    point mass at 0, so the pair commutes.
+    With ``b`` given this is b (x) 1 - a1 (x) X1 - a2 (x) X2 (kernel
+    mass lives at 0); with ``b = None`` it is the sum a1 (x) X1 +
+    a2 (x) X2 itself, whose spectral axis carries the atoms directly.
+    The pencil is written block by block with np.kron's per-entry
+    arithmetic, a1[i, j] x1 onto each block's diagonal; eigvalsh reads
+    the lower triangle alone, so the blocks above the diagonal stay
+    unwritten.
     """
     n = model.n
     sign = -1.0 if b is None else 1.0  # b=None: report +sum instead of b-sum
     b_mat = np.zeros((n, n), dtype=complex) if b is None else np.asarray(b, dtype=complex)
-    spec = _pencil_laws(spec, model)
-
-    def pencil_spectrum(x1, x2):
-        # b (x) 1 - a1 (x) X1 - a2 (x) X2 for a stack of k x k blocks (or
-        # one pair of k x k matrices), written block by block with
-        # np.kron's per-entry arithmetic; eigvalsh reads the lower
-        # triangle alone, so the blocks above the diagonal stay unwritten
-        k = x1.shape[-1]
-        eye = np.eye(k)
-        big = np.empty(x1.shape[:-2] + (n * k, n * k), dtype=complex)
-        term = np.empty(x1.shape, dtype=complex)
-        for i in range(n):
-            for j in range(i + 1):
-                block = big[..., i * k:(i + 1) * k, j * k:(j + 1) * k]
-                np.multiply(b_mat[i, j], eye, out=block)
-                block -= np.multiply(model.a1[i, j], x1, out=term)
-                block -= np.multiply(model.a2[i, j], x2, out=term)
-        return sign * np.linalg.eigvalsh(big)
-
-    return _trial_eigs(spec, rng, pencil_spectrum,
-                       lambda d1, A2: pencil_spectrum(np.diag(d1).astype(complex), A2))
+    k = x1.shape[-1]
+    eye = np.eye(k)
+    diag = np.arange(k)
+    big = np.empty(x2.shape[:-2] + (n * k, n * k), dtype=complex)
+    term = np.empty(x2.shape, dtype=complex)
+    for i in range(n):
+        for j in range(i + 1):
+            block = big[..., i * k:(i + 1) * k, j * k:(j + 1) * k]
+            np.multiply(b_mat[i, j], eye, out=block)
+            block[..., diag, diag] -= model.a1[i, j] * x1
+            block -= np.multiply(model.a2[i, j], x2, out=term)
+    return sign * np.linalg.eigvalsh(big)
 
 
 def _eval_poly_diag_first(poly, d1, A2):
-    """p(D1, A2) with D1 diagonal.
+    """p(D1, A2) with D1 = diag(d1), over stacks: d1 of shape (..., k)
+    and A2 of shape (..., k, k).
 
     Multiplications by D1 are row/column scalings; the accumulator stays
     diagonal until the first occurrence of the second letter, so short
-    words cost O(N^2) instead of a dense product.
+    words cost O(k^2) instead of a dense product.
     """
-    N = A2.shape[0]
-    out = np.zeros((N, N), dtype=complex)
+    diag = np.arange(d1.shape[-1])
+    out = np.zeros(A2.shape, dtype=complex)
     for word, coeff in poly.terms:
-        diag_acc = np.ones(N, dtype=complex)
+        diag_acc = np.ones(d1.shape, dtype=complex)
         acc = None  # dense part, None while still diagonal
         for letter in word:
             if letter == 1:
                 if acc is None:
                     diag_acc = diag_acc * d1
                 else:
-                    acc = acc * d1[None, :]
+                    acc = acc * d1[..., None, :]
             else:
                 if acc is None:
-                    acc = diag_acc[:, None] * A2
+                    acc = diag_acc[..., :, None] * A2
                 else:
                     acc = acc @ A2
         if acc is None:
-            out[np.diag_indices(N)] += coeff * diag_acc
+            out[..., diag, diag] += coeff * diag_acc
         else:
             out += coeff * acc
     return out
 
 
-def _poly_eigs(spec, poly, rng):
-    # eigvalsh reads one triangle, so the blocks need no symmetrization
-    return _trial_eigs(
-        spec, rng, lambda x1, x2: np.linalg.eigvalsh(eval_matrices(poly, x1, x2)),
-        lambda d1, A2: np.linalg.eigvalsh(herm_part(_eval_poly_diag_first(poly, d1, A2))))
+def _poly_eigs(poly, x1, x2):
+    """Eigenvalues of the polynomial at a stack of blocks (diag(x1), x2)."""
+    return np.linalg.eigvalsh(herm_part(_eval_poly_diag_first(poly, x1, x2)))
 
 
 @dataclass
@@ -423,11 +403,15 @@ def oracle_report(spec: EnsembleSpec, poly: NCPoly | None = None, lam: float = 0
     if epsilon is None:
         epsilon = max(4.0 / spec.N, 1e-6)
     if poly is not None:
-        eig_sets = [_poly_eigs(spec, poly, rng) for rng in spec.trial_rngs()]
-        path = _trial_path(spec)
+        coefficients = (1.0, 1.0)
+        spectrum = lambda x1, x2: _poly_eigs(poly, x1, x2)
     else:
-        eig_sets = [_pencil_eigs(spec, model, b, rng) for rng in spec.trial_rngs()]
-        path = _trial_path(_pencil_laws(spec, model))
+        coefficients = (model.a1, model.a2)
+        spectrum = lambda x1, x2: _pencil_eigs(model, b, x1, x2)
+    # a variable whose coefficient is exactly zero is the point mass at 0
+    d1, d2 = (quantiles(mu, spec.N) if np.any(a) else np.zeros(spec.N)
+              for mu, a in zip((spec.mu1, spec.mu2), coefficients))
+    eig_sets = [_trial_eigs(spec, d1, d2, rng, spectrum) for rng in spec.trial_rngs()]
     lo = min(float(e.min()) for e in eig_sets)
     hi = max(float(e.max()) for e in eig_sets)
     pad = 1e-9 * max(1.0, abs(lo), abs(hi))
@@ -455,5 +439,5 @@ def oracle_report(spec: EnsembleSpec, poly: NCPoly | None = None, lam: float = 0
         trials=spec.trials,
         seed=spec.seed,
         epsilon=float(epsilon),
-        path=path,
+        path=_trial_path(d1, d2),
     )

@@ -469,7 +469,7 @@ class TestExitCodes:
                 "--size", "20", "--trials", "1"]
 
     def test_eigensolver_failure_is_nonconvergence(self, files, capsys, monkeypatch):
-        def fail(spec, poly, rng):
+        def fail(poly, x1, x2):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(rmt, "_poly_eigs", fail)
@@ -478,7 +478,7 @@ class TestExitCodes:
         assert diag["error"] == "Eigenvalues did not converge"
 
     def test_unexpected_exception_is_invariant_breach(self, files, capsys, monkeypatch):
-        def fail(spec, poly, rng):
+        def fail(poly, x1, x2):
             raise KeyError("lost")
 
         monkeypatch.setattr(rmt, "_poly_eigs", fail)
@@ -504,6 +504,52 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("schema error:") and f"{field} must be finite" in err
         assert "Traceback" not in err
+
+    # the files under data/malformed, each refused with its own message
+    MALFORMED_MEASURES = {
+        "list": "a measure must be a JSON object, got list",
+        "string": "a measure must be a JSON object, got str",
+        "support-null": "measure support must be a [min, max] pair, got None",
+        "support-short": "measure support must be a [min, max] pair, got [0]",
+        "not-json": "is not valid JSON",
+    }
+
+    @pytest.mark.parametrize("name", list(MALFORMED_MEASURES))
+    def test_malformed_measure_file_is_schema_error(self, files, capsys, name):
+        bad = Path(__file__).parent / "data" / "malformed" / f"{name}.json"
+        code = run_cli(["oracle", "--mu1", files["mix1"], "--mu2", str(bad), "--size", "8",
+                        "--trials", "1"])
+        assert code == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:") and self.MALFORMED_MEASURES[name] in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("matrix, message", [
+        ('[[1, "x"]]', "bad matrix cell 'x'"),
+        ("[1, 2]", "'int' object is not iterable"),
+    ], ids=["cell", "rows"])
+    def test_bad_matrix_is_schema_error(self, files, capsys, matrix, message):
+        code = run_cli(["oracle", "--mu1", files["mix1"], "--mu2", files["mix2"], "--a1", matrix,
+                        "--size", "8", "--trials", "1"])
+        assert code == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith(f"schema error: bad matrix specification {matrix!r}")
+        assert message in err
+
+    @pytest.mark.parametrize("grid", ["a:1:5", "0:1"])
+    def test_bad_grid_text_is_schema_error(self, files, capsys, grid):
+        code = run_cli(["convolve", "--mu1", files["mix1"], "--mu2", files["mix2"], "--grid", grid])
+        assert code == cli.EXIT_SCHEMA
+        assert capsys.readouterr().err.startswith(f"schema error: bad grid {grid!r}")
+
+    @pytest.mark.parametrize("poly, message", [
+        ("Z1^1e400", "exponent 1e400 is not finite"),
+        ("1e400*Z1", "coefficient 1e400 is not finite"),
+    ], ids=["exponent", "coefficient"])
+    def test_non_finite_polynomial_number_is_schema_error(self, capsys, poly, message):
+        assert run_cli(["linearize", "--poly", poly]) == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err == f"schema error: {message}\n"
 
     @pytest.mark.parametrize("flag", ["--out", "--mu1", "--mu2", "--a1", "--a2", "--b"])
     def test_directory_path_is_schema_error(self, files, capsys, flag):
@@ -638,7 +684,8 @@ class TestCommandLineFuzz:
             return data.draw(st.sampled_from(valid if data.draw(st.integers(0, 4)) else malformed))
 
         fixtures = sorted(str(path) for path in self.DATA.glob("*.json"))
-        bad_paths = [str(self.DATA / "missing.json"), str(self.DATA)] + self.MALFORMED
+        bad_paths = ([str(self.DATA / "missing.json"), str(self.DATA)] + self.MALFORMED
+                     + sorted(str(path) for path in (self.DATA / "malformed").glob("*.json")))
         command = data.draw(st.sampled_from(sorted(cli._COMMANDS)))
         accepted = cli._COMMANDS[command][2].split()
         optional = [f for f in accepted if f not in self.SIZES and f not in ("--mu1", "--mu2")]
@@ -661,5 +708,5 @@ class TestCommandLineFuzz:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = run_cli(argv)
-        assert code in {0, 1, 2, 3, 4}, (argv, code)
+        assert code in {0, 1, 2, 3}, (argv, code)
         assert "Traceback" not in err.getvalue(), argv

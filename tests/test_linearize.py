@@ -27,6 +27,11 @@ def rherm(rng, n):
     return (m + m.conj().T) / 2
 
 
+def constants(rows):
+    """A matrix of constant polynomials."""
+    return tuple(tuple(NCPoly.constant(x) for x in row) for row in rows)
+
+
 def random_selfadjoint_poly(rng, degree=3, nterms=4):
     q = NCPoly.zero()
     for _ in range(nterms):
@@ -176,6 +181,23 @@ class TestVerifyCertificate:
         _, cert = linearize(ANTICOMM)
         assert not verify_certificate(Z1 * Z1, cert)
 
+    # each tampered certificate breaks one identity alone: it is checked
+    # against the polynomial its own B D' C - corner gives
+    @pytest.mark.parametrize("changes", [
+        {"C": (Z1 + 1j * Z2, Z2)},
+        {"D": constants([[0, 2], [1, 0]]), "Dprime": constants([[0, 1], [0.5, 0]])},
+        # D D' = 1 to the bit, D' D = 1 only to roundoff
+        {"D": constants([[0.5, 0.3], [0.3, 3.0]]),
+         "Dprime": constants([[2.127659574468085, -0.2127659574468085],
+                              [-0.21276595744680848, 0.3546099290780142]])},
+    ], ids=["C-not-B-star", "D-not-hermitian", "D-prime-one-sided"])
+    def test_tampered_identity_fails(self, changes):
+        _, cert = linearize(ANTICOMM)
+        bad = replace(cert, **changes)
+        schur = sum((bad.B[i] * bad.Dprime[i][j] * bad.C[j] for i in range(2) for j in range(2)),
+                    NCPoly.zero())
+        assert not verify_certificate(schur - bad.corner, bad)
+
     def test_random_construction_verifies(self):
         rng = np.random.default_rng(33)
         for _ in range(10):
@@ -209,6 +231,23 @@ class TestInvertibilityEquivalence:
         assert rep.ok
         assert rep.generic_checked == 100
         assert rep.engineered_checked == 100
+
+    def test_pencil_of_another_polynomial_is_caught(self):
+        # Z1's pencil is invertible where the anticommutator is, but its
+        # corner shift is not singular where lam - p is
+        L, _ = linearize(Z1)
+        rep = invertibility_equivalence_check(ANTICOMM, L, trials=6, dim=3, seed=7)
+        assert not rep.ok
+        assert [v["kind"] for v in rep.violations] == ["engineered"] * 6
+        assert all(v["ker_p"] >= 1 and v["ker_L"] == 0 for v in rep.violations)
+
+    def test_singular_pencil_is_caught(self):
+        zero = np.zeros((2, 2))
+        rep = invertibility_equivalence_check(ANTICOMM, LinearPencil(zero, zero, zero), trials=4,
+                                              dim=3, seed=7)
+        generic = [v for v in rep.violations if v["kind"] == "generic"]
+        assert len(generic) == 4
+        assert all(not v["p_singular"] and v["L_singular"] for v in generic)
 
     def test_zero_matrices_both_singular(self):
         L, _ = linearize(ANTICOMM)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from freeatoms import measure as M
-from freeatoms.errors import ConvergenceError, HalfPlaneError, MeasureError
+from freeatoms.errors import ConvergenceError, HalfPlaneError, MeasureError, SchemaError
 
 
 def brute_cauchy(mu, z, pts=200001):
@@ -403,6 +403,37 @@ class TestValidation:
     def test_rejects_non_finite_piece_parameter(self, family, field, make, value):
         with pytest.raises(MeasureError, match=f"{family} {field} must be finite"):
             make(value)
+
+    @staticmethod
+    def uniform(a, b, weight=1.0):
+        return {"family": "uniform", "a": a, "b": b, "weight": weight}
+
+    # each measure file breaks one rule, which names itself
+    @pytest.mark.parametrize("atoms, pieces, support, message", [
+        ([], [{"family": "semicircle", "center": 0, "radius": -1, "weight": 1}], [-2, 2],
+         "semicircle radius must be positive"),
+        ([], [{"family": "arcsine", "a": 1, "b": -1, "weight": 1}], [-2, 2],
+         "arcsine interval must satisfy a < b"),
+        ([], [uniform(1, 1)], [0, 2], "uniform interval must satisfy a < b"),
+        ([], [{"family": "table", "nodes": [0], "values": [1], "weight": 1}], [0, 1],
+         "table piece needs matching 1-d nodes/values"),
+        ([], [{"family": "table", "nodes": [0, 2, 1], "values": [1, 1, 1], "weight": 1}], [0, 2],
+         "table nodes must be strictly increasing"),
+        ([], [{"family": "cauchy", "weight": 1}], [0, 1], "unknown density family 'cauchy'"),
+        ([{"x": 0, "m": 1}], [], [1, -1], "bad support bounds"),
+        ([{"x": 0, "m": 0}, {"x": 1, "m": 1}], [], [0, 1], "atom mass must be strictly positive"),
+        ([{"x": 0, "m": 1}], [uniform(0, 1, 0)], [0, 1], "piece weight must be strictly positive"),
+        ([], [uniform(0, 3)], [0, 1], "outside support"),
+        # 1 / (b - a) overflows
+        ([], [uniform(0, 5e-324)], [0, 1], "density is negative or non-finite"),
+        ([], [uniform(0, 2, 0.5), uniform(1, 3, 0.5)], [0, 3], "intervals overlap"),
+    ], ids=["semicircle-radius", "arcsine-interval", "uniform-interval", "table-shape",
+            "table-order", "unknown-family", "support-bounds", "atom-mass", "piece-weight",
+            "piece-outside-support", "piece-density", "pieces-overlap"])
+    def test_measure_file_breaking_a_rule(self, atoms, pieces, support, message):
+        d = {"atoms": atoms, "continuous": pieces, "support": support}
+        with pytest.raises((MeasureError, SchemaError), match=message):
+            M.SpectralMeasure.from_json_dict(d)
 
 
 class TestSerialization:

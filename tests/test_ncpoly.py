@@ -204,6 +204,16 @@ class TestTextSyntax:
             with pytest.raises(ValueError):
                 parse_poly(bad)
 
+    @pytest.mark.parametrize("text, message", [
+        ("Z1^1e400", "exponent 1e400 is not finite"),
+        ("1e400*Z1", "coefficient 1e400 is not finite"),
+        ("Z2 + (1 + 1e999i)*Z1", "coefficient 1e999 is not finite"),
+        ("1e200*1e200*Z1", r"the coefficient of a term overflows to \(inf\+0j\)"),
+    ], ids=["exponent", "coefficient", "complex-group", "product"])
+    def test_rejects_non_finite_numbers_by_name(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_poly(text)
+
 
 class TestCanonicalForm:
     def test_merge_and_drop(self):

@@ -18,6 +18,22 @@ MIXED = M.SpectralMeasure(atoms=((0.0, 0.4),), continuous=(M.SemicirclePiece(2.0
                           support=(-0.1, 3.1))  # atom + semicircle
 
 
+def grids(spec):
+    """The two quantile grids an oracle report of ``spec`` computes."""
+    return M.quantiles(spec.mu1, spec.N), M.quantiles(spec.mu2, spec.N)
+
+
+def poly_trial(spec, poly, rng):
+    """The sorted spectrum of ``poly`` in one trial, as a report draws it."""
+    return rmt._trial_eigs(spec, *grids(spec), rng, lambda x1, x2: rmt._poly_eigs(poly, x1, x2))
+
+
+def pencil_trial(spec, model, b, rng):
+    """The sorted spectrum of the pencil in one trial, as a report draws it."""
+    return rmt._trial_eigs(spec, *grids(spec), rng,
+                           lambda x1, x2: rmt._pencil_eigs(model, b, x1, x2))
+
+
 class TestHaarUnitary:
     def test_unitarity(self):
         rng = np.random.default_rng(1)
@@ -84,10 +100,21 @@ class TestRealizePair:
         # p(D1, U D2 U*) has exactly the spectrum of a conjugated full draw
         spec = rmt.EnsembleSpec(N=60, trials=1, seed=9, mu1=MU1, mu2=MU2)
         rng = spec.trial_rngs()[0]
-        d1, A2 = rmt._realize_reduced(spec, rng)
+        d1, A2 = rmt._realize_reduced(spec, *grids(spec), rng)
         v1 = rmt._eval_poly_diag_first(Z1 * Z2 + Z2 * Z1, d1, A2)
         v2 = eval_matrices(Z1 * Z2 + Z2 * Z1, np.diag(d1).astype(complex), A2)
         np.testing.assert_allclose(v1, v2, atol=1e-12)
+
+    def test_diagonal_first_evaluation_of_a_stack(self):
+        # a stack of blocks is evaluated block by block, as eval_matrices does
+        rng = np.random.default_rng(33)
+        x1 = rng.standard_normal((5, 3))
+        x2 = np.stack([_random_hermitian(rng, 3) for _ in range(5)])
+        poly = Z1 * Z2 * Z1 + 2 * Z2 * Z2 + Z1 * Z1 - 0.5
+        stacked = rmt._eval_poly_diag_first(poly, x1, x2)
+        assert stacked.shape == (5, 3, 3)
+        for d, a, v in zip(x1, x2, stacked):
+            np.testing.assert_allclose(v, eval_matrices(poly, np.diag(d), a), rtol=0, atol=1e-12)
 
     def test_frame_draw_matches_the_full_draw_in_law(self):
         # an atomic mu2 draws only the N x |S| Gaussian of the frame off its
@@ -95,8 +122,9 @@ class TestRealizePair:
         # four spectral moments agree with realize_pair's full draw within 3 SE
         three_atoms = M.atomic_measure([(0.0, 0.5), (1.0, 0.3), (2.5, 0.2)])
         spec = rmt.EnsembleSpec(N=100, trials=40, seed=29, mu1=MIXED, mu2=three_atoms)
+        d1, d2 = grids(spec)
         rng = _RecordingRng(30)
-        _d1, A2 = rmt._realize_reduced(spec, rng)
+        _d1, A2 = rmt._realize_reduced(spec, d1, d2, rng)
         assert [np.shape(v) for _name, v in rng.draws] == [(100, 50)] * 2
         np.testing.assert_allclose(np.linalg.eigvalsh(A2), M.quantiles(three_atoms, 100),
                                    atol=1e-12)
@@ -104,7 +132,7 @@ class TestRealizePair:
 
         def frame(r):
             return np.linalg.eigvalsh(herm_part(
-                rmt._eval_poly_diag_first(poly, *rmt._realize_reduced(spec, r))))
+                rmt._eval_poly_diag_first(poly, *rmt._realize_reduced(spec, d1, d2, r))))
 
         def full(r):
             return np.linalg.eigvalsh(herm_part(eval_matrices(poly, *rmt.realize_pair(spec, r))))
@@ -266,34 +294,22 @@ class TestPencilAssembly:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("laws", list(LAWS))
-    def test_spectrum_is_that_of_the_kron_pencil(self, n, laws, monkeypatch):
-        calls = []
-        trial_eigs = rmt._trial_eigs
-
-        def spy(spec, rng, block_eigs, dense_eigs):
-            def blocks(x1, x2):
-                calls.append((x1, x2, block_eigs(x1, x2)))
-                return calls[-1][2]
-
-            def dense(d1, A2):
-                calls.append((np.diag(d1).astype(complex), A2, dense_eigs(d1, A2)))
-                return calls[-1][2]
-
-            return trial_eigs(spec, rng, blocks, dense)
-
-        monkeypatch.setattr(rmt, "_trial_eigs", spy)
+    def test_spectrum_is_that_of_the_kron_pencil(self, n, laws):
         mu1, mu2 = self.LAWS[laws]
         spec = rmt.EnsembleSpec(N=40, trials=1, seed=0, mu1=mu1, mu2=mu2)
         rng = np.random.default_rng(n)
         a1, a2, b = (_random_hermitian(rng, n) for _ in range(3))
-        rmt._pencil_eigs(spec, FreeSumModel(a1, a2, mu1, mu2), b, np.random.default_rng(28))
-        shapes = {x1.shape[-1] for x1, _x2, _e in calls}
+        model = FreeSumModel(a1, a2, mu1, mu2)
+        blocks = rmt._trial_blocks(spec, *grids(spec), np.random.default_rng(28))
+        shapes = {x1.shape[-1] for _copies, x1, _x2 in blocks}
         assert shapes == {"1x1 stacks": {1}, "halmos stacks": {1, 2}, "dense": {40},
                           "light ranges": {1, 36}}[laws]
-        for x1, x2, eigs in calls:
+        for _copies, x1, x2 in blocks:
             k = x1.shape[-1]
-            big = np.kron(b, np.eye(k)) - np.kron(a1, x1) - np.kron(a2, x2)
-            assert np.array_equal(eigs, np.linalg.eigvalsh(big))
+            X1 = np.zeros(x2.shape, dtype=complex)
+            X1[..., np.arange(k), np.arange(k)] = x1
+            big = np.kron(b, np.eye(k)) - np.kron(a1, X1) - np.kron(a2, x2)
+            assert np.array_equal(rmt._pencil_eigs(model, b, x1, x2), np.linalg.eigvalsh(big))
 
 
 class TestTwoSubspaceOracle:
@@ -340,7 +356,7 @@ class TestTwoSubspaceOracle:
         poly = Z1 * Z2 + Z2 * Z1
         D1, A2, ks = self.dense_pair(spec, seed=21)
         assert ks == self.CASES[case][2:]
-        blocks = rmt._poly_eigs(spec, poly, np.random.default_rng(21))
+        blocks = poly_trial(spec, poly, np.random.default_rng(21))
         dense = np.linalg.eigvalsh(eval_matrices(poly, D1, A2))
         assert blocks.shape == (self.N,)
         np.testing.assert_allclose(blocks, dense, rtol=0, atol=1e-10)
@@ -351,8 +367,8 @@ class TestTwoSubspaceOracle:
         rng = np.random.default_rng(22)
         a1, a2, b = (_random_hermitian(rng, 2) for _ in range(3))
         D1, A2, _ = self.dense_pair(spec, seed=23)
-        blocks = rmt._pencil_eigs(spec, FreeSumModel(a1, a2, spec.mu1, spec.mu2), b,
-                                  np.random.default_rng(23))
+        blocks = pencil_trial(spec, FreeSumModel(a1, a2, spec.mu1, spec.mu2), b,
+                              np.random.default_rng(23))
         dense = np.linalg.eigvalsh(np.kron(b, np.eye(self.N)) - np.kron(a1, D1) - np.kron(a2, A2))
         assert blocks.shape == (2 * self.N,)
         np.testing.assert_allclose(blocks, dense, rtol=0, atol=1e-10)
@@ -370,7 +386,7 @@ class TestTwoSubspaceOracle:
         rngs = spec.trial_rngs()
         half = spec.trials // 2
         moments = {
-            "blocks": np.array([[np.mean(rmt._poly_eigs(spec, poly, r) ** j) for j in range(1, 5)]
+            "blocks": np.array([[np.mean(poly_trial(spec, poly, r) ** j) for j in range(1, 5)]
                                 for r in rngs[:half]]),
             "dense": np.array([[np.mean(dense(r) ** j) for j in range(1, 5)]
                                for r in rngs[half:]]),
@@ -403,7 +419,7 @@ class TestTwoSubspaceOracle:
                 kwargs["model"] = scalar_model(mu1, mu2)
             rep = rmt.oracle_report(spec, **kwargs)
             assert calls == frame * 3
-            assert rep.path == path == rmt._trial_path(spec)
+            assert rep.path == path == rmt._trial_path(*grids(spec))
             assert rep.counts_mean.sum() == pytest.approx(150)
 
 
@@ -449,8 +465,6 @@ class TestLightRanges:
                                (20, 14), ["W1"]),
         "mu1-mixed": (40, MIXED, M.atomic_measure([(0.0, 0.7), (1.0, 0.2), (2.0, 0.1)]),
                       (24, 12), ["W1", "Y"]),
-        "s1=0": (50, M.atomic_measure([(0.0, 0.999), (1.0, 0.001)]), THREE_ATOMS, (0, 25), ["Y"]),
-        "s2=0": (50, THREE_ATOMS, M.atomic_measure([(0.3, 0.999), (1.0, 0.001)]), (25, 0), []),
     }
 
     def spec(self, case):
@@ -492,10 +506,10 @@ class TestLightRanges:
     @pytest.mark.parametrize("case", list(CASES))
     def test_polynomial_equals_dense_spectrum(self, case, monkeypatch):
         spec = self.spec(case)
-        assert rmt._trial_path(spec) == "dense"
+        assert rmt._trial_path(*grids(spec)) == "dense"
         poly = Z1 * Z2 + Z2 * Z1 + Z1
         D1, A2, s, drawn = self.known_frame(spec, monkeypatch, seed=41)
-        light = rmt._poly_eigs(spec, poly, np.random.default_rng(41))
+        light = poly_trial(spec, poly, np.random.default_rng(41))
         dense = np.linalg.eigvalsh(eval_matrices(poly, D1, A2))
         assert (s, drawn) == self.CASES[case][3:]
         assert light.shape == (spec.N,)
@@ -507,8 +521,8 @@ class TestLightRanges:
         rng = np.random.default_rng(42)
         a1, a2, b = (_random_hermitian(rng, 2) for _ in range(3))
         D1, A2, _s, drawn = self.known_frame(spec, monkeypatch, seed=43)
-        light = rmt._pencil_eigs(spec, FreeSumModel(a1, a2, spec.mu1, spec.mu2), b,
-                                 np.random.default_rng(43))
+        light = pencil_trial(spec, FreeSumModel(a1, a2, spec.mu1, spec.mu2), b,
+                             np.random.default_rng(43))
         dense = np.linalg.eigvalsh(np.kron(b, np.eye(spec.N)) - np.kron(a1, D1)
                                    - np.kron(a2, A2))
         assert drawn == self.CASES[case][4]
@@ -521,7 +535,7 @@ class TestLightRanges:
         # A1 a permutation of mu1's, A2 its spectrum to roundoff
         spec = self.spec(case)
         c1, c2 = heaviest_atom(spec.mu1), heaviest_atom(spec.mu2)
-        a1, A2 = rmt._realize_reduced(spec, np.random.default_rng(44))
+        a1, A2 = rmt._realize_reduced(spec, *grids(spec), np.random.default_rng(44))
         rest = spec.N - a1.size
         assert rest == spec.N - sum(self.CASES[case][3]) > 0
         assert np.array_equal(np.sort(np.append(a1, np.full(rest, c1))),
@@ -537,9 +551,9 @@ class TestLightRanges:
     ])
     def test_other_pairs_keep_the_frame_draw(self, mu1, mu2, N):
         spec = rmt.EnsembleSpec(N=N, trials=1, seed=0, mu1=mu1, mu2=mu2)
-        assert rmt._trial_path(spec) == "dense"
-        ours, theirs = (draw(spec, np.random.default_rng(45))
-                        for draw in (rmt._realize_reduced, frame_draw))
+        assert rmt._trial_path(*grids(spec)) == "dense"
+        ours = rmt._realize_reduced(spec, *grids(spec), np.random.default_rng(45))
+        theirs = frame_draw(spec, np.random.default_rng(45))
         assert ours[1].shape == (N, N)
         for a, b in zip(ours, theirs):
             assert a.tobytes() == b.tobytes()
@@ -559,7 +573,7 @@ class TestLightRanges:
         rngs = spec.trial_rngs()
         half = spec.trials // 2
         moments = {
-            "light": np.array([[np.mean(rmt._poly_eigs(spec, poly, r) ** j) for j in range(1, 5)]
+            "light": np.array([[np.mean(poly_trial(spec, poly, r) ** j) for j in range(1, 5)]
                                for r in rngs[:half]]),
             "full": np.array([[np.mean(full(r) ** j) for j in range(1, 5)] for r in rngs[half:]]),
         }
@@ -663,8 +677,8 @@ class TestJacobiCosines:
             qr_calls.clear()
             spec = rmt.EnsembleSpec(N=400, trials=1, seed=0, mu1=mu1, mu2=MU2)
             rng = _RecordingRng(27)
-            assert rmt._trial_path(spec) == path
-            assert rmt._poly_eigs(spec, poly, rng).shape == (400,)
+            assert rmt._trial_path(*grids(spec)) == path
+            assert poly_trial(spec, poly, rng).shape == (400,)
             gaussians = [np.shape(v) for name, v in rng.draws if name == "standard_normal"]
             if path == "dense":  # the counters do see the dense draw
                 # the frame W1 of three_atoms' 200 light entries against
@@ -682,7 +696,7 @@ class TestCommutingOracle:
         c = 0.7
         spec = rmt.EnsembleSpec(N=200, trials=1, seed=0, mu1=MIXED, mu2=M.point_mass(c))
         d1 = M.quantiles(MIXED, 200)
-        eigs = rmt._poly_eigs(spec, Z1 * Z2 + Z2 * Z1 + Z1 * Z1, np.random.default_rng(0))
+        eigs = poly_trial(spec, Z1 * Z2 + Z2 * Z1 + Z1 * Z1, np.random.default_rng(0))
         np.testing.assert_allclose(eigs, np.sort(2 * c * d1 + d1 * d1), rtol=1e-13, atol=1e-15)
 
     def test_small_coefficients_are_not_dropped(self):
@@ -693,18 +707,101 @@ class TestCommutingOracle:
 
         def eigs(scale):
             model = FreeSumModel(np.array([[scale]]), np.array([[scale]]), semi, semi)
-            return rmt._pencil_eigs(spec, model, None, np.random.default_rng(26))
+            return pencil_trial(spec, model, None, np.random.default_rng(26))
 
         np.testing.assert_allclose(eigs(1e-9), 1e-9 * eigs(1.0), rtol=1e-6)
 
     @pytest.mark.parametrize("N", [2, 7, 600, 2001])
-    def test_point_mass_grid_is_constant_to_the_bit(self, N):
+    def test_point_mass_grid_is_constant_to_the_bit(self, N, monkeypatch):
         # the commuting path reads a point-mass law's grid from quantiles;
         # it is N copies of the location, the sign of zero included
         for c in (0.0, -0.0, 1.3, -2.7e-5, 1e300):
             assert M.quantiles(M.point_mass(c), N).tobytes() == np.full(N, c).tobytes()
-        # as is the law that stands in for an exactly zero coefficient
+        # as is the grid that stands in for an exactly zero coefficient
+        seen = []
+        trial_eigs = rmt._trial_eigs
+        monkeypatch.setattr(rmt, "_trial_eigs", lambda spec, d1, d2, rng, spectrum: seen.append(
+            (d1, d2)) or trial_eigs(spec, d1, d2, rng, spectrum))
         model = FreeSumModel(np.eye(2), np.zeros((2, 2)), MIXED, MIXED)
         spec = rmt.EnsembleSpec(N=N, trials=1, seed=0, mu1=MIXED, mu2=MIXED)
-        zero_law = rmt._pencil_laws(spec, model).mu2
-        assert M.quantiles(zero_law, N).tobytes() == np.zeros(N).tobytes()
+        assert rmt.oracle_report(spec, model=model).path == "commuting"
+        assert seen[0][0].tobytes() == M.quantiles(MIXED, N).tobytes()
+        assert seen[0][1].tobytes() == np.zeros(N).tobytes()
+
+
+class TestGrids:
+    """A report computes its two quantile grids once, and every trial's
+    path follows the grids."""
+
+    LIGHT = M.atomic_measure([(0.0, 0.999), (1.0, 0.001)])  # constant grid at N = 50
+
+    @pytest.mark.parametrize("target", ["poly", "pencil"])
+    @pytest.mark.parametrize("mu1, mu2", [(MU1, MU2), (THREE_ATOMS, MU2), (MIXED, MU2),
+                                          (M.point_mass(0.5), MIXED)],
+                             ids=["two-subspace", "light ranges", "frame", "commuting"])
+    def test_quantiles_run_once_per_law(self, target, mu1, mu2, monkeypatch):
+        calls = []
+        quantiles = rmt.quantiles
+        monkeypatch.setattr(rmt, "quantiles", lambda mu, N: calls.append(mu) or quantiles(mu, N))
+        spec = rmt.EnsembleSpec(N=60, trials=3, seed=47, mu1=mu1, mu2=mu2)
+        kwargs = ({"poly": Z1 * Z2 + Z2 * Z1} if target == "poly"
+                  else {"model": scalar_model(mu1, mu2), "b": np.array([[0.0]])})
+        rmt.oracle_report(spec, **kwargs)
+        assert calls == [mu1, mu2]
+
+    def test_a_zero_coefficient_takes_no_quantiles(self, monkeypatch):
+        calls = []
+        quantiles = rmt.quantiles
+        monkeypatch.setattr(rmt, "quantiles", lambda mu, N: calls.append(mu) or quantiles(mu, N))
+        spec = rmt.EnsembleSpec(N=60, trials=3, seed=47, mu1=MIXED, mu2=MU2)
+        model = FreeSumModel(np.eye(2), np.zeros((2, 2)), MIXED, MU2)
+        assert rmt.oracle_report(spec, model=model).path == "commuting"
+        assert calls == [MIXED]
+
+    @pytest.mark.parametrize("target", ["poly", "pencil"])
+    @pytest.mark.parametrize("side", [1, 2])
+    def test_a_constant_grid_commutes(self, target, side):
+        # at N = 50 the atom of mass 0.001 takes no grid entry: the grid is
+        # constant and the path commuting.  The two-subspace form, which
+        # such a law took against a two-atom law before, draws no cosine
+        # (k = 0) and gives the 1 x 1 blocks of the four intersections:
+        # the same sorted eigenvalues, to the bit
+        N = 50
+        laws = (self.LIGHT, MU2) if side == 1 else (MU2, self.LIGHT)
+        spec = rmt.EnsembleSpec(N=N, trials=1, seed=0, mu1=laws[0], mu2=laws[1])
+        d1, d2 = grids(spec)
+        assert rmt._trial_path(d1, d2) == "commuting"
+        # the intersections (P, Q) = (1, 1), (1, 0), (0, 1), (0, 0)
+        (lo1, hi1), (lo2, hi2) = (d1[0], d1[-1]), (d2[0], d2[-1])
+        k1, k2 = (int(np.count_nonzero(d > d[0])) for d in (d1, d2))
+        assert 0 in (k1, k2)
+        x1 = np.array([hi1, hi1, lo1, lo1], dtype=complex).reshape(4, 1, 1)
+        x2 = np.array([hi2, lo2, hi2, lo2], dtype=complex).reshape(4, 1, 1)
+        dims = [max(0, k1 + k2 - N), max(0, k1 - k2), max(0, k2 - k1), max(0, N - k1 - k2)]
+        rng = np.random.default_rng(48)
+        a1, a2, b = (_random_hermitian(rng, 2) for _ in range(3))
+        poly = Z1 * Z2 + Z2 * Z1 + Z1 + Z2 * Z2
+        if target == "poly":
+            rep = rmt.oracle_report(spec, poly=poly)
+            eigs = poly_trial(spec, poly, np.random.default_rng(0))
+            blocks = np.linalg.eigvalsh(eval_matrices(poly, x1, x2))
+        else:
+            model = FreeSumModel(a1, a2, *laws)
+            rep = rmt.oracle_report(spec, model=model, b=b)
+            eigs = pencil_trial(spec, model, b, np.random.default_rng(0))
+            blocks = np.linalg.eigvalsh(np.kron(b, np.eye(1)) - np.kron(a1, x1) - np.kron(a2, x2))
+        assert rep.path == "commuting"
+        two_subspace = np.sort(np.repeat(blocks, dims, axis=0).reshape(-1))
+        assert np.array_equal(eigs, two_subspace)
+
+    def test_a_two_valued_grid_of_three_atoms_takes_two_subspaces(self):
+        # the atom of mass 0.001 takes no grid entry at N = 50, so the grid
+        # is that of 0.6 delta_0 + 0.4 delta_1, and so is the trial
+        three = M.atomic_measure([(0.0, 0.6), (1.0, 0.399), (2.0, 0.001)])
+        two = M.atomic_measure([(0.0, 0.6), (1.0, 0.4)])
+        specs = [rmt.EnsembleSpec(N=50, trials=1, seed=49, mu1=mu, mu2=MU2) for mu in (three, two)]
+        assert np.array_equal(grids(specs[0])[0], grids(specs[1])[0])
+        poly = Z1 * Z2 + Z2 * Z1 + Z1
+        assert [rmt.oracle_report(spec, poly=poly).path for spec in specs] == ["two-subspace"] * 2
+        eigs = [poly_trial(spec, poly, np.random.default_rng(50)) for spec in specs]
+        assert np.array_equal(*eigs)

@@ -307,6 +307,30 @@ class TestStackedSolve:
         assert kept.point_iterations.tolist() == full.point_iterations[:2].tolist()
         assert kept.lifted_evaluations == full.point_iterations[1]
 
+    def test_low_evaluation_point_is_lifted_and_counted(self, monkeypatch):
+        # push the first h1(w) + z down to Im 0.01, below its floor
+        # 0.25 Im z = 0.05: F2 is evaluated on the floor, the lift is
+        # counted, and the solve still reaches the unperturbed solution
+        model = scalar_model(BERN, BERN)
+        z = np.array([[0.5 + 0.2j]])
+        plain = solve_subordination(model, z)
+        matrix_f = subord.matrix_f
+        points = []
+
+        def low_first(a, mu, w, **kwargs):
+            points.append(w)
+            out = matrix_f(a, mu, w, **kwargs)
+            if len(points) > 1:
+                return out
+            f, d = out
+            return f - 1j * (np.imag(f - w + z) - 0.01), d
+
+        monkeypatch.setattr(subord, "matrix_f", low_first)
+        lifted = solve_subordination(model, z)
+        assert points[1][0, 0, 0].imag == pytest.approx(0.05, rel=1e-12)
+        assert (plain.lifted_evaluations, lifted.lifted_evaluations) == (0, 1)
+        assert np.max(np.abs(lifted.cauchy - plain.cauchy)) <= 1e-12
+
     def test_failure_at_the_first_point_carries_no_result(self, monkeypatch):
         monkeypatch.setattr(subord, "MAX_ITER", 6)
         with pytest.raises(ConvergenceError) as info:
@@ -379,6 +403,27 @@ class TestFailingPoints:
         assert sizes[:2] == [3, 2]
         # point 1 converged, point 2 ran until it was stuck
         assert sizes[-1] == 1 and len(sizes) == subord._FAIL_WINDOW + 1
+
+    def test_damping_stops_once_every_step_is_repaired(self, monkeypatch):
+        # from 4i the plain step of w -> -w/2 + 1.5 + 1.5i is 1.5 - 0.5i,
+        # below the floor; its first average with the iterate, 0.75 + 1.75i,
+        # clears it, and damping stops there: no further average is
+        # checked on an empty stack.  The Newton step from that average
+        # gives 0.5 + 2.5i, and the fixed point 1 + i is reached
+        sizes = []
+        min_imag_eig = subord.min_imag_eig
+        monkeypatch.setattr(subord, "min_imag_eig", lambda w: sizes.append(len(w)) or min_imag_eig(w))
+        step, args, _ = affine_steps([-0.5], [1.5 + 1.5j])
+        iterates = []
+
+        def logged(w, *a):
+            iterates.append(complex(w[0, 0, 0]))
+            return step(w, *a)
+
+        w, _res, _it = run_fixed_point(logged, np.full((1, 1, 1), 4j), args, np.array([1e-3]))
+        assert iterates[:2] == [4j, 0.5 + 2.5j]
+        assert 0 not in sizes
+        assert w[0, 0, 0] == pytest.approx(1 + 1j, abs=1e-12)
 
     def test_stuck_point_fails_after_the_window(self):
         step, args, sizes = affine_steps([1.0], [1j])
