@@ -442,6 +442,31 @@ def _doubled_model(model, b, v_left, v_right):
     return doubled, b2, pencil
 
 
+def _zero_pencil_report(model: FreeSumModel, b) -> AtomReport:
+    """The exact report of the zero pencil: omega_j(iy) = iy, so b_j = 0 and beta_j = E(p) = I.
+
+    Its kernel is everything, so tau(p_j) = 1 and every residual takes
+    its exact value; no ladder is solved.
+    """
+    n = model.n
+    zero, eye = np.zeros((n, n), dtype=complex), np.eye(n, dtype=complex)
+    return AtomReport(
+        b=b,
+        E_p=eye,
+        b1=zero,
+        b2=zero.copy(),
+        beta1=eye.copy(),
+        beta2=eye.copy(),
+        residuals={"i": 0.0, "ii": 1.0, "v": 0.0, "iv_1": 0.0, "iv_2": 0.0, "iv": 0.0,
+                   "iii": 1.0, "vii": 0.0},
+        regularized=True,
+        model=model,
+        kernel_traces=(1.0, 1.0),
+        diagnostics={"exact": True, "ladders_solved": 0, "extrapolation_error": 0.0,
+                     "iv_extrapolation_error": 0.0},
+    )
+
+
 def support_regularize(scan: LadderScan):
     """Compress a singular kernel expectation to an invertible doubled one.
 
@@ -453,19 +478,28 @@ def support_regularize(scan: LadderScan):
     scanned down the scan's ladder at its tolerance.  Returns a
     :class:`RegularizationResult`: q1, q2, Y, the AtomReport on Y and the
     integer offset (2n - r1 - r2) + (r1 + r2) tau(ker Y) - 2n tau_n(ker(b - X)).
+
+    A null kernel expectation (r1 = 0, as at every b that is not an atom)
+    takes a closed form and solves nothing: q1 (b - X) = 0, so the
+    row-compressed pencil is the n x n zero pencil, whose kernel
+    expectation is I; hence v2 = I, and Y is the n x n zero pencil, for
+    which omega_j(iy) = iy exactly.  Its report has b_j = 0,
+    beta_j = E(p) = I, kernel traces (1, 1) and exact residuals.
     """
     model, b = scan.model, scan.b
     n = model.n
     v1, amb1 = _support_basis(scan.E_p, floor=scan.null_floor)
     r1 = v1.shape[1]
-
-    # row compression only (v2 = identity) to expose E(ker(q1 X))
-    row_model, row_b, _ = _doubled_model(model, b, v1, np.eye(n))
-    row = ladder_scan(row_model, row_b, scan.y_ladder, scan.tol)
-    v2, amb2 = _support_basis(row.E_p[r1:, r1:], floor=row.null_floor)
+    v2, amb2 = np.eye(n), False
+    if r1:
+        # row compression only (v2 = identity) to expose E(ker(q1 X))
+        row_model, row_b, _ = _doubled_model(model, b, v1, v2)
+        row = ladder_scan(row_model, row_b, scan.y_ladder, scan.tol)
+        v2, amb2 = _support_basis(row.E_p[r1:, r1:], floor=row.null_floor)
 
     doubled, b_d, pencil = _doubled_model(model, b, v1, v2)
-    report = decompose_atom(ladder_scan(doubled, b_d, scan.y_ladder, scan.tol))
+    report = (decompose_atom(ladder_scan(doubled, b_d, scan.y_ladder, scan.tol)) if r1
+              else _zero_pencil_report(doubled, b_d))
     report.regularized = True
     r = doubled.n
     offset = (2 * n - r) + r * report.mass - 2 * n * scan.mass

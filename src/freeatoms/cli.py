@@ -3,8 +3,10 @@
 Subcommands: convolve, atom-scan, decompose, linearize, eigtest,
 oracle, compare.  Measures come from JSON files in the canonical
 format; complex numbers serialize as [re, im] pairs and matrices in
-dense row-major order.  All randomness flows from one --seed so every
-run is reproducible.  Exit codes: 0 success, 1 strict-mode residual
+dense row-major order.  All randomness flows from one --seed, so a run
+is reproducible bit for bit at a fixed BLAS thread count; between thread
+counts the dense oracle path's eigensolve, and so its bin edges, can
+move in the last bits.  Exit codes: 0 success, 1 strict-mode residual
 failure, 2 schema violation, 3 numerical non-convergence (diagnostic
 JSON on stderr), 4 internal invariant breach.
 """

@@ -15,6 +15,7 @@ and all operations are pure, so they are safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,10 +38,19 @@ _TABLE_FAR = 8.0
 _TABLE_MOMENTS = 20
 
 _GL_ORDER = 32
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
-# mapped to [0, 1]
-_GL01_NODES = 0.5 * (_GL_NODES + 1.0)
-_GL01_WEIGHTS = 0.5 * _GL_WEIGHTS
+
+
+@functools.cache
+def _gauss_legendre01():
+    """Nodes and weights of the _GL_ORDER-point Gauss-Legendre rule mapped to [0, 1].
+
+    Built on first use, so that importing the library imports no
+    numpy.polynomial; read-only, since every caller shares them.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
+    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +326,12 @@ def integrate_piece(f, piece, rtol=QUAD_TOL, max_depth=30):
     still misses it at ``max_depth``.
     """
 
+    nodes, weights = _gauss_legendre01()
+
     def panel_estimate(lo, hi):
-        s = lo + (hi - lo) * _GL01_NODES
+        s = lo + (hi - lo) * nodes
         t = piece.param_to_t(s)
-        w = piece.param_weight(s) * (hi - lo) * _GL01_WEIGHTS
+        w = piece.param_weight(s) * (hi - lo) * weights
         vals = np.asarray(f(np.asarray(t, dtype=float)))
         if not np.all(np.isfinite(vals)):
             raise MeasureError("integrand returned a non-finite value (ill-formed density?)")
@@ -407,7 +419,7 @@ class SpectralMeasure:
             # no check here: the closed-form families have it by construction
             # and a table's trapezoid mass, exact for its piecewise-linear
             # density, is checked when the piece is built
-            dens = piece.unit_density(piece.param_to_t(_GL01_NODES))
+            dens = piece.unit_density(piece.param_to_t(_gauss_legendre01()[0]))
             if not np.all(np.isfinite(dens)) or np.any(dens < -VALIDATION_TOL):
                 raise MeasureError("piece density is negative or non-finite at quadrature nodes")
         intervals.sort()

@@ -393,8 +393,10 @@ def oracle_report(spec: EnsembleSpec, poly: NCPoly | None = None, lam: float = 0
     optional ``b`` selects the kernel test of b (x) 1 - sum (masses at
     0); without it the sum's own spectrum is reported and ``locations``
     are read on that axis.  The report is bit-identical for identical
-    seeds: per-trial generators are spawned from the seed and results
-    reduced in trial order.
+    seeds at a fixed BLAS thread count: per-trial generators are spawned
+    from the seed and results reduced in trial order, but the dense
+    path's eigensolve, and so the bin edges, can move in the last bits
+    between thread counts.
     """
     if (poly is None) == (model is None):
         raise PreconditionError("pass either poly or model")

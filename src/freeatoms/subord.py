@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
 from .measure import SpectralMeasure
-from .opval import (Coefficient, check_hermitian, herm_part, imag_part, matrix_cauchy,
-                    matrix_f, min_imag_eig, pack_matrix, validate_upper)
+from .opval import (Coefficient, _two_atom_law, check_hermitian, herm_part, imag_part, inverse,
+                    matrix_cauchy, matrix_f, min_imag_eig, pack_matrix, validate_upper)
 
 DEFAULT_TOL = 1e-12
 DEFAULT_Y_EVAL = 1e-4  # height of sum_density's evaluation points
@@ -361,7 +361,8 @@ def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL) -> Sub
     cold at w0 = z; points below Im z = 1e-6 are continued down an
     internal geometric ladder first.  ``residual_fixed_point`` is the
     iteration's own step residual ||Phi(omega1) - omega1|| at the
-    returned omega1.  G1(omega1) is evaluated once at the solution;
+    returned omega1.  G1(omega1) is evaluated once at the solution, and
+    F1 = G1^{-1} (a two-atom law takes F1 in closed form);
     omega2 = F1(omega1) - omega1 + z and the consistency residual are
     derived from it.  A failing point stops no other point; then one
     ConvergenceError names them all, with their stack indices as
@@ -427,7 +428,8 @@ def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL) -> Sub
         """The result for the first k points."""
         w1, zk = omega1[:k], zs[:k]
         g1 = matrix_cauchy(a1, model.mu1, w1)
-        f1 = matrix_f(a1, model.mu1, w1)  # not 1 / g1: a two-atom F has a closed form
+        # a two-atom F has a closed form, which avoids inverting an ill-conditioned G
+        f1 = matrix_f(a1, model.mu1, w1) if _two_atom_law(model.mu1) else inverse(g1)
         omega2, _ = _lift((f1 - w1) + zk, 0.25 * y_here[:k])
         return SubordinationResult(
             omega1=w1,

@@ -8,6 +8,7 @@ from freeatoms import measure as M
 from freeatoms import opval as O
 from freeatoms import subord
 from freeatoms.errors import ConvergenceError, PreconditionError
+from freeatoms.linearize import corner_shift, linearize
 from freeatoms.ncpoly import NCPoly
 from freeatoms.subord import FreeSumModel, scalar_model, solve_subordination, sum_density
 
@@ -187,6 +188,71 @@ class TestSupportRegularize:
         assert result.report.mass == pytest.approx(1.0, abs=1e-12)
         assert result.offset_distance < 1e-4
 
+    @staticmethod
+    def poly_scan(p, lam, mu1, mu2):
+        L, _ = linearize(p)
+        return A.ladder_scan(FreeSumModel(L.a1, L.a2, mu1, mu2), -corner_shift(L, lam).a0)
+
+    @pytest.mark.parametrize("case", ["semicircles", "anticommutator-projections",
+                                      "anticommutator-semicircles"])
+    def test_null_support_is_exact(self, case, monkeypatch):
+        scan = {
+            "semicircles": lambda: A.ladder_scan(scalar_model(SC2, SC2), b_scalar(0.0)),
+            "anticommutator-projections": lambda: self.poly_scan(Z1 * Z2 + Z2 * Z1, 0.0,
+                                                                 PROJ, PROJ),
+            "anticommutator-semicircles": lambda: self.poly_scan(Z1 * Z2 + Z2 * Z1, 0.37,
+                                                                 SC2, SC2),
+        }[case]()
+        n = scan.model.n
+        assert A._support_basis(scan.E_p, floor=scan.null_floor)[0].shape == (n, 0)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a null support solves nothing")
+
+        with monkeypatch.context() as m:
+            for module, name in [(A, "ladder_scan"), (A, "solve_subordination"),
+                                 (subord, "solve_subordination")]:
+                m.setattr(module, name, forbidden)
+            result = A.support_regularize(scan)
+
+        # the generic steps on the zero pencil: v1 of shape (n, 0), v2 = I
+        doubled, b_d, pencil = A._doubled_model(scan.model, scan.b, np.zeros((n, 0)), np.eye(n))
+        generic = A.decompose_atom(A.ladder_scan(doubled, b_d, scan.y_ladder, scan.tol))
+        report = result.report
+        assert report.regularized and report.n == n
+        assert report.diagnostics["exact"] and report.diagnostics["ladders_solved"] == 0
+        assert report.diagnostics["extrapolation_error"] == 0.0
+        assert report.diagnostics["iv_extrapolation_error"] == 0.0
+        for name in ("b", "E_p", "b1", "b2", "beta1", "beta2"):
+            np.testing.assert_allclose(getattr(report, name), getattr(generic, name),
+                                       rtol=0, atol=1e-12)
+        assert report.residuals.keys() == generic.residuals.keys()
+        for key, value in generic.residuals.items():
+            assert report.residuals[key] == pytest.approx(value, abs=1e-12)
+        assert report.kernel_traces == pytest.approx(generic.kernel_traces, abs=1e-12)
+        for name in ("a1", "a2"):
+            np.testing.assert_array_equal(getattr(report.model, name), getattr(doubled, name))
+        for name in ("a0", "a1", "a2"):
+            np.testing.assert_array_equal(getattr(result.doubled_pencil, name),
+                                          getattr(pencil, name))
+        np.testing.assert_array_equal(result.q1, np.zeros((n, n)))
+        np.testing.assert_array_equal(result.q2, np.eye(n))
+        assert not result.ambiguous
+        assert result.integer_offset == n + n * generic.mass - 2 * n * scan.mass
+
+    def test_null_support_passes_strict_eigtest(self, tmp_path):
+        from freeatoms import cli
+
+        proj = tmp_path / "proj.json"
+        proj.write_text(json.dumps(PROJ.to_json_dict()))
+        out = tmp_path / "out.json"
+        code = cli.main(["eigtest", "--poly", "Z1*Z2+Z2*Z1", "--lambda", "0", "--mu1", str(proj),
+                         "--mu2", str(proj), "--strict", "--out", str(out)])
+        assert code == cli.EXIT_OK
+        inner = json.loads(out.read_text())["regularization"]["report"]
+        assert inner["diagnostics"]["exact"] is True
+        assert inner["kernel_traces"] == [1.0, 1.0]
+
     def test_rank_one_kernel_expectation(self):
         # the 3 x 3 block pencil of Z1 + Z2 at 0: E_3 has rank 1, compression
         # must reach an invertible doubled expectation with integer offset
@@ -346,6 +412,16 @@ class TestOnePassPerLadder:
         counts = self.count_calls(monkeypatch)
         rep = A.eigenvalue_test(Z1 * Z2 + Z2 * Z1, 0.0, PROJ, PROJ)
         assert rep.regularized
+        # the location alone: its kernel expectation is null, so the zero
+        # pencils of the compression take their closed form
+        assert counts == {"ladder_scan": 1, "boundary_emass": 1}
+
+    def test_eigenvalue_test_with_a_kernel(self, monkeypatch):
+        counts = self.count_calls(monkeypatch)
+        rep = A.eigenvalue_test(Z1 * Z2 * Z1, 0.0, MU1, SC2)
+        assert rep.regularized
+        assert rep.diagnostics["poly_kernel_trace"] == pytest.approx(0.7, abs=1e-6)
+        assert int(round(np.trace(rep.regularization.q1).real)) == 1
         # the location, the row compression and the doubled pencil
         assert counts == {"ladder_scan": 3, "boundary_emass": 3}
 

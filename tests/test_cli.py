@@ -83,6 +83,22 @@ def test_library_does_not_import_scipy(tmp_path):
     assert proc.stdout.strip() == "False"
 
 
+def test_import_loads_no_numpy_polynomial():
+    # the Gauss-Legendre tables are built on first use, not at import
+    import os
+    import subprocess
+    import sys
+
+    import freeatoms
+
+    code = "import sys, freeatoms.cli\nprint('numpy.polynomial' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(freeatoms.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 class TestLinearizeCommand:
     @pytest.mark.parametrize("argv, code", [(["linearize", "--poly", "Z1*Z2+Z2*Z1"], 0), ([], 2)],
                              ids=["linearize", "no-arguments"])

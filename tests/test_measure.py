@@ -161,6 +161,14 @@ class TestIntegratePiece:
             M.integrate_piece(lambda t: 1.0 / np.abs(t - 0.3), M.UniformPiece(0.0, 1.0, 1.0),
                               max_depth=4)
 
+    def test_rule_is_the_mapped_legendre_rule_to_the_bit(self):
+        nodes, weights = np.polynomial.legendre.leggauss(32)
+        got_nodes, got_weights = M._gauss_legendre01()
+        assert np.array_equal(got_nodes, 0.5 * (nodes + 1.0))
+        assert np.array_equal(got_weights, 0.5 * weights)
+        assert M._gauss_legendre01()[0] is got_nodes
+        assert not got_nodes.flags.writeable and not got_weights.flags.writeable
+
     def test_construction_integrates_nothing(self, monkeypatch):
         def failing(*args, **kwargs):
             raise AssertionError("integrate_piece called")
