@@ -344,8 +344,8 @@ def _matrix_sqrt(m, floor=1e-14):
 def decompose_atom(scan: LadderScan) -> AtomReport:
     """Extract (b1, b2, beta1, beta2) at the scan's location b and verify the identities.
 
-    Requires the kernel expectation E(p) to be invertible; callers must
-    regularize first otherwise (see :func:`support_regularize`).
+    Requires the kernel expectation E(p) to be invertible; :func:`atom_report`
+    regularizes otherwise (see :func:`support_regularize`).
     """
     model, b, E_p = scan.model, scan.b, scan.E_p
     n = model.n
@@ -508,6 +508,32 @@ def support_regularize(scan: LadderScan):
                                 ambiguous=bool(amb1 or amb2))
 
 
+def atom_report(scan: LadderScan, b=None) -> AtomReport:
+    """The report at the scan's location: decomposed where E(p) is invertible, regularized otherwise.
+
+    A singular E(p) gives the scan's data with :func:`support_regularize`
+    attached; at a location that is no atom E(p) is null, so that is
+    exact and solves no ladder.  ``b`` is the location as the caller gave
+    it, for the regularized report (the scan keeps herm_part(b), which
+    turns -0.0 into 0.0); the scan's when omitted.
+    """
+    if scan.invertible:
+        return decompose_atom(scan)
+    return AtomReport(
+        b=scan.b if b is None else b,
+        E_p=scan.E_p,
+        b1=None,
+        b2=None,
+        beta1=None,
+        beta2=None,
+        residuals={},
+        regularized=True,
+        model=scan.model,
+        diagnostics=scan.diagnostics,
+        regularization=support_regularize(scan),
+    )
+
+
 # ---------------------------------------------------------------------------
 # integer test
 # ---------------------------------------------------------------------------
@@ -584,23 +610,7 @@ def eigenvalue_test(p: NCPoly, lam: float, mu1: SpectralMeasure, mu2: SpectralMe
     b = -shifted.a0
     model = FreeSumModel(L.a1, L.a2, mu1, mu2)
     scan = ladder_scan(model, b, y_ladder, tol)
-    if scan.invertible:
-        report = decompose_atom(scan)
-    else:
-        # b as given, not the scan's herm_part(b), which turns -0.0 into 0.0
-        report = AtomReport(
-            b=b,
-            E_p=scan.E_p,
-            b1=None,
-            b2=None,
-            beta1=None,
-            beta2=None,
-            residuals={},
-            regularized=True,
-            model=model,
-            diagnostics=scan.diagnostics,
-            regularization=support_regularize(scan),
-        )
+    report = atom_report(scan, b)
 
     kernel_trace = n * scan.mass
     report.diagnostics["poly"] = format_poly(p)

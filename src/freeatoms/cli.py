@@ -255,7 +255,7 @@ def _cmd_convolve(cfg):
 def _cmd_decompose(cfg):
     model = _build_model(cfg)
     b = _parse_b(cfg, model.n, np.zeros((model.n, model.n)))
-    report = atoms_mod.decompose_atom(atoms_mod.ladder_scan(model, b, _ladder(cfg), cfg.tol))
+    report = atoms_mod.atom_report(atoms_mod.ladder_scan(model, b, _ladder(cfg), cfg.tol), b)
     _emit(cfg, report.to_json_dict())
     if cfg.strict and _fails_strict(report):
         return EXIT_STRICT

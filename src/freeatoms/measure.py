@@ -467,13 +467,26 @@ class SpectralMeasure:
             total = total + m / (w - loc)
         return total + self.continuous_cauchy(w)
 
+    def cauchy_with_derivative(self, w):
+        """(G(w), G'(w)) of the whole law, G' = -int dmu(t) / (w - t)^2, in one pass.
+
+        G is :meth:`cauchy`, to the bit; the pieces are reflected once for both.
+        """
+        w = np.asarray(w, dtype=complex)
+        g, dg = np.zeros_like(w), np.zeros_like(w)
+        for loc, m in self.atoms:
+            g = g + m / (w - loc)
+            dg = dg - m / (w - loc) ** 2
+        gc, dgc = self._reflected(w, "unit_cauchy", "unit_cauchy_derivative")
+        return g + gc, dg + dgc
+
     def continuous_cauchy(self, w):
         """Cauchy transform of the continuous part alone, vectorized over ``w``.
 
         Pieces are evaluated at conj(w) in the upper half-plane and
         conjugated back below it; a real w takes the limit from above.
         """
-        return self._reflected("unit_cauchy", w)
+        return self._reflected(w, "unit_cauchy")[0]
 
     def continuous_cauchy_derivative(self, w):
         """d/dw of :meth:`continuous_cauchy`, -int dmu_c(t) / (w - t)^2, in closed form.
@@ -482,16 +495,20 @@ class SpectralMeasure:
         real on the real axis outside the support, so its derivative at
         conj(w) is conj of its derivative at w.
         """
-        return self._reflected("unit_cauchy_derivative", w)
+        return self._reflected(w, "unit_cauchy_derivative")[0]
 
-    def _reflected(self, method, w):
-        """The weighted sum of ``method`` over the pieces at w, via conj(w) below the axis."""
+    def _reflected(self, w, *methods):
+        """The weighted sum of each of ``methods`` over the pieces at w, via conj(w) below the axis."""
         w = np.asarray(w, dtype=complex)
         upper = w.real + 1j * np.abs(w.imag)
-        total = np.zeros_like(upper)
-        for p in self.continuous:
-            total = total + p.weight * getattr(p, method)(upper)
-        return np.where(w.imag < 0, total.conj(), total)
+        below = w.imag < 0
+        sums = []
+        for method in methods:
+            total = np.zeros_like(upper)
+            for p in self.continuous:
+                total = total + p.weight * getattr(p, method)(upper)
+            sums.append(np.where(below, total.conj(), total))
+        return sums
 
     # -- serialization -----------------------------------------------------
 

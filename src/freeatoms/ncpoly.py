@@ -14,6 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The largest degree parse_poly accepts in a term.  The pencil of a term
+# grows with its degree (up to about 2d for a word of degree d), and a
+# subordination solve costs about n^4 per point in the pencil's size n;
+# at this cap the Newton matrix of one point holds a million numbers.
+MAX_TERM_DEGREE = 16
+
+
 def _grlex_key(word):
     return (len(word), word)
 
@@ -232,7 +239,7 @@ def _parse_complex_group(tokens, i):
 
 
 def parse_poly(text: str) -> NCPoly:
-    """Parse the CLI text syntax into an NCPoly."""
+    """Parse the CLI text syntax into an NCPoly; a term of degree above MAX_TERM_DEGREE is refused."""
     pos = 0
     tokens = []
     while pos < len(text):
@@ -307,6 +314,9 @@ def parse_poly(text: str) -> NCPoly:
                     if power < 0 or power != exponent:
                         raise ValueError("exponent must be a nonnegative integer")
                     i += 1
+                if len(word) + power > MAX_TERM_DEGREE:
+                    raise ValueError(f"a term of degree {len(word) + power:.6g} exceeds the "
+                                     f"degree cap {MAX_TERM_DEGREE}")
                 word.extend([letter] * power)
                 saw_factor = True
                 continue

@@ -4,8 +4,11 @@ For a Hermitian n x n coefficient ``a`` and a scalar-distributed variable
 X with law mu, the transform is G(z) = int (z - t a)^{-1} dmu(t) for z in
 the matrix upper half-plane, evaluated exactly: atoms as a resolvent sum,
 the continuous part through an eigendecomposition and the scalar closed
-forms of ``measure``, and on request with its exact derivative
-(:class:`Derivative`) for the Newton steps of ``subord``.  The second half of the module computes the
+forms of ``measure``.  For the Newton steps of ``subord``,
+:func:`matrix_h` gives h = F - z with its exact derivative
+(:class:`Derivative`): a law with a continuous part takes h in closed
+form from the scalar h-transform h_mu = 1/G_mu - id at the same
+eigenvalues, with no inverse of G.  The second half of the module computes the
 normalized kernel dimension k(t) of the pencil b - t a: its generic
 minimum k_min, its value at the atoms of mu, and the kernel trace
 
@@ -24,8 +27,9 @@ JSON form of complex matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
+from functools import cached_property, reduce
+from operator import mul
 
 import numpy as np
 
@@ -155,40 +159,45 @@ def _resolvents(a, z, ts):
 
 @dataclass(frozen=True)
 class Derivative:
-    """The derivative H -> dG[H] of a transform at a point or a stack, kept as factors.
+    """The derivative H -> dh[H] of a transform at a point or a stack, kept as factors.
 
-    It is the sum of A H B over ``pairs`` (A, B) and of
-    P (Gamma o (S H T)) Q over ``hadamards`` (P, Q, Gamma, S, T), slice by
-    slice.  Products with fixed matrices and the choice of slices act on
-    the factors; :meth:`matrix` builds the n^2 x n^2 matrix on row-major
-    vec(H), where H -> A H B is kron(A, B^T), only when asked.
+    It is the sum of A H B over ``pairs`` (A, B), of
+    P (Gamma o (S H T)) Q over ``hadamards`` (P, Q, Gamma, S, T) and of
+    c H for c = ``identity``, slice by slice.  At n = 1 every term is a
+    product of numbers, and c may be a stack of them.  The choice of
+    slices acts on the factors; :meth:`matrix` builds the n^2 x n^2
+    matrix on row-major vec(H), where H -> A H B is kron(A, B^T), only
+    when asked.
     """
 
     pairs: tuple = ()
     hadamards: tuple = ()
-
-    def __add__(self, other):
-        return Derivative(self.pairs + other.pairs, self.hadamards + other.hadamards)
+    identity: float | np.ndarray = 0.0
 
     def map(self, fn):
         """The same derivative with ``fn`` applied to every factor (slicing, reshaping)."""
+        c = self.identity
         return Derivative(tuple(tuple(fn(f) for f in term) for term in self.pairs),
-                          tuple(tuple(fn(f) for f in term) for term in self.hadamards))
-
-    def sandwich(self, left, right):
-        """H -> left dG[H] right."""
-        return Derivative(tuple((left @ a, b @ right) for a, b in self.pairs),
-                          tuple((left @ p, q @ right, g, s, t) for p, q, g, s, t in self.hadamards))
+                          tuple(tuple(fn(f) for f in term) for term in self.hadamards),
+                          c if np.ndim(c) == 0 else fn(c))
 
     def matrix(self):
         """The matrix of the map on row-major vec, over the leading axes of the factors.
 
         Its entry ((i, l), (j, m)) is sum A_ij B_ml + sum P_ik S_kj Gamma_kp T_mp Q_pl
-        (over the terms, and over k, p); in the order ((i, j), (l, m))
-        every term is a product of an (n^2, k) and a (k, n^2) matrix, so
-        the whole map is one matrix product and one transposition.
+        (over the terms, and over k, p) + c delta_ij delta_lm; in the order
+        ((i, j), (l, m)) every term but the last is a product of an
+        (n^2, k) and a (k, n^2) matrix, so the whole map is one matrix
+        product and one transposition.  At n = 1 it is the sum of the
+        terms' products, a stack of 1 x 1 matrices.
         """
-        first = (self.pairs + self.hadamards)[0][0]  # A or P, with n rows
+        terms = self.pairs + self.hadamards
+        if not terms or terms[0][0].shape[-2] == 1:  # n = 1: A or P has one row
+            total = self.identity
+            for term in terms:
+                total = total + reduce(mul, term)
+            return total
+        first = terms[0][0]  # A or P, with n rows
         lead, n = first.shape[:-2], first.shape[-2]
         cols = [a.reshape(lead + (n * n, 1)) for a, _ in self.pairs]
         rows = [b.swapaxes(-1, -2).reshape(lead + (1, n * n)) for _, b in self.pairs]
@@ -199,13 +208,17 @@ class Derivative:
             rows.append(gamma @ (q[..., :, :, None] * t.swapaxes(-1, -2)[..., :, None, :]).reshape(
                 lead + (r, n * n)))
         m = np.concatenate(cols, axis=-1) @ np.concatenate(rows, axis=-2)
-        return m.reshape(lead + (n, n, n, n)).swapaxes(-3, -2).reshape(lead + (n * n, n * n))
+        m = m.reshape(lead + (n, n, n, n)).swapaxes(-3, -2).reshape(lead + (n * n, n * n))
+        if self.identity:
+            diag = np.arange(n * n)
+            m[..., diag, diag] += self.identity
+        return m
 
 
 def _divided_differences(g, dg, w):
     """Gamma_ij = (g_j - g_i) / (w_i - w_j), and -g'(w_i) where w_i and w_j (nearly) meet.
 
-    Gamma_ij = int dmu_c(t) / ((w_i - t)(w_j - t)) for g = G_c(w), dg = G_c'(w)
+    Gamma_ij = int dmu(t) / ((w_i - t)(w_j - t)) for g = G_mu(w), dg = G_mu'(w)
     along the last axis.  Below a gap of 1e-8 |w| the divided difference
     has lost half its digits and the mean derivative is as close.
     """
@@ -216,85 +229,72 @@ def _divided_differences(g, dg, w):
     return np.where(near, -0.5 * (dg[..., :, None] + dg[..., None, :]), out)
 
 
-def _continuous_cauchy(c: Coefficient, mu: SpectralMeasure, z, derivative=False):
-    """int (z - t a)^{-1} over the continuous part of mu at a stack z (K, n, n), in closed form.
+def _range_eig(c: Coefficient, z):
+    """The range split of a stack z (K, n, n) in an eigenbasis of a, for 0 < r < n or r = n.
 
-    In an eigenbasis of a, its kernel N is split off exactly: with the
-    Schur complement S = z_RR - z_RN z_NN^{-1} z_NR on the range R
-    (S stays in the upper half-plane), the range block of the resolvent
-    is (S - t d)^{-1} = V diag(1/(w_i - t)) V^{-1} d^{-1} for
-    d^{-1} S = V diag(w) V^{-1}, so it integrates to
-    V diag(G_c(w_i)) V^{-1} d^{-1}; the other blocks follow from it.
+    With the live eigenvalues d of a on its range R and its kernel N, the
+    Schur complement S = z_RR - z_RN z_NN^{-1} z_NR stays in the upper
+    half-plane, and d^{-1} S = V diag(w) V^{-1}.  Returns
+    (w, V, V^{-1}, left, right, z_NN^{-1}) with left = z_RN z_NN^{-1} and
+    right = z_NN^{-1} z_NR; the last three are None when a is invertible.
     No w_i is real, since S - t d is invertible for every real t.
     Keeping the kernel out of the eigenproblem matters: a zero
     eigenvalue of z^{-1} a next to small nonzero ones (singular pencils
-    near an atom) makes the eigenbasis ill-conditioned.  The slices
-    whose eigenbasis is too ill-conditioned are integrated by quadrature.
-    For n = 1 and a != 0 the transform is G_c(z / a) / a: no eigenbasis.
+    near an atom) makes the eigenbasis ill-conditioned.
+    """
+    U, Uh, d = c.split
+    n, r = z.shape[-1], d.size
+    zu = Uh @ z @ U
+    s = zu[:, :r, :r]
+    left = right = znn_inv = None
+    if r < n:
+        znn_inv = np.linalg.inv(zu[:, r:, r:])
+        left = zu[:, :r, r:] @ znn_inv
+        right = znn_inv @ zu[:, r:, :r]
+        s = s - left @ zu[:, r:, :r]
+    w, V = np.linalg.eig(s / d[:, None])
+    return w, V, np.linalg.inv(V), left, right, znn_inv
 
-    With ``derivative`` it returns (G_c, D), D the :class:`Derivative`
-    H -> dG_c[H] = -int R H R dmu_c, R = (z - t a)^{-1}.  In the
-    eigenbasis R = E X(t) F + C with X(t) = (S - t d)^{-1},
-    E = [I; -z_NN^{-1} z_NR], F = [I, -z_RN z_NN^{-1}] and
-    C = diag(0, z_NN^{-1}), so dG_c[H] is
-    -(E K[F H E] F + E g F H C + C H E g F + weight C H C), g the range
-    block above, with the Daleckii-Krein form
-    K[M] = int X M X dmu_c = V (Gamma o (V^{-1} d^{-1} M V)) V^{-1} d^{-1}
-    (:func:`_divided_differences`).  Quadrature slices take D from the
-    eigenbasis all the same.
+
+def _ill_conditioned(V, Vinv):
+    """The slices whose eigenbasis amplifies roundoff beyond ``_EIG_COND_LIMIT`` (1-norm)."""
+    cond = np.abs(V).sum(axis=-2).max(axis=-1) * np.abs(Vinv).sum(axis=-2).max(axis=-1)
+    return np.flatnonzero(cond > _EIG_COND_LIMIT)
+
+
+def _continuous_cauchy(c: Coefficient, mu: SpectralMeasure, z):
+    """int (z - t a)^{-1} over the continuous part of mu at a stack z (K, n, n), in closed form.
+
+    In an eigenbasis of a, its kernel is split off exactly
+    (:func:`_range_eig`): the range block of the resolvent is
+    (S - t d)^{-1} = V diag(1/(w_i - t)) V^{-1} d^{-1}, so it integrates
+    to V diag(G_c(w_i)) V^{-1} d^{-1}; the other blocks follow from it.
+    The slices whose eigenbasis is too ill-conditioned are integrated by
+    quadrature.  For n = 1 and a != 0 the transform is G_c(z / a) / a:
+    no eigenbasis.
     """
     U, Uh, d = c.split
     n, r = z.shape[-1], d.size
     weight = mu.continuous_weight
     if r == 0:
-        zinv = inverse(z)
-        if not derivative:
-            return weight * zinv
-        return weight * zinv, Derivative(((-weight * zinv, zinv),))
+        return weight * inverse(z)
     if n == 1:
-        g = mu.continuous_cauchy(z / d) * (1.0 / d)
-        if not derivative:
-            return g
-        dg = mu.continuous_cauchy_derivative(z / d) * (1.0 / (d * d))
-        return g, Derivative(((dg, np.ones_like(dg)),))
-    zu = Uh @ z @ U
-    s = zu[:, :r, :r]
-    if r < n:
-        znn_inv = np.linalg.inv(zu[:, r:, r:])
-        left = zu[:, :r, r:] @ znn_inv  # z_RN z_NN^{-1}
-        right = znn_inv @ zu[:, r:, :r]  # z_NN^{-1} z_NR
-        s = s - left @ zu[:, r:, :r]
-    w, V = np.linalg.eig(s / d[:, None])
-    Vinv = np.linalg.inv(V)
-    gw = mu.continuous_cauchy(w)
-    g = (V * gw[:, None, :]) @ (Vinv / d)
-    if derivative:
-        # E V and V^{-1} d^{-1} F in the original basis
-        ev, vf = U[:, :r] @ V, (Vinv / d) @ Uh[:r]
-        if r < n:
-            ev = ev - U[:, r:] @ (right @ V)
-            vf = vf - (Vinv / d) @ (left @ Uh[r:])
-        gamma = _divided_differences(gw, mu.continuous_cauchy_derivative(w), w)
-        jac = Derivative(hadamards=((-ev, vf, gamma, vf, ev),))
+        return mu.continuous_cauchy(z / d) * (1.0 / d)
+    w, V, Vinv, left, right, znn_inv = _range_eig(c, z)
+    g = (V * mu.continuous_cauchy(w)[:, None, :]) @ (Vinv / d)
     if r < n:
         block = np.empty_like(z)
         block[:, :r, :r] = g
         block[:, :r, r:] = -g @ left
         block[:, r:, :r] = -right @ g
         block[:, r:, r:] = right @ g @ left
-        # E g F and C in the original basis
-        egf, cc = U @ block @ Uh, U[:, r:] @ znn_inv @ Uh[r:]
-        g = egf + weight * cc
-        if derivative:
-            half = egf + 0.5 * weight * cc
-            jac += Derivative(((-half, cc), (-cc, half)))
+        g = U @ block @ Uh + weight * (U[:, r:] @ znn_inv @ Uh[r:])
     else:
         g = U @ g @ Uh
-    cond = np.abs(V).sum(axis=-2).max(axis=-1) * np.abs(Vinv).sum(axis=-2).max(axis=-1)
-    for k in np.flatnonzero(cond > _EIG_COND_LIMIT):
+    for k in _ill_conditioned(V, Vinv):
         g[k] = sum(p.weight * integrate_piece(lambda ts, zk=z[k]: _resolvents(c.a, zk, ts), p)
                    for p in mu.continuous)
-    return (g, jac) if derivative else g
+    return g
 
 
 def _prepare(a, z, check_upper):
@@ -307,53 +307,119 @@ def _prepare(a, z, check_upper):
     return c, z
 
 
-def matrix_cauchy(a, mu: SpectralMeasure, z, *, check_upper=True, derivative=False):
+def _atom_sum(c: Coefficient, mu: SpectralMeasure, z):
+    """(sum_k m_k R_k, (R_k)) over the atoms of mu, R_k = (z - t_k a)^{-1}."""
+    res = _resolvents(c.a, z, [loc for loc, _ in mu.atoms])
+    total = None
+    for (_loc, m), r in zip(mu.atoms, res):
+        total = m * r if total is None else total + m * r
+    return total, res
+
+
+def matrix_cauchy(a, mu: SpectralMeasure, z, *, check_upper=True):
     """G(z) = int (z - t a)^{-1} dmu(t); maps H+_n into H-_n.
 
     ``z`` is one point (n, n) or a stack (K, n, n), evaluated slice by
     slice in one pass.  ``a`` is a :class:`Coefficient` or a Hermitian
     array, which is prepared here.  ``check_upper=False`` skips the
     half-plane check of z, for a caller that has just made it itself.
-    With ``derivative`` it returns (G, D): D is the :class:`Derivative`
-    of the complex-linear map H -> dG[H] = -int R H R dmu,
-    R = (z - t a)^{-1}; each atom adds -m R H R from the resolvent it
-    already needs.
     """
     c, z = _prepare(a, z, check_upper)
     n = z.shape[-1]
-    total, jac = None, Derivative()
-    if mu.atoms:
-        res = _resolvents(c.a, z, [loc for loc, _ in mu.atoms])
-        for (_loc, m), r in zip(mu.atoms, res):
-            total = m * r if total is None else total + m * r
-        if derivative:
-            jac += Derivative(tuple((-m * r, r) for (_loc, m), r in zip(mu.atoms, res)))
+    total = _atom_sum(c, mu, z)[0] if mu.atoms else None
     if mu.continuous:
-        g = _continuous_cauchy(c, mu, z.reshape(-1, n, n), derivative)
-        if derivative:
-            g, dg = g
-            jac += dg.map(lambda f: f.reshape(z.shape[:-2] + f.shape[-2:]))
-        g = g.reshape(z.shape)
+        g = _continuous_cauchy(c, mu, z.reshape(-1, n, n)).reshape(z.shape)
         total = g if total is None else total + g
-    total = np.asarray(total, dtype=complex)
-    return (total, jac) if derivative else total
+    return np.asarray(total, dtype=complex)
 
 
-def matrix_f(a, mu: SpectralMeasure, z, *, check_upper=True, derivative=False):
+def matrix_f(a, mu: SpectralMeasure, z, *, check_upper=True):
     """Reciprocal transform F(z) = G(z)^{-1}; self-map of H+_n with Im F >= Im z.
 
-    ``a`` is a :class:`Coefficient` or a Hermitian array; ``z``,
-    ``check_upper`` and ``derivative`` are as for :func:`matrix_cauchy`,
-    and dF[H] = -F dG[H] F.  A law of two atoms takes F in closed form
-    (:func:`_two_atom_f`).
+    ``a``, ``z`` and ``check_upper`` are as for :func:`matrix_cauchy`.  A
+    law of two atoms takes F in closed form (:func:`_two_atom_f`).
     """
     if _two_atom_law(mu):
-        return _two_atom_f(a, mu, z, check_upper, derivative)
-    if not derivative:
-        return inverse(matrix_cauchy(a, mu, z, check_upper=check_upper))
-    g, jac = matrix_cauchy(a, mu, z, check_upper=check_upper, derivative=True)
-    f = inverse(g)
-    return f, jac.sandwich(-f, f)
+        return _two_atom_f(a, mu, z, check_upper, False)
+    return inverse(matrix_cauchy(a, mu, z, check_upper=check_upper))
+
+
+def matrix_h(a, mu: SpectralMeasure, z, *, check_upper=True):
+    """h(z) = F(z) - z and its :class:`Derivative` H -> dh[H], for the Newton steps of ``subord``.
+
+    ``a``, ``z`` and ``check_upper`` are as for :func:`matrix_cauchy`.  A
+    law with a continuous part takes h in closed form without inverting G
+    (:func:`_continuous_h`); a purely atomic law takes F as
+    :func:`matrix_f` does, and its derivative dF[H] = -F dG[H] F from
+    dG[H] = -sum_k m_k R_k H R_k, minus the identity.
+    """
+    c, z = _prepare(a, z, check_upper)
+    n = z.shape[-1]
+    h, jac = (_continuous_h if mu.continuous else _atomic_h)(c, mu, z.reshape(-1, n, n))
+    return (h[0], jac.map(lambda f: f[0])) if z.ndim == 2 else (h, jac)
+
+
+def _atomic_h(c: Coefficient, mu: SpectralMeasure, z):
+    """h = F - z and its derivative at a stack z for a purely atomic law."""
+    if _two_atom_law(mu):
+        f, jac = _two_atom_f(c, mu, z, False, True)
+    else:
+        g, res = _atom_sum(c, mu, z)
+        f = inverse(g)
+        jac = Derivative(tuple((f @ (m * r), r @ f) for (_loc, m), r in zip(mu.atoms, res)))
+    return f - z, Derivative(jac.pairs, identity=-1.0)
+
+
+def _continuous_h(c: Coefficient, mu: SpectralMeasure, z):
+    """h = F - z and its derivative at a stack z (K, n, n) for a law with a continuous part.
+
+    With the range split of :func:`_range_eig`, G is the inverse of the
+    matrix that agrees with z outside its range block and has Schur
+    complement V diag(1/G_mu(w_i)) V^{-1} d there, so exactly
+
+        h(z) = U_R d V diag(h_mu(w_i)) V^{-1} U_R*,
+
+    h_mu = 1/G_mu - id the scalar h-transform of the whole law, atoms
+    included: no inverse of G.  As a function of d^{-1} S, whose
+    derivative is H -> d^{-1} F H E with E = [I; -z_NN^{-1} z_NR] and
+    F = [I, -z_RN z_NN^{-1}] in the eigenbasis, its derivative is the
+    Daleckii-Krein term P (Gamma o (V^{-1} d^{-1} F H E V)) Q with
+    P = U_R d V, Q = V^{-1} U_R* and the divided differences
+    Gamma_ij = F_mu(w_i) F_mu(w_j) Gamma^G_ij - 1 of h_mu
+    (:func:`_divided_differences`).  At n = 1 this is h = a h_mu(z / a)
+    with h'(z) = h_mu'(z / a); for a = 0, h = 0.  The slices whose
+    eigenbasis is too ill-conditioned take h = G^{-1} - z with G by
+    quadrature, and their derivative from the eigenbasis all the same.
+    """
+    U, Uh, d = c.split
+    n, r = z.shape[-1], d.size
+    if r == 0:
+        zero = np.zeros_like(z)
+        return zero, Derivative(((zero, zero),))
+    # G' is of order 1/y^2 next to an atom, and overflows at extreme
+    # heights; the Newton candidate is then non-finite and rejected
+    if n == 1:
+        w = z / d
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            g, dg = mu.cauchy_with_derivative(w)
+            f = 1.0 / g
+            return d * (f - w), Derivative(identity=-dg * f * f - 1.0)
+    w, V, Vinv, left, right, _ = _range_eig(c, z)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g, dg = mu.cauchy_with_derivative(w)
+        f = 1.0 / g
+        gamma = f[:, :, None] * f[:, None, :] * _divided_differences(g, dg, w) - 1.0
+    p, q = U[:, :r] @ (d[:, None] * V), Vinv @ Uh[:r]
+    h = (p * (f - w)[:, None, :]) @ q
+    # E V and V^{-1} d^{-1} F in the original basis
+    ev, vf = U[:, :r] @ V, (Vinv / d) @ Uh[:r]
+    if r < n:
+        ev = ev - U[:, r:] @ (right @ V)
+        vf = vf - (Vinv / d) @ (left @ Uh[r:])
+    bad = _ill_conditioned(V, Vinv)
+    if bad.size:
+        h[bad] = inverse(matrix_cauchy(c, mu, z[bad], check_upper=False)) - z[bad]
+    return h, Derivative(hadamards=((p, q, gamma, vf, ev),))
 
 
 def _two_atom_law(mu: SpectralMeasure):
@@ -367,7 +433,8 @@ def _two_atom_f(a, mu, z, check_upper, derivative):
     G = m0 A^{-1} + m1 B^{-1} = A^{-1} M B^{-1} with M = m0 B + m1 A, so F
     needs one solve with M and no inverse of G: where G is
     ill-conditioned (|z| ~ 1/y next to a singular kernel expectation)
-    inverting it would lose cond(G) eps of F.  Its derivative is
+    inverting it would lose cond(G) eps of F.  With ``derivative`` it
+    returns (F, D), D the :class:`Derivative`
     H -> m0 B M^{-1} H M^{-1} B + m1 A M^{-1} H M^{-1} A, from
     F R_0 = B M^{-1}, R_0 F = M^{-1} B and likewise for t1.
     """

@@ -12,10 +12,12 @@ starting at w0 = z.  The plain iteration is a half-plane self-map
 down like 1 / (1 - rho(J)) near the real axis, so each step is a Newton
 step: Phi is holomorphic in the entries of w, and its derivative
 
-    J = (J_F2(u) - I)(J_F1(w) - I),  u = h1(w) + z,
+    J = J_h2(u) J_h1(w),  u = h1(w) + z,
 
-is a complex-linear n^2 x n^2 matrix in closed form (``opval``: dF[H]
-= -F dG[H] F, and dG[H] = -int R H R dmu for the resolvents R).  The
+is a complex-linear n^2 x n^2 matrix in closed form, a product of two
+numbers at n = 1 (``opval.matrix_h``: h_j and J_hj without inverting
+G_j for a law with a continuous part, and J_F - I with
+dF[H] = -F dG[H] F for an atomic law).  The
 candidate w + delta with (I - J) delta = Phi(w) - w is kept where it
 lies in the half-plane and discarded for the plain (damped) step
 elsewhere, which preserves the map's guarantees.  A Newton iterate at
@@ -35,7 +37,7 @@ import numpy as np
 from .errors import ConvergenceError, PreconditionError
 from .measure import SpectralMeasure
 from .opval import (Coefficient, _two_atom_law, check_hermitian, herm_part, imag_part, inverse,
-                    matrix_cauchy, matrix_f, min_imag_eig, pack_matrix, validate_upper)
+                    matrix_cauchy, matrix_f, matrix_h, min_imag_eig, pack_matrix, validate_upper)
 
 DEFAULT_TOL = 1e-12
 DEFAULT_Y_EVAL = 1e-4  # height of sum_density's evaluation points
@@ -163,22 +165,18 @@ def _newton_step(jac, r):
 
 
 def _chain_jacobian(d1, d2):
-    """J = (J_F2 - I)(J_F1 - I) on row-major vec from two :class:`Derivative` stacks.
+    """J = J_h2 J_h1 on row-major vec from two :class:`Derivative` stacks of h = F - id.
 
     Returns the function of a slice of the stack that builds J there.
+    At n = 1 both derivatives are stacks of numbers and J is their product.
     """
-    first = (d1.pairs + d1.hadamards)[0][0]  # A or P: (K, n, .)
-    eye = np.eye(first.shape[-2] ** 2)
-
     def jac(part):
         # products of resolvents of order 1/y overflow at extreme heights;
         # the non-finite candidate is then rejected
         with np.errstate(over="ignore", invalid="ignore"):
             jh1 = d1.map(lambda f: f[part]).matrix()
-            jh1 -= eye
             jh2 = d2.map(lambda f: f[part]).matrix()
-            jh2 -= eye
-            return jh2 @ jh1
+            return jh2 * jh1 if jh1.shape[-1] == 1 else jh2 @ jh1
 
     return jac
 
@@ -381,20 +379,20 @@ def solve_subordination(model: FreeSumModel, z, tol: float = DEFAULT_TOL) -> Sub
     failures = {}  # point number -> (message, details)
 
     # Phi(w) = h2(h1(w) + z) + z with h_j = F_j - id, and its derivative
-    # (J_F2(u) - I)(J_F1(w) - I) at the lifted point u.  Every iterate
-    # passed the iteration's floor check (a NaN fails it) and every lifted
-    # point sits on its floor, so the transforms skip their check
+    # J_h2(u) J_h1(w) at the lifted point u.  Every iterate passed the
+    # iteration's floor check (a NaN fails it) and every lifted point
+    # sits on its floor, so the transforms skip their check
     def step(w, zz, y_floor, rows):
-        f1, d1 = matrix_f(a1, model.mu1, w, check_upper=False, derivative=True)
-        u = f1 - w + zz  # h1(w) + z
+        h1, d1 = matrix_h(a1, model.mu1, w, check_upper=False)
+        u = h1 + zz
         # exact arithmetic guarantees Im u >= Im zz; near the real axis
-        # the inversion error can break that by O(eps/y), so lift the
+        # the evaluation error can break that by O(eps/y), so lift the
         # evaluation point back to a quarter of the guaranteed height
         lifted, low = _lift(u, y_floor)
         if low.any():
             lifts[rows[low]] += 1
-        f2, d2 = matrix_f(a2, model.mu2, lifted, check_upper=False, derivative=True)
-        return f2 - lifted + zz, _chain_jacobian(d1, d2)  # h2(lifted) + z
+        h2, d2 = matrix_h(a2, model.mu2, lifted, check_upper=False)
+        return h2 + zz, _chain_jacobian(d1, d2)
 
     y_here = min_imag_eig(zs)
     alive = np.ones(len(zs), dtype=bool)  # no failure yet

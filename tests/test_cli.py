@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeatoms import atoms, cli, rmt, subord
+from freeatoms import atoms, cli, ncpoly, rmt, subord
 from freeatoms.measure import SpectralMeasure
 
 from matrix_json import decode
@@ -250,12 +251,24 @@ class TestDecomposeCommand:
         err = capsys.readouterr().err
         assert err.startswith("schema error:") and message in err
 
-    def test_singular_expectation_maps_to_schema_exit(self, files, capsys):
-        # no atom at b = 0.5: precondition violation, not a crash
-        code = run_cli([
-            "decompose", "--mu1", files["mix1"], "--mu2", files["mix2"], "--b", "0.5",
-        ])
-        assert code == cli.EXIT_SCHEMA
+    @pytest.mark.parametrize("laws", [("mix1", "mix2"), ("mix2", "mix1")])
+    def test_location_that_is_no_atom_is_regularized(self, files, capsys, monkeypatch, laws):
+        # no atom at b = 0.5: E(p) is null, so the report carries the exact
+        # support regularization of the zero pencil, as eigtest's does
+        argv = ["decompose", "--mu1", files[laws[0]], "--mu2", files[laws[1]], "--b", "0.5"]
+        assert run_cli(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["mass"] == pytest.approx(0.0, abs=1e-9)
+        assert out["regularized"] and out["b1"] is None
+        reg = out["regularization"]
+        assert reg["report"]["diagnostics"]["ladders_solved"] == 0
+        assert reg["offset_distance"] < 1e-6
+        # --strict judges the regularization: its exact residuals pass, and
+        # an integer offset it may not accept fails
+        assert run_cli(argv + ["--strict"]) == 0
+        monkeypatch.setattr(cli.atoms_mod, "INTEGER_TOL", -1.0)
+        assert run_cli(argv + ["--strict"]) == cli.EXIT_STRICT
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", [
@@ -567,6 +580,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"schema error: {message}\n"
 
+    @pytest.mark.parametrize("poly, degree", [("Z1^1e300", "1e+300"), ("Z1^100000", "100000"),
+                                              ("Z1^8*Z2^9", "17")])
+    def test_degree_above_the_cap_is_schema_error(self, capsys, poly, degree):
+        # refused before any word is built: a huge exponent neither
+        # overflows nor runs the linearization for minutes
+        start = time.perf_counter()
+        assert run_cli(["linearize", "--poly", poly]) == cli.EXIT_SCHEMA
+        assert time.perf_counter() - start < 1.0
+        cap = ncpoly.MAX_TERM_DEGREE
+        assert capsys.readouterr().err == (
+            f"schema error: a term of degree {degree} exceeds the degree cap {cap}\n")
+        assert run_cli(["linearize", "--poly", f"Z1^{cap}"]) == cli.EXIT_OK
+        capsys.readouterr()
+
     @pytest.mark.parametrize("flag", ["--out", "--mu1", "--mu2", "--a1", "--a2", "--b"])
     def test_directory_path_is_schema_error(self, files, capsys, flag):
         # a directory can be neither read as a measure or matrix nor written
@@ -677,7 +704,7 @@ class TestCommandLineFuzz:
         "--a1": ["1", "[[2]]", "[[1,0],[0,-1]]"],
         "--a2": ["0.5", "[[1,0],[0,1]]"],
         "--b": ["0", "[[0.5]]", "[[0,1],[1,0]]"],
-        "--poly": ["Z1*Z2+Z2*Z1", "Z1+Z2", "Z1*Z2", "Z3"],
+        "--poly": ["Z1*Z2+Z2*Z1", "Z1+Z2", "Z1*Z2", "Z3", "Z1^100000"],
         "--lambda": ["0", "2"],
         "--candidates": ["0,2", "1"],
         "--y-eval": ["1e-3"],

@@ -1,11 +1,12 @@
 """Newton steps for the subordination fixed point: the exact derivatives they use.
 
-The closed-form derivatives G_c' of the density families, the factored
-derivatives of the matrix transforms and the full Jacobian of the
-solver's step map Phi(w) = h2(h1(w) + z) + z are checked against
-central differences, at points drawn by derandomized hypothesis
-searches in the upper half-plane.  The quadrature fallback of the
-matrix transform keeps the solve's answer.
+The closed-form derivatives G_c' of the density families, the closed
+form of h = F - id with its factored derivative (``opval.matrix_h``) and
+the full Jacobian of the solver's step map Phi(w) = h2(h1(w) + z) + z
+are checked against central differences and against G^{-1} - z, at
+points and laws drawn by derandomized hypothesis searches in the upper
+half-plane, and against a 60-digit evaluation next to an atom.  The
+quadrature fallback of the matrix transform keeps the solve's answer.
 """
 
 import numpy as np
@@ -16,7 +17,10 @@ from hypothesis import strategies as st
 from freeatoms import measure as M
 from freeatoms import opval as O
 from freeatoms import subord
+from freeatoms.atoms import ladder_scan
 from freeatoms.subord import DEFAULT_TOL, FreeSumModel, solve_subordination
+
+from block_pencil import SUM_BLOCK_PENCIL
 
 # a nonzero density at both ends, so the boundary terms of the table's derivative count
 TABLE = M.SpectralMeasure(continuous=(M.TablePiece((-1.0, 0.0, 0.5, 1.0), (0.2, 0.6, 0.7, 0.4), 1.0),),
@@ -102,47 +106,52 @@ def central_jacobian(fn, w, h=1e-6):
 CASES = [(1, 1), (1, 0), (3, 3), (3, 2), (3, 0)]
 
 
+def h_of(a, mu, w):
+    """h = F - w from matrix_h, without its derivative."""
+    return O.matrix_h(a, mu, w)[0]
+
+
 class TestTransformDerivative:
-    """matrix_cauchy and matrix_f with derivative=True against central differences."""
+    """matrix_h's derivative of h = F - id against central differences."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), law=st.sampled_from(sorted(LAWS)),
            case=st.sampled_from(CASES), y=st.floats(0.05, 2.0))
-    def test_matrix_f(self, seed, law, case, y):
+    def test_matrix_h(self, seed, law, case, y):
         n, rank = case
         rng = np.random.default_rng(seed)
         a, mu = coefficient(rng, n, rank), LAWS[law]
         z = np.stack([upper_point(rng, n, y) for _ in range(2)])
-        f, d = O.matrix_f(a, mu, z, derivative=True)
-        np.testing.assert_array_equal(f, O.matrix_f(a, mu, z))
-        central = central_jacobian(lambda w: O.matrix_f(a, mu, w), z)
+        h, d = O.matrix_h(a, mu, z)
+        central = central_jacobian(lambda w: h_of(a, mu, w), z)
         assert np.max(np.abs(d.matrix() - central)) <= 1e-6 * max(1.0, np.max(np.abs(central)))
 
     @pytest.mark.parametrize("law", sorted(LAWS))
-    def test_matrix_cauchy_at_one_point(self, law):
+    def test_matrix_h_at_one_point(self, law):
         rng = np.random.default_rng(7)
         a, z = coefficient(rng, 3, 2), upper_point(rng, 3, 0.2)
-        g, d = O.matrix_cauchy(a, LAWS[law], z, derivative=True)
-        assert g.shape == (3, 3) and d.matrix().shape == (9, 9)
-        central = central_jacobian(lambda w: O.matrix_cauchy(a, LAWS[law], w), z)
+        h, d = O.matrix_h(a, LAWS[law], z)
+        assert h.shape == (3, 3) and d.matrix().shape == (9, 9)
+        central = central_jacobian(lambda w: h_of(a, LAWS[law], w), z)
         assert np.max(np.abs(d.matrix() - central)) <= 1e-6 * max(1.0, np.max(np.abs(central)))
 
     def test_equal_eigenvalues_take_the_derivative(self):
-        # a = I on a scalar point: every eigenvalue of S d^{-1} is the same, so
-        # Gamma is -G_c' throughout and J is G_c'(z) times the identity
+        # a = I on a scalar point: every eigenvalue of d^{-1} S is the same, so
+        # Gamma is h_mu' throughout and J is h_mu'(z) = -G'(z) / G(z)^2 - 1 times the identity
         mu = FAMILIES["semicircle"]
         z = (0.3 + 0.4j) * np.eye(3)
-        _, d = O.matrix_cauchy(np.eye(3), mu, z, derivative=True)
-        expected = complex(mu.continuous_cauchy_derivative(0.3 + 0.4j))
-        np.testing.assert_allclose(d.matrix(), expected * np.eye(9), atol=1e-14)
+        _, d = O.matrix_h(np.eye(3), mu, z)
+        g, dg = map(complex, mu.cauchy_with_derivative(0.3 + 0.4j))
+        np.testing.assert_allclose(d.matrix(), (-dg / g**2 - 1.0) * np.eye(9), atol=1e-14)
 
     def test_factors_follow_slicing(self):
         rng = np.random.default_rng(8)
         a = coefficient(rng, 3, 2)
         z = np.stack([upper_point(rng, 3, 0.1) for _ in range(4)])
-        _, d = O.matrix_f(a, MIXED, z, derivative=True)
-        rows = np.array([True, False, True, True])
-        np.testing.assert_array_equal(d.map(lambda f: f[rows]).matrix(), d.matrix()[rows])
+        for mu in (MIXED, LAWS["three-atoms"]):
+            _, d = O.matrix_h(a, mu, z)
+            rows = np.array([True, False, True, True])
+            np.testing.assert_array_equal(d.map(lambda f: f[rows]).matrix(), d.matrix()[rows])
 
     def test_two_atom_reciprocal_is_one_over_g(self):
         rng = np.random.default_rng(9)
@@ -151,6 +160,121 @@ class TestTransformDerivative:
         f, g = O.matrix_f(a, mu, z), O.matrix_cauchy(a, mu, z)
         assert O._two_atom_law(mu) and not O._two_atom_law(LAWS["three-atoms"])
         assert np.max(np.abs(f @ g - np.eye(3))) <= 1e-10
+
+
+@st.composite
+def continuous_laws(draw):
+    """A law with a continuous part: one density family, a mixture with atoms, or a table."""
+    kind = draw(st.sampled_from(["continuous", "mixed", "table"]))
+    lo = draw(st.floats(-2.0, 1.0))
+    hi = lo + draw(st.floats(0.2, 2.5))
+    if kind == "table":
+        values = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=6))) + 0.05
+        nodes = np.linspace(lo, hi, len(values))
+        piece = M.TablePiece(tuple(nodes), tuple(values / np.trapezoid(values, nodes)), 1.0)
+        return M.SpectralMeasure(continuous=(piece,), support=(lo, hi))
+    family = draw(st.sampled_from(["semicircle", "arcsine", "uniform"]))
+    atoms = ()
+    weight = 1.0
+    if kind == "mixed":
+        masses = draw(st.lists(st.floats(0.05, 0.4), min_size=1, max_size=2))
+        locs = draw(st.lists(st.floats(-3.0, 3.0), min_size=len(masses), max_size=len(masses),
+                             unique=True))
+        atoms = tuple(zip(locs, masses))
+        weight = 1.0 - sum(masses)
+    piece = (M.SemicirclePiece(0.5 * (lo + hi), 0.5 * (hi - lo), weight) if family == "semicircle"
+             else M.ArcsinePiece(lo, hi, weight) if family == "arcsine"
+             else M.UniformPiece(lo, hi, weight))
+    points = [lo, hi] + [x for x, _ in atoms]
+    return M.SpectralMeasure(atoms=atoms, continuous=(piece,), support=(min(points), max(points)))
+
+
+def atom_beside_semicircle(mass, center):
+    """An atom of ``mass`` at 0 plus a radius-1 semicircle at ``center`` carrying the rest."""
+    return M.SpectralMeasure(atoms=((0.0, mass),), continuous=(M.SemicirclePiece(center, 1.0, 1.0 - mass),),
+                             support=(min(0.0, center - 1.0), max(0.0, center + 1.0)))
+
+
+def sixty_digit_h(a, mu, w):
+    """h = G^{-1} - w at 60 digits for a law of atoms and semicircles, from w^{-1} a = X diag(l) X^{-1}.
+
+    G(w) = X diag(phi(l_i)) X^{-1} w^{-1} with phi(l) = int dmu(t) / (1 - t l),
+    which is G_mu(1/l) / l for l != 0 and 1 for l = 0: no range split, no h_mu.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    with mp.workdps(60):
+        wm = mp.matrix(w.tolist())
+        winv = wm ** -1
+        lam, X = mp.eig(winv * mp.matrix(np.asarray(a, dtype=complex).tolist()))
+
+        def phi(l):
+            total = sum(mp.mpf(m) / (1 - mp.mpf(t) * l) for t, m in mu.atoms)
+            for p in mu.continuous:
+                if l == 0:
+                    total += mp.mpf(p.weight)
+                    continue
+                x, r = 1 / l - mp.mpf(p.center), mp.mpf(p.radius)
+                total += mp.mpf(p.weight) * 2 / (x + mp.sqrt(x - r) * mp.sqrt(x + r)) / l
+            return total
+
+        h = (X * mp.diag([phi(l) for l in lam]) * X ** -1 * winv) ** -1 - wm
+        return np.array(h.tolist(), dtype=complex)
+
+
+class TestMatrixHValues:
+    """h in closed form against G^{-1} - z, in the fallback, and at 60 digits."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), mu=continuous_laws(), n=st.sampled_from([1, 2, 3]),
+           full=st.booleans(), y=st.floats(0.05, 2.0))
+    def test_agrees_with_the_inverse_of_g(self, seed, mu, n, full, y):
+        rng = np.random.default_rng(seed)
+        a = coefficient(rng, n, n if full or n == 1 else n - 1)
+        z = np.stack([upper_point(rng, n, y) for _ in range(2)])
+        h = h_of(a, mu, z)
+        expected = O.inverse(O.matrix_cauchy(a, mu, z)) - z
+        assert np.max(np.abs(h - expected)) <= 1e-10 * max(1.0, np.max(np.abs(z)))
+
+    def test_ill_conditioned_slices_take_the_inverse_of_g(self, monkeypatch):
+        # every slice past the condition limit: h is G^{-1} - z with G by
+        # quadrature, and the derivative is still the eigenbasis one
+        rng = np.random.default_rng(11)
+        a = coefficient(rng, 3, 2)
+        z = np.stack([upper_point(rng, 3, y) for y in (0.5, 0.1)])
+        h, d = O.matrix_h(a, MIXED, z)
+        calls = []
+        integrate = O.integrate_piece
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(O, "_EIG_COND_LIMIT", 0.0)
+        monkeypatch.setattr(O, "integrate_piece", counted)
+        h_low, d_low = O.matrix_h(a, MIXED, z)
+        assert calls
+        np.testing.assert_array_equal(h_low, O.inverse(O.matrix_cauchy(a, MIXED, z)) - z)
+        np.testing.assert_array_equal(d_low.matrix(), d.matrix())
+        assert np.max(np.abs(h_low - h)) <= 1e-10
+
+    def test_sixty_digits_next_to_an_atom(self):
+        # the deep rungs (8-15) of the ladder at the sum atom 0 on the 3 x 3
+        # block pencil of Z1 + Z2: h_j at omega_j, where G is ill-conditioned,
+        # is no less accurate in closed form than as G^{-1} - z
+        L = SUM_BLOCK_PENCIL
+        model = FreeSumModel(L.a1, L.a2, atom_beside_semicircle(0.7, 1.5),
+                             atom_beside_semicircle(0.6, -1.5))
+        scan = ladder_scan(model, -L.a0)
+        closed = inverse_g = 0.0
+        for k in range(8, 16):
+            for a, mu, w in [(L.a1, model.mu1, scan.solve.omega1[k]),
+                             (L.a2, model.mu2, scan.solve.omega2[k])]:
+                exact = sixty_digit_h(a, mu, w)
+                closed = max(closed, np.max(np.abs(h_of(a, mu, w) - exact)))
+                inverse_g = max(inverse_g, np.max(np.abs(O.inverse(O.matrix_cauchy(a, mu, w)) - w
+                                                         - exact)))
+        assert closed <= inverse_g <= 1e-9
 
 
 def solver_step(model, z):
@@ -171,7 +295,7 @@ def solver_step(model, z):
 
 
 class TestStepJacobian:
-    """The step's J = (J_F2(u) - I)(J_F1(w) - I) against central differences of Phi."""
+    """The step's J = J_h2(u) J_h1(w) against central differences of Phi."""
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), laws=st.sampled_from(

@@ -235,13 +235,19 @@ class TestBadScalarInputs:
 
     @pytest.mark.parametrize("y_eval, expected", [("nan", cli.EXIT_SCHEMA), ("inf", cli.EXIT_SCHEMA),
                                                   ("0", cli.EXIT_SCHEMA), ("-1", cli.EXIT_SCHEMA),
-                                                  ("1e-320", cli.EXIT_NOCONV)])
+                                                  ("1e-320", cli.EXIT_OK)])
     def test_evaluation_height(self, y_eval, expected, tmp_path, capsys):
-        # a subnormal height is a valid point that no transform can resolve:
-        # the solve fails to converge (exit 3), as it did through LAPACK
+        # a subnormal height is a valid point: with a1 = 0, h1 = 0 exactly and
+        # the sum is X2, whose h2 = a h_mu(z / a) needs no LAPACK call, so the
+        # density is the semicircle's sqrt(4 - x^2) / (2 pi)
         law = tmp_path / "semi.json"
         law.write_text(json.dumps(LAWS["semicircle"].to_json_dict()))
+        out = tmp_path / "out.json"
         code = cli.main(["convolve", "--mu1", str(law), "--mu2", str(law), "--a1", "0",
-                         "--grid", "-1:1:3", "--y-eval", y_eval])
+                         "--grid", "-1:1:3", "--y-eval", y_eval, "--out", str(out)])
         assert code == expected
+        if code == cli.EXIT_OK:
+            xs = np.array([-1.0, 0.0, 1.0])
+            np.testing.assert_allclose(json.loads(out.read_text())["density"],
+                                       np.sqrt(4.0 - xs**2) / (2.0 * np.pi), rtol=1e-12)
         capsys.readouterr()

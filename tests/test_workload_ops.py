@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from freeatoms import cli, measure, opval
+from freeatoms import cli, measure, opval, subord
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -51,3 +51,32 @@ def test_atoms_ops_run_without_quadrature(tmp_path, monkeypatch):
     monkeypatch.setattr(measure, "integrate_piece", no_quadrature)
     monkeypatch.setattr(opval, "integrate_piece", no_quadrature)
     test_every_op_passes_its_check("atoms", tmp_path)
+
+
+@pytest.mark.parametrize("workload", ["density", "atoms"])
+def test_newton_steps_invert_no_g_with_a_continuous_part(workload, tmp_path, monkeypatch):
+    # the Newton steps take h = F - id in closed form (opval.matrix_h) for a
+    # law with a continuous part: inside the fixed point no such law reaches
+    # matrix_cauchy or matrix_f
+    stepping = []
+    fixed_point = subord._newton_fixed_point
+
+    def tracked(*args, **kwargs):
+        stepping.append(True)
+        try:
+            return fixed_point(*args, **kwargs)
+        finally:
+            stepping.pop()
+
+    def guarded(name, transform):
+        def call(a, mu, z, **kwargs):
+            if stepping and mu.continuous:
+                raise AssertionError(f"{name} called in a Newton step on a law with a continuous part")
+            return transform(a, mu, z, **kwargs)
+        return call
+
+    monkeypatch.setattr(subord, "_newton_fixed_point", tracked)
+    for name in ("matrix_cauchy", "matrix_f"):
+        for module in (opval, subord):
+            monkeypatch.setattr(module, name, guarded(name, getattr(opval, name)))
+    test_every_op_passes_its_check(workload, tmp_path)
