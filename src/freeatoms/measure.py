@@ -488,15 +488,6 @@ class SpectralMeasure:
         """
         return self._reflected(w, "unit_cauchy")[0]
 
-    def continuous_cauchy_derivative(self, w):
-        """d/dw of :meth:`continuous_cauchy`, -int dmu_c(t) / (w - t)^2, in closed form.
-
-        Reflected below the real axis in the same way: the transform is
-        real on the real axis outside the support, so its derivative at
-        conj(w) is conj of its derivative at w.
-        """
-        return self._reflected(w, "unit_cauchy_derivative")[0]
-
     def _reflected(self, w, *methods):
         """The weighted sum of each of ``methods`` over the pieces at w, via conj(w) below the axis."""
         w = np.asarray(w, dtype=complex)

@@ -20,8 +20,12 @@ G_j for a law with a continuous part, and J_F - I with
 dF[H] = -F dG[H] F for an atomic law).  The
 candidate w + delta with (I - J) delta = Phi(w) - w is kept where it
 lies in the half-plane and discarded for the plain (damped) step
-elsewhere, which preserves the map's guarantees.  A Newton iterate at
-the map's noise floor measures a residual that is the difference of
+elsewhere, which preserves the map's guarantees.  A point's one
+measure of progress is the halving of its best residual: it is
+accepted when its residual reaches tol, or when its best residual
+stops halving within the map's eps/y evaluation floor, and it fails
+when its best residual stops halving above that floor.  A Newton
+iterate at the floor measures a residual that is the difference of
 two noise terms, so every exit bound must hold at three consecutive
 evaluations.  Residuals of the defining identities are reported, never
 assumed.
@@ -90,8 +94,8 @@ class SubordinationResult:
     ``iterations`` and ``lifted_evaluations`` are totals over the points.
     Iterations and lifts count the continuation ladder's rungs too.
     ``floor_acceptances`` counts the points of z accepted at their
-    evaluation floor (the plateau or stall rule) with a fixed-point
-    residual above tol.
+    evaluation floor (the plateau rule) with a fixed-point residual
+    above tol.
     """
 
     omega1: np.ndarray
@@ -181,15 +185,13 @@ def _chain_jacobian(d1, d2):
     return jac
 
 
-_STALL_WINDOW = 60
-_STALL_FLOOR = 1e-8
 # a point whose best residual has not halved for _PLATEAU_WINDOW
 # iterations and lies within _FLOOR_FACTOR * eps / y of zero, y its
 # height, is at the evaluation floor of the map and is accepted there
 _PLATEAU_WINDOW = 10
 _FLOOR_FACTOR = 4.0
-# a point whose best residual, still above the stall floor, has not
-# improved for this many iterations fails instead of running to MAX_ITER
+# a point whose best residual has not halved for this many iterations,
+# and that no rule accepted, fails instead of running to MAX_ITER
 _FAIL_WINDOW = 1000
 # every exit bound must hold at this many consecutive evaluations (at all
 # of them while a point has had fewer): at a noise floor a Newton iterate
@@ -251,12 +253,11 @@ def _newton_fixed_point(step, w0, args, tol, im_floor, points, failures):
     floor, y = 2 ``im_floor`` the point's height.  So a point whose best
     residual has not halved for ``_PLATEAU_WINDOW`` iterations is
     accepted once its best level lies below max(tol, ``_FLOOR_FACTOR``
-    eps / y), and one whose best residual is idle for ``_STALL_WINDOW``
-    iterations once its best level lies below ``_STALL_FLOOR``; an
-    accepted point leaves with its best iterate, a converged one with
-    its own, each with that iterate's residual.  A point idle for
-    ``_FAIL_WINDOW`` iterations fails with its best level, and so does
-    every point still there at the evaluation after ``MAX_ITER`` steps.
+    eps / y); it leaves with its best iterate, a converged point with
+    its own, each with that iterate's residual.  A point whose best
+    residual has not halved for ``_FAIL_WINDOW`` iterations fails with
+    its best level, and so does every point still there at the
+    evaluation after ``MAX_ITER`` steps.
     Batched linear solves serve the stack; a point leaves the stack when
     it converges, is accepted or fails.  A failure stops no other point:
     each failed point's number goes into the dict ``failures`` with its
@@ -269,7 +270,7 @@ def _newton_fixed_point(step, w0, args, tol, im_floor, points, failures):
     sol = np.full(w0.shape, np.nan, dtype=complex)
     sol_res, sol_it = np.full(k_all, np.nan), np.zeros(k_all, dtype=int)
     w = w0
-    best_w, best_res, best_it = w, np.full(k_all, np.inf), np.zeros(k_all, dtype=int)
+    best_w, best_res = w, np.full(k_all, np.inf)
     # the best residual at its last halving, that iteration, and the floor
     mark, half_it = np.full(k_all, np.inf), np.zeros(k_all, dtype=int)
     res_floor = np.maximum(tol, _FLOOR_FACTOR * np.finfo(float).eps / (2.0 * im_floor))
@@ -297,24 +298,20 @@ def _newton_fixed_point(step, w0, args, tol, im_floor, points, failures):
         elif better.any():
             best_w = np.where(better[:, None, None], w, best_w)
             best_res = np.where(better, res, best_res)
-        best_it[better] = it
         halved = best_res < 0.5 * mark
         mark[halved] = best_res[halved]
         half_it[halved] = it
-        # every exit: converged, accepted (plateau, stall) or failed
+        # every exit: converged, accepted at the floor plateau or failed
+        idle = it - half_it
         converged = level <= tol
-        done = converged | ((it - half_it >= _PLATEAU_WINDOW) & (best_level <= res_floor))
-        if it >= _STALL_WINDOW:
-            idle = it - best_it
-            done |= (idle >= _STALL_WINDOW) & (best_level <= _STALL_FLOOR)
-            # idle that long above the floor, a point was never stall-accepted
-            stuck = (idle >= _FAIL_WINDOW) & ~done
-            for k in np.flatnonzero(stuck):
-                failures[int(points[live[k]])] = (
-                    f"subordination iteration stuck at residual {best_level[k]:.3e} "
-                    f"for {_FAIL_WINDOW} iterations",
-                    {"residual": float(best_level[k]), "iterations": it})
-            lost |= stuck
+        done = converged | ((idle >= _PLATEAU_WINDOW) & (best_level <= res_floor))
+        stuck = (idle >= _FAIL_WINDOW) & ~done
+        for k in np.flatnonzero(stuck):
+            failures[int(points[live[k]])] = (
+                f"subordination iteration stuck at residual {best_level[k]:.3e} "
+                f"for {_FAIL_WINDOW} iterations",
+                {"residual": float(best_level[k]), "iterations": it})
+        lost |= stuck
         if it > MAX_ITER:  # the last evaluation: every point not done fails
             for k in np.flatnonzero(~(done | lost)):
                 failures[int(points[live[k]])] = (
@@ -339,7 +336,7 @@ def _newton_fixed_point(step, w0, args, tol, im_floor, points, failures):
         if leave.any():
             keep = ~leave
             live, w, fw, delta = live[keep], w[keep], fw[keep], delta[keep]
-            best_w, best_res, best_it = best_w[keep], best_res[keep], best_it[keep]
+            best_w, best_res = best_w[keep], best_res[keep]
             mark, half_it, res_floor = mark[keep], half_it[keep], res_floor[keep]
             recent, best_level = recent[keep], best_level[keep]
             args = tuple(a[keep] for a in args)

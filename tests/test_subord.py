@@ -435,6 +435,20 @@ class TestFailingPoints:
         assert info.value.details["points"] == [0]
         assert len(sizes) == subord._FAIL_WINDOW + 1
 
+    def test_steady_decrease_without_halving_fails_after_the_window(self):
+        # the residual 1e-3 (1 - 1e-4)^k improves at every evaluation but
+        # halves only after about 6900 of them
+        calls = []
+
+        def step(w):
+            calls.append(len(w))
+            return w + 1e-3 * (1 - 1e-4) ** (len(calls) - 1), lambda part: np.zeros((1, 1, 1))
+
+        with pytest.raises(ConvergenceError, match="stuck") as info:
+            run_fixed_point(step, np.full((1, 1, 1), 1j), (), np.array([1e-3]))
+        assert info.value.details["iterations"] == subord._FAIL_WINDOW + 1
+        assert len(calls) == subord._FAIL_WINDOW + 1
+
     def test_every_point_at_the_cap_is_named(self, monkeypatch):
         monkeypatch.setattr(subord, "MAX_ITER", 20)
         step, args, _ = affine_steps([1.0, 0.5, 1.0], [1j, 0.5 + 0.5j, 2j])
@@ -448,9 +462,12 @@ class TestFloorAcceptance:
     """A point whose best residual stops halving at its evaluation floor leaves with its best."""
 
     @staticmethod
-    def run(step, args, height):
-        """Solve one point at im_floor = height / 2; return the result and the (iterate, residual) log."""
-        log = []
+    def run(step, args, height, log=None):
+        """Solve one point at im_floor = height / 2; return the result and the (iterate, residual) log.
+
+        A given ``log`` is filled in place, so that it survives a raise.
+        """
+        log = [] if log is None else log
 
         def logged(w, *a):
             fw, jac = step(w, *a)
@@ -480,21 +497,18 @@ class TestFloorAcceptance:
         assert DEFAULT_TOL < res[0] == log[best][1] <= 1e-10
         assert best < len(log) - 1 and w[0] == log[best][0]
 
-    def test_plateau_above_the_floor_ends_by_the_stall_rule(self):
-        # at y = 2e-3 the floor is tol itself, so the same plateau is not accepted early
-        step, args, _ = affine_steps([0.5], [0.5 + 0.5j], noise=1e-11, seed=1)
-        (w, res, its), log = self.run(step, args, 2e-3)
-        best = min(range(len(log)), key=lambda k: log[k][1])
-        assert its[0] == len(log) == best + 1 + subord._STALL_WINDOW
-        assert res[0] == log[best][1] and w[0] == log[best][0]
-
-    def test_plateau_above_every_floor_fails(self):
-        step, args, _ = affine_steps([0.5], [0.5 + 0.5j], noise=1e-7, seed=1)
+    @pytest.mark.parametrize("noise, height", [
+        (1e-11, 2e-3),  # residual about 1.3e-12, above the floor tol itself
+        (1e-7, 2e-6),  # residual about 1.3e-8, above the floor 4 eps / y = 4.4e-10
+    ])
+    def test_plateau_above_every_floor_fails(self, noise, height):
+        step, args, _ = affine_steps([0.5], [0.5 + 0.5j], noise=noise, seed=1)
+        log = []
         with pytest.raises(ConvergenceError, match="stuck") as info:
-            self.run(step, args, 2e-6)
-        residual = info.value.details["residual"]
-        assert subord._STALL_FLOOR < residual < 1e-6
-        assert info.value.details["iterations"] > subord._FAIL_WINDOW
+            self.run(step, args, height, log)
+        floor = max(DEFAULT_TOL, subord._FLOOR_FACTOR * np.finfo(float).eps / height)
+        assert floor < info.value.details["residual"] < 1e-6
+        assert info.value.details["iterations"] == self.halvings(log)[-1] + subord._FAIL_WINDOW
 
     @pytest.mark.parametrize("seed", range(4))
     def test_smoothly_converging_point_keeps_its_iterate(self, seed):
@@ -573,6 +587,16 @@ class TestSumDensity:
         for y in (1e-8, 1e-10):
             data, _ = sum_density(model, xs, y_eval=y)
             np.testing.assert_allclose(data[:, 1], ref[:, 1], rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("y_eval", [1e-4, 1e-5])
+    def test_gap_grid_converges_by_tol(self, y_eval):
+        # x = 1.5 lies in a gap of the support, where omega1 grows like 0.75i / y;
+        # every point, x = 1.5 too, brings its step residual to tol without a floor acceptance
+        mu1 = M.atomic_measure([(0.0, 0.7), (1.0, 0.3)])
+        mu2 = M.atomic_measure([(0.0, 0.6), (2.0, 0.4)])
+        _, result = sum_density(scalar_model(mu1, mu2), np.linspace(1.3, 1.7, 9), y_eval=y_eval)
+        assert result.floor_acceptances == 0
+        assert (result.residual_fixed_point <= DEFAULT_TOL).all()
 
     def test_rejects_empty_grid(self):
         with pytest.raises(PreconditionError, match="no points"):
